@@ -2,8 +2,11 @@
 
 Positive parameter slots are log-transformed so the search is unconstrained;
 the analytic score is mapped through the chain rule.  A BFGS pass is
-followed, when needed, by damped Newton steps on the score using the
-finite-difference score Jacobian, until the gradient tolerance is met.
+followed, when its gradient is still above tolerance, by damped Newton
+steps on the score (strict sup-norm descent) whose Jacobian is the
+sandwich's own central-difference ``variance.a_matrix_fd``.  Both use the
+one ``LikelihoodContext`` built per fit, which the variance then reads at
+the maximizer.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ from .errors import (
     NonConvergence,
     NumericalUnderflow,
     QuadratureFailure,
+    SingularA,
     ValidationError,
 )
 from .likelihood import LikelihoodContext
 from .models import REGISTRY_ORDER, SurvivalModel, get_model
-from .variance import VarianceParts, asymptotic_variance
+from .variance import VarianceParts, a_matrix_fd, asymptotic_variance
 
 Z975 = 1.96
 
@@ -166,38 +170,6 @@ def source_only_mle(model: SurvivalModel, dataset: Dataset, theta0=None) -> np.n
     return theta
 
 
-def _fd_score_column(ctx, theta, j, h, d_z):
-    """Central score difference along slot j, shrinking the step when a
-    probe lands outside the domain (e.g. an excluded-point guard band)."""
-    model = ctx.model
-    for _ in range(8):
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += h
-        dn[j] -= h
-        try:
-            model.check_theta(up, d_z)
-            model.check_theta(dn, d_z)
-            _, su = ctx.value_and_score(up)
-            _, sd = ctx.value_and_score(dn)
-            return (su - sd) / (2 * h)
-        except (DomainError, NumericalUnderflow):
-            h *= 0.25
-    raise DomainError(f"cannot difference the score along slot {j} at {theta[j]}")
-
-
-def _fd_score_jacobian(ctx: LikelihoodContext, theta, pos_mask):
-    d = theta.shape[0]
-    d_z = ctx.dataset.d_z
-    J = np.empty((d, d))
-    for j in range(d):
-        h = max(1e-6, 1e-5 * abs(theta[j]))
-        if pos_mask[j]:
-            h = min(h, 0.25 * theta[j])
-        J[:, j] = _fd_score_column(ctx, theta, j, h, d_z)
-    return J
-
-
 def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) -> FitResult:
     """Maximize the approximated log-likelihood and assemble inference.
 
@@ -248,8 +220,8 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
         d = theta.shape[0]
         while np.max(np.abs(sc)) > opts.grad_tol and steps < budget:
             try:
-                J = _fd_score_jacobian(ctx, theta, model.positive_mask(dataset.d_z))
-            except DomainError:
+                J = a_matrix_fd(ctx, theta)
+            except SingularA:
                 break
             try:
                 step = np.linalg.solve(J, -sc)
@@ -317,7 +289,7 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
     sigma = se = ci = None
     parts = None
     if not opts.skip_variance:
-        sigma, parts = asymptotic_variance(model, dataset, theta)
+        sigma, parts = asymptotic_variance(ctx, theta)
         se = np.sqrt(np.maximum(np.diag(sigma), 0.0) / dataset.n0)
         ci = np.stack([theta - Z975 * se, theta + Z975 * se], axis=1)
     return FitResult(
@@ -347,6 +319,8 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
     """
     if isinstance(model, str):
         model = get_model(model)
+    if fit_result.sigma_hat is None:
+        raise ValidationError("fit result carries no covariance; rerun without skip_variance")
     theta = fit_result.theta_hat
     z = np.asarray(z, dtype=float)
     d = theta.shape[0]
@@ -364,12 +338,16 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
             err += e
         return total, err
 
-    try:
-        zeta, err = quad_full(integrand)
-    except Exception as exc:
-        raise QuadratureFailure(str(exc)) from exc
-    if not math.isfinite(zeta) or err > 1e-6 * max(1.0, abs(zeta)):
-        raise QuadratureFailure(f"integral error estimate {err:.3g}")
+    def checked(f, what):
+        try:
+            val, err = quad_full(f)
+        except Exception as exc:
+            raise QuadratureFailure(str(exc)) from exc
+        if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
+            raise QuadratureFailure(f"{what} {val:.6g} with error estimate {err:.3g}")
+        return val
+
+    zeta = checked(integrand, "integral")
 
     gamma = np.empty(d)
     for s in range(d):
@@ -378,12 +356,7 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
             gr = model.log_density_grad(theta, t, z)
             return g(t) * lq * float(np.asarray(gr).reshape(-1, d)[0, s])
 
-        val, e = quad_full(comp)
-        if not math.isfinite(val):
-            raise QuadratureFailure("gradient integral diverged")
-        gamma[s] = val
-    if fit_result.sigma_hat is None:
-        raise ValidationError("fit result carries no covariance; rerun without skip_variance")
+        gamma[s] = checked(comp, f"gradient integral {s}")
     var = float(gamma @ fit_result.sigma_hat @ gamma) / fit_result.n0
     se = math.sqrt(max(var, 0.0))
     return zeta, se, (zeta - Z975 * se, zeta + Z975 * se)

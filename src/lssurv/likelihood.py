@@ -29,7 +29,7 @@ from scipy import special
 from .data import Dataset
 from .errors import EmptyTail, NumericalUnderflow
 from .models import SurvivalModel
-from .nonparam import KmFit, kaplan_meier
+from .nonparam import kaplan_meier
 
 logger = logging.getLogger("lssurv")
 
@@ -48,12 +48,17 @@ class SFunctionals:
 
 class LikelihoodContext:
     """Data-dependent, theta-independent scaffolding plus a one-slot cache
-    of the last evaluated theta."""
+    of the last evaluated theta.
 
-    def __init__(self, model: SurvivalModel, dataset: Dataset, km: KmFit | None = None):
+    The evaluation at the maximizer is also the state the sandwich variance
+    reads: the product-limit fit, the kept censored records, the densities
+    and the per-record score rows ``psi``.
+    """
+
+    def __init__(self, model: SurvivalModel, dataset: Dataset):
         self.model = model
         self.dataset = dataset
-        self.km = km if km is not None else kaplan_meier(dataset.x, dataset.delta)
+        self.km = kaplan_meier(dataset.x, dataset.delta)
         self.tk = self.km.event_times                      # (K,) distinct event times
         self.w = self.km.jumps.masses                      # (K,) product-limit jumps
         self.logw = np.log(self.w)
@@ -130,20 +135,25 @@ class LikelihoodContext:
             Wt = np.exp(Ltgt - lqhat[:, None] - math.log(ds.n2))      # rows sum to 1
             qstar_ratio = np.einsum("kj,kjd->kd", Wt, Gtgt)           # qhat*_T / qhat_T
             d = theta.shape[0]
+            psi = np.zeros((ds.n1, d))                               # per-record score rows
             rows_sum = np.zeros(d)
             if self.unc_idx.size:
                 Gown = model.log_density_grad(theta, x_unc, ds.z_source[self.unc_idx])
-                rows_sum += (Gown - qstar_ratio[self.k_of_unc]).sum(axis=0)
+                unc_rows = Gown - qstar_ratio[self.k_of_unc]
+                psi[self.unc_idx] = unc_rows
+                rows_sum += unc_rows.sum(axis=0)
             psi3 = np.zeros((self.cens_idx.size, d))
             if self.cens_idx.size:
                 Gcen = model.log_density_grad(theta, tcol, z_cens)    # (K, n_c, d)
                 u = np.exp(e - cens_logsum[None, :])
                 u = np.where(self.tail_mask, u, 0.0)
                 psi3 = np.einsum("ki,kid->id", u, Gcen) - np.einsum("ki,kd->id", u, qstar_ratio)
+                psi[self.cens_idx] = psi3
                 rows_sum += psi3.sum(axis=0)
             env["Wt"] = Wt
             env["qstar_ratio"] = qstar_ratio
             env["psi3_cens"] = psi3
+            env["psi"] = psi
             env["score"] = rows_sum / ds.n1
         self._cache_key = theta.tobytes()
         self._cache_val = env

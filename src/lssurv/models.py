@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError
 
@@ -34,19 +34,32 @@ def _exp_clip(a):
 
 
 class SurvivalModel:
-    """Interface shared by the model zoo.  Stateless and thread-safe."""
+    """Interface shared by the model zoo.  Stateless and thread-safe.
+
+    A zoo model declares its baseline slot names (``baseline``) and which of
+    them are constrained to (0, inf) (``positive``); the parameter layout
+    ``beta_1 .. beta_{d_z}`` followed by the baseline block derives from them.
+    """
 
     name: str = ""
+    baseline: tuple = ()
+    positive: tuple = ()
 
     def d_theta(self, d_z: int) -> int:
-        raise NotImplementedError
+        return d_z + len(self.baseline)
 
     def param_names(self, d_z: int) -> list:
-        raise NotImplementedError
+        return [f"beta{i + 1}" for i in range(d_z)] + list(self.baseline)
 
     def positive_mask(self, d_z: int) -> np.ndarray:
         """Slots constrained to (0, inf); the optimizer log-transforms these."""
-        raise NotImplementedError
+        return np.array([False] * d_z + [b in self.positive for b in self.baseline], dtype=bool)
+
+    def _split(self, theta):
+        """Split a flat parameter vector into ``beta`` and the baseline scalars."""
+        theta = np.asarray(theta, dtype=float)
+        nb = len(self.baseline)
+        return (theta[:-nb], *theta[-nb:])
 
     def check_theta(self, theta, d_z: int) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -101,21 +114,8 @@ class PHWeibull(SurvivalModel):
     ``lam * gam * t**(gam-1) * exp(u)``."""
 
     name = "ph-weibull"
-
-    def d_theta(self, d_z):
-        return d_z + 2
-
-    def param_names(self, d_z):
-        return [f"beta{i + 1}" for i in range(d_z)] + ["lambda", "gamma"]
-
-    def positive_mask(self, d_z):
-        m = np.zeros(d_z + 2, dtype=bool)
-        m[-2:] = True
-        return m
-
-    def _split(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta[:-2], theta[-2], theta[-1]
+    baseline = ("lambda", "gamma")
+    positive = ("lambda", "gamma")
 
     def log_density(self, theta, t, z):
         beta, lam, gam = self._split(theta)
@@ -157,21 +157,8 @@ class POLogLogistic(SurvivalModel):
     ``1 / (1 + H(t) exp(u))``, ``H(t) = exp(-mu/sigma) t**(1/sigma)``."""
 
     name = "po-loglogistic"
-
-    def d_theta(self, d_z):
-        return d_z + 2
-
-    def param_names(self, d_z):
-        return [f"beta{i + 1}" for i in range(d_z)] + ["mu", "sigma"]
-
-    def positive_mask(self, d_z):
-        m = np.zeros(d_z + 2, dtype=bool)
-        m[-1] = True
-        return m
-
-    def _split(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta[:-2], theta[-2], theta[-1]
+    baseline = ("mu", "sigma")
+    positive = ("sigma",)
 
     def _logH(self, t, mu, sigma):
         return (np.log(t) - mu) / sigma
@@ -219,21 +206,8 @@ class AFTLogNormal(SurvivalModel):
     ``log T = mu + u + sigma * eps``."""
 
     name = "aft-lognormal"
-
-    def d_theta(self, d_z):
-        return d_z + 2
-
-    def param_names(self, d_z):
-        return [f"beta{i + 1}" for i in range(d_z)] + ["mu", "sigma"]
-
-    def positive_mask(self, d_z):
-        m = np.zeros(d_z + 2, dtype=bool)
-        m[-1] = True
-        return m
-
-    def _split(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta[:-2], theta[-2], theta[-1]
+    baseline = ("mu", "sigma")
+    positive = ("sigma",)
 
     def log_density(self, theta, t, z):
         beta, mu, sigma = self._split(theta)
@@ -277,21 +251,8 @@ class AFTExponential(SurvivalModel):
     ``q(t, z) = lam * exp(-u) * exp(-lam * t * exp(-u))``."""
 
     name = "aft-exponential"
-
-    def d_theta(self, d_z):
-        return d_z + 1
-
-    def param_names(self, d_z):
-        return [f"beta{i + 1}" for i in range(d_z)] + ["lambda"]
-
-    def positive_mask(self, d_z):
-        m = np.zeros(d_z + 1, dtype=bool)
-        m[-1] = True
-        return m
-
-    def _split(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta[:-1], theta[-1]
+    baseline = ("lambda",)
+    positive = ("lambda",)
 
     def log_density(self, theta, t, z):
         beta, lam = self._split(theta)
@@ -333,28 +294,15 @@ class AHWeibull(SurvivalModel):
     """
 
     name = "ah-weibull"
+    baseline = ("lambda", "gamma")
+    positive = ("lambda", "gamma")
     _GUARD = 1e-6
-
-    def d_theta(self, d_z):
-        return d_z + 2
-
-    def param_names(self, d_z):
-        return [f"beta{i + 1}" for i in range(d_z)] + ["lambda", "gamma"]
-
-    def positive_mask(self, d_z):
-        m = np.zeros(d_z + 2, dtype=bool)
-        m[-2:] = True
-        return m
 
     def check_theta(self, theta, d_z):
         theta = super().check_theta(theta, d_z)
         if abs(theta[-1] - 1.0) < self._GUARD:
             raise DomainError("ah-weibull: gamma must stay away from 1")
         return theta
-
-    def _split(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta[:-2], theta[-2], theta[-1]
 
     def log_density(self, theta, t, z):
         beta, lam, gam = self._split(theta)
@@ -390,92 +338,6 @@ class AHWeibull(SurvivalModel):
     def default_init(self, x, delta, z):
         lam = max(delta.sum() / x.sum(), 1e-3)
         return np.concatenate([np.zeros(z.shape[1]), [lam, 1.3]])
-
-
-class TwoPointLogNormal(SurvivalModel):
-    """Test fixture: a log-normal event-time family over a two-point
-    covariate whose induced conditional density is invariant under
-    ``mu -> -mu``, so the family is not identifiable from the stacked
-    two-population data.
-
-    The construction: the source conditional given ``z`` is log-normal with
-    scale ``beta * z``; the target marginal is log-normal ``(mu, sigma)``.
-    The implied conditional in the target is the tilt of the source mixture
-    by that marginal.  theta = (beta, mu, sigma) with beta, sigma > 0 and
-    z restricted to {1, 2} with equal weight.
-    """
-
-    name = "twopoint-lognormal"
-    _gh_nodes, _gh_weights = np.polynomial.hermite.hermgauss(64)
-
-    def d_theta(self, d_z):
-        return 3
-
-    def param_names(self, d_z):
-        return ["beta", "mu", "sigma"]
-
-    def positive_mask(self, d_z):
-        return np.array([True, False, True])
-
-    def _log_mix_weight(self, s, beta, zval):
-        # log of the z-component weight in the source mixture at log-time s
-        comp = np.stack(
-            [-(s**2) / (2.0 * (beta * zz) ** 2) - math.log(beta * zz) for zz in (1.0, 2.0)]
-        )
-        lse = special.logsumexp(comp, axis=0)
-        pick = comp[0] if zval == 1.0 else comp[1]
-        return pick - lse
-
-    def _log_qz(self, theta, zval):
-        beta, mu, sigma = np.asarray(theta, dtype=float)
-        s = mu + math.sqrt(2.0) * sigma * self._gh_nodes
-        logw = self._log_mix_weight(s, beta, zval)
-        return special.logsumexp(logw + np.log(self._gh_weights)) - 0.5 * math.log(math.pi)
-
-    def log_density(self, theta, t, z):
-        beta, mu, sigma = np.asarray(theta, dtype=float)
-        t = np.asarray(t, dtype=float)
-        zv = np.asarray(z, dtype=float)
-        zcol = zv[..., 0] if zv.ndim and zv.shape[-1] == 1 else zv
-        s = np.log(t)
-        lp_t1 = -0.5 * _LOG_2PI - s - math.log(beta) - s**2 / (2.0 * beta**2)
-        lp_t2 = -0.5 * _LOG_2PI - s - math.log(2.0 * beta) - s**2 / (2.0 * (2.0 * beta) ** 2)
-        lp_tz = np.where(np.isclose(zcol, 1.0), lp_t1, lp_t2)
-        lp_t = np.logaddexp(math.log(0.5) + lp_t1, math.log(0.5) + lp_t2)
-        lq_t = -0.5 * _LOG_2PI - np.log(sigma) - s - (s - mu) ** 2 / (2.0 * sigma**2)
-        lqz = np.where(
-            np.isclose(zcol, 1.0), self._log_qz(theta, 1.0), self._log_qz(theta, 2.0)
-        )
-        out = lp_tz + math.log(0.5) + lq_t - lp_t - lqz
-        return np.broadcast_to(out, np.broadcast(t, zcol).shape).copy()
-
-    def log_density_grad(self, theta, t, z):
-        # central differences; the fixture is outside the analytic-gradient zoo
-        theta = np.asarray(theta, dtype=float)
-        base = self.log_density(theta, t, z)
-        out = np.empty(base.shape + (3,))
-        for s in range(3):
-            h = 1e-6 * max(1.0, abs(theta[s]))
-            up = theta.copy()
-            dn = theta.copy()
-            up[s] += h
-            dn[s] -= h
-            out[..., s] = (self.log_density(up, t, z) - self.log_density(dn, t, z)) / (2 * h)
-        return out
-
-    def survival(self, theta, t, z):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        zv = np.asarray(z, dtype=float).reshape(-1)[:1]
-        out = np.empty(t_arr.shape)
-        for i, ti in enumerate(t_arr.ravel()):
-            val, _ = integrate.quad(
-                lambda s: float(np.exp(self.log_density(theta, s, zv))), ti, np.inf
-            )
-            out.ravel()[i] = min(max(val, 0.0), 1.0)
-        return float(out[0]) if np.isscalar(t) else out
-
-    def default_init(self, x, delta, z):
-        return np.array([1.0, 0.5, 1.0])
 
 
 REGISTRY = {

@@ -61,13 +61,7 @@ def kaplan_meier(x, delta) -> KmFit:
     m_t = np.diff(boundaries)
     y_t = n1 - start
 
-    surv_levels = []
-    s = 1.0
-    for d, y in zip(d_t, y_t):
-        if d > 0:
-            s *= (y - d) / y
-        surv_levels.append(s)
-    surv_levels = np.asarray(surv_levels)
+    surv_levels = np.cumprod(np.where(d_t > 0, (y_t - d_t) / y_t, 1.0))
 
     survival = StepFunction(times, surv_levels, pre=1.0)
     cdf = StepFunction(times, 1.0 - surv_levels, pre=0.0)

@@ -15,13 +15,14 @@ import lssurv as ls
 from lssurv.cli import run_cli
 from lssurv.estimator import FitOptions, bic_criterion, bic_select, conditional_functional, fit
 from lssurv.likelihood import LikelihoodContext, approx_loglik, score
-from lssurv.models import TwoPointLogNormal, get_model, ratio_depends_on_z
+from lssurv.models import get_model, ratio_depends_on_z
 from lssurv.nonparam import influence_context, influence_evaluator, kaplan_meier
 from lssurv.simulation import SimConfig, generate_dataset, run_mc_study
 from lssurv.shift_test import label_shift_test
 from lssurv.variance import eta_q_hat
 
 from conftest import gen_censored_population
+from fixture_models import TwoPointLogNormal
 
 JOBS = min(os.cpu_count() or 1, 4)
 TRUTH = (1.0, 1.0, 1.0, 1.5)
@@ -131,7 +132,8 @@ def test_c4_exact_influence_invariants():
     ds = generate_dataset(cfg, np.random.default_rng(17))
     theta = np.asarray(TRUTH)
     i = int(np.flatnonzero(ds.delta == 0)[2])
-    eta0, eta1, eta2 = eta_q_hat(get_model("ph-weibull"), ds, theta, ds.x[i], ds.z_source[i])
+    ctx = LikelihoodContext(get_model("ph-weibull"), ds)
+    eta0, eta1, eta2 = eta_q_hat(ctx, theta, ds.x[i], ds.z_source[i])
     tol = 1e-9 * ds.n2
     sums = [abs(eta0.sum()), float(np.max(np.abs(eta1.sum(axis=0)))),
             float(np.max(np.abs(eta2.sum(axis=0))))]

@@ -19,7 +19,7 @@ from lssurv.estimator import (
     conditional_functional,
     fit,
 )
-from lssurv.likelihood import LikelihoodContext, approx_loglik, score
+from lssurv.likelihood import LikelihoodContext, approx_loglik, s_functionals, score
 from lssurv.models import PHWeibull, SurvivalModel, get_model
 from lssurv.variance import a_matrix_fd, asymptotic_variance, eta_q_hat
 
@@ -107,7 +107,7 @@ def test_nonconvergence_raises():
 
 def test_variance_shape_and_psd(fitted):
     ds, fr = fitted
-    sigma, parts = asymptotic_variance(get_model("ph-weibull"), ds, fr.theta_hat)
+    sigma, parts = asymptotic_variance(LikelihoodContext(get_model("ph-weibull"), ds), fr.theta_hat)
     assert np.allclose(sigma, sigma.T, atol=1e-10)
     assert np.min(np.linalg.eigvalsh(sigma)) >= -1e-10
     assert parts.psi_per_source.shape == (ds.n1, 4)
@@ -125,8 +125,8 @@ def test_a_matrix_is_loglik_hessian(fitted):
     # independent route: second differences of the scalar objective
     ds, fr = fitted
     model = get_model("ph-weibull")
-    A = a_matrix_fd(model, ds, fr.theta_hat)
     ctx = LikelihoodContext(model, ds)
+    A = a_matrix_fd(ctx, fr.theta_hat)
     d = fr.theta_hat.size
     H = np.empty((d, d))
     h = 1e-4
@@ -149,7 +149,7 @@ def test_eta_q_components_sum_to_zero(fitted):
     ds, fr = fitted
     model = get_model("ph-weibull")
     i = int(np.flatnonzero(ds.delta == 0)[0])
-    eta0, eta1, eta2 = eta_q_hat(model, ds, fr.theta_hat, ds.x[i], ds.z_source[i])
+    eta0, eta1, eta2 = eta_q_hat(LikelihoodContext(model, ds), fr.theta_hat, ds.x[i], ds.z_source[i])
     tol = 1e-9 * ds.n2
     assert abs(eta0.sum()) < tol
     assert np.max(np.abs(eta1.sum(axis=0))) < tol
@@ -160,56 +160,42 @@ def test_psi_pt_vanishes_without_censoring():
     ds0 = sim_dataset(seed=21, n1=100, n2=80)
     ds = ls.Dataset(ds0.x, np.ones_like(ds0.delta), ds0.z_source, ds0.z_target)
     fr = fit("ph-weibull", ds)
-    _, parts = asymptotic_variance(get_model("ph-weibull"), ds, fr.theta_hat)
+    _, parts = asymptotic_variance(LikelihoodContext(get_model("ph-weibull"), ds), fr.theta_hat)
     np.testing.assert_array_equal(parts.psi_pT_per_source, 0.0)
 
 
 def test_psi_pt_column_against_reference_influence(fitted):
-    # the vectorized event-CDF rows agree with the reference one-integrand path
+    # the vectorized event-CDF rows agree with the reference one-integrand
+    # path, assembled column by column over the kept censored records
     ds, fr = fitted
     model = get_model("ph-weibull")
-    from lssurv.variance import _PluginState
+    theta = fr.theta_hat
+    ctx = LikelihoodContext(model, ds)
+    _, parts = asymptotic_variance(ctx, theta)
+    lqhat = ctx._evaluate(theta, need_score=True)["lqhat"]
+    infl = ls.influence_context(ctx.km)
 
-    st = _PluginState(model, ds, fr.theta_hat)
-    infl = ls.influence_context(st.km)
-    cens = st.cens_idx
-    m = cens[1]
-    x_m, z_m = ds.x[m], ds.z_source[m]
+    got = np.zeros_like(parts.psi_pT_per_source)
+    for m in ctx.cens_idx:
+        x_m, z_m = ds.x[m], ds.z_source[m]
 
-    def phi(w):
-        w = np.asarray(w, dtype=float)
-        lq = model.log_density(fr.theta_hat, w, z_m)
-        lqh = np.interp(w, st.tk, st.lqhat)
-        return np.where(w > x_m, np.exp(lq - lqh), 0.0)
+        def phi(w):
+            w = np.asarray(w, dtype=float)
+            lq = model.log_density(theta, w, z_m)
+            lqh = np.interp(w, ctx.tk, lqhat)
+            return np.where(w > x_m, np.exp(lq - lqh), 0.0)
 
-    ev = ls.influence_evaluator(infl, phi)
-    got = ev(ds.x, ds.delta)
-    # reconstruct the same column from the vectorized assembly
-    Mc = st.mask[:, cens]
-    phi_mat = Mc * st.rho_src[:, cens]
-    col = np.searchsorted(cens, m)
-    b = (st.ck * infl.g0_at_events) * phi_mat[:, col] / ds.n1
-    suffix = np.concatenate([np.cumsum(b[::-1])[::-1], [0.0]])
-    idx_after = np.searchsorted(st.tk, ds.x, side="right")
-    tail = suffix[idx_after]
-    if st.km.censor_times.size:
-        tail_v = suffix[np.searchsorted(st.tk, st.km.censor_times, side="right")]
-        cp = np.concatenate([[0.0], np.cumsum(infl.dv * tail_v)])
-        g2 = cp[np.searchsorted(st.km.censor_times, ds.x, side="left")]
-    else:
-        g2 = 0.0
-    expect = np.where(
-        ds.delta == 1,
-        phi_mat[idx_after - 1, col] * infl.g0_at_events[np.clip(idx_after - 1, 0, None)],
-        tail / np.atleast_1d(st.km.risk(ds.x)),
-    ) - g2
+        sf = s_functionals(ctx, theta, x_m, z_m)
+        c_m = (sf.s1 - sf.s2) / sf.s0**2
+        got -= np.outer(ls.influence_evaluator(infl, phi)(ds.x, ds.delta), c_m) / ds.n1
+    expect = parts.psi_pT_per_source
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
 def test_se_scales_with_root_n(fitted):
     ds, fr = fitted
     model = get_model("ph-weibull")
-    sigma, _ = asymptotic_variance(model, ds, fr.theta_hat)
+    sigma, _ = asymptotic_variance(LikelihoodContext(model, ds), fr.theta_hat)
     se = np.sqrt(np.diag(sigma) / ds.n0)
     dup = ls.Dataset(
         np.concatenate([ds.x, ds.x]),
@@ -217,7 +203,7 @@ def test_se_scales_with_root_n(fitted):
         np.vstack([ds.z_source, ds.z_source]),
         np.vstack([ds.z_target, ds.z_target]),
     )
-    sigma2, _ = asymptotic_variance(model, dup, fr.theta_hat)
+    sigma2, _ = asymptotic_variance(LikelihoodContext(model, dup), fr.theta_hat)
     se2 = np.sqrt(np.diag(sigma2) / dup.n0)
     np.testing.assert_allclose(se2, se / math.sqrt(2.0), rtol=0.05)
 
@@ -229,7 +215,7 @@ def test_singular_a_detected():
     delta = np.ones(40, dtype=int)
     ds = ls.Dataset(x, delta, np.empty((40, 0)), np.empty((20, 0)))
     with pytest.raises(SingularA):
-        asymptotic_variance(get_model("ph-weibull"), ds, np.array([1.0, 1.2]))
+        asymptotic_variance(LikelihoodContext(get_model("ph-weibull"), ds), np.array([1.0, 1.2]))
 
 
 def test_conditional_functional_normalization(fitted):
@@ -255,6 +241,39 @@ def test_conditional_functional_quadrature_failure(fitted):
     _, fr = fitted
     with pytest.raises(QuadratureFailure):
         conditional_functional("ph-weibull", fr, np.zeros(2), lambda t: math.exp(t * t))
+
+
+def test_conditional_functional_checks_gradient_integral_errors(fitted, monkeypatch):
+    from scipy import integrate
+
+    _, fr = fitted
+    quad = integrate.quad
+    calls = []
+
+    def noisy_quad(f, a, b, **kw):
+        # call 0 is zeta; inflate the error estimate of one gradient integral
+        val, err = quad(f, a, b, **kw)
+        calls.append(err)
+        return (val, 1.0) if len(calls) == 3 else (val, err)
+
+    monkeypatch.setattr(integrate, "quad", noisy_quad)
+    with pytest.raises(QuadratureFailure, match="gradient integral 1"):
+        conditional_functional("ph-weibull", fr, np.zeros(2), lambda t: t)
+    assert max(calls[:2]) < 1e-6
+
+
+def test_conditional_functional_requires_covariance_before_quadrature(fitted, monkeypatch):
+    from scipy import integrate
+
+    _, fr = fitted
+    bare = FitResult.from_json_dict(dict(fr.to_json_dict(), sigma=None, se=None, ci=None))
+
+    def no_quad(*args, **kw):
+        raise AssertionError("quadrature ran before the covariance check")
+
+    monkeypatch.setattr(integrate, "quad", no_quad)
+    with pytest.raises(ValidationError):
+        conditional_functional("ph-weibull", bare, np.zeros(2), lambda t: t)
 
 
 def test_bic_penalty_arithmetic():
@@ -343,20 +362,24 @@ def test_psi_qz_rows_match_per_record_reconstruction():
     ds = sim_dataset(seed=51, n1=40, n2=25)
     model = get_model("ph-weibull")
     theta = np.array([0.9, 1.1, 1.0, 1.4])
-    from lssurv.variance import _PluginState
+    ctx = LikelihoodContext(model, ds)
+    _, parts = asymptotic_variance(ctx, theta)
+    fast = parts.psi_qZ_per_target
 
-    st = _PluginState(model, ds, theta)
-    fast = st.psi_qz_rows()
-
+    env = ctx._evaluate(theta, need_score=True)
+    rho_tgt = env["Wt"] * ds.n2
+    qstar_ratio = env["qstar_ratio"]
+    Gtgt = model.log_density_grad(theta, ctx.tk[:, None], ds.z_target)
     slow = np.zeros_like(fast)
     # uncensored part: the density-gradient mismatch term
-    for m in st.unc_idx:
-        k = int(np.searchsorted(st.tk, ds.x[m]))
-        rho = st.rho_tgt[k]
-        slow -= (rho[:, None] * st.Gtgt[k] - rho[:, None] * st.qstar_ratio[k]) / ds.n1
+    for m in ctx.unc_idx:
+        k = int(np.searchsorted(ctx.tk, ds.x[m]))
+        rho = rho_tgt[k]
+        slow -= (rho[:, None] * Gtgt[k] - rho[:, None] * qstar_ratio[k]) / ds.n1
     # censored part: the three tail-integral corrections
-    for m in st.cens_idx:
-        eta0, eta1, eta2 = eta_q_hat(model, ds, theta, ds.x[m], ds.z_source[m])
-        c_m = (st.S1[m] - st.S2[m]) / st.S0[m] ** 2
-        slow += ((eta1 - eta2) / st.S0[m] - np.outer(eta0, c_m)) / ds.n1
+    for m in ctx.cens_idx:
+        eta0, eta1, eta2 = eta_q_hat(ctx, theta, ds.x[m], ds.z_source[m])
+        sf = s_functionals(ctx, theta, ds.x[m], ds.z_source[m])
+        c_m = (sf.s1 - sf.s2) / sf.s0**2
+        slow += ((eta1 - eta2) / sf.s0 - np.outer(eta0, c_m)) / ds.n1
     np.testing.assert_allclose(fast, slow, atol=1e-11)

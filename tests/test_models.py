@@ -9,13 +9,14 @@ from lssurv.errors import DomainError
 from lssurv.models import (
     REGISTRY,
     REGISTRY_ORDER,
-    TwoPointLogNormal,
     density,
     get_model,
     ratio_depends_on_z,
     sample_event_time,
     survival,
 )
+
+from fixture_models import TwoPointLogNormal
 
 # admissible spot parameters per model for randomized checks
 SPOTS = {

@@ -78,6 +78,37 @@ def test_km_properties_random(seed, n):
         assert km.h0(t) + km.h1(t) == pytest.approx(np.mean(x <= t), abs=1e-12)
 
 
+def _product_limit_loop(x, delta):
+    """Scalar product-limit oracle: survival level after each distinct time."""
+    times = np.unique(x)
+    levels = []
+    s = 1.0
+    for t in times:
+        y = np.sum(x >= t)
+        d = np.sum((x == t) & (delta == 1))
+        if d > 0:
+            s *= (y - d) / y
+        levels.append(s)
+    return times, np.asarray(levels)
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 8), st.booleans()), min_size=1, max_size=40),
+    st.integers(0, 39),
+)
+@settings(max_examples=200, deadline=None)
+def test_km_levels_match_scalar_loop_on_ties(records, event_at):
+    # integer times on a small range: heavy ties between events and censorings
+    x = np.array([float(t) for t, _ in records])
+    delta = np.array([int(e) for _, e in records])
+    delta[event_at % len(records)] = 1
+    km = kaplan_meier(x, delta)
+    times, levels = _product_limit_loop(x, delta)
+    np.testing.assert_array_equal(km.survival.knots, times)
+    np.testing.assert_array_equal(km.survival.values, levels)
+    np.testing.assert_array_equal(km.cdf.values, 1.0 - levels)
+
+
 def test_empirical_measure_masses():
     m = empirical_measure(np.array([[1.0, 2.0]]))
     assert m.total_mass == pytest.approx(1.0) and len(m) == 1
