@@ -46,6 +46,24 @@ class SFunctionals:
     s2: np.ndarray
 
 
+def contract_records(factors, W):
+    """``sum_j W[..., j] * grad[..., j, :]`` for the density gradient on a
+    grid whose last axis runs over records, from its ``grad_factors``: the
+    regression block is one matrix product, the baseline block one weighted
+    sum per slot, and the full gradient grid is never formed."""
+    g_u, g_base, zr = factors
+    base = [np.einsum("...j,...j->...", W, g) for g in g_base]
+    return np.concatenate([(W * g_u) @ zr, np.stack(base, axis=-1)], axis=-1)
+
+
+def contract_times(factors, W):
+    """``sum_k W[k, j] * grad[k, j, :]`` over the event times of an (event
+    time x record) grid, one row per record, from its ``grad_factors``."""
+    g_u, g_base, zr = factors
+    base = [np.einsum("kj,kj->j", W, g) for g in g_base]
+    return np.concatenate([(W * g_u).sum(axis=0)[:, None] * zr, np.stack(base, axis=-1)], axis=-1)
+
+
 class LikelihoodContext:
     """Data-dependent, theta-independent scaffolding plus a one-slot cache
     of the last evaluated theta.
@@ -131,9 +149,10 @@ class LikelihoodContext:
             "loglik": loglik,
         }
         if need_score:
-            Gtgt = model.log_density_grad(theta, tcol, ds.z_target)  # (K, n2, d)
             Wt = np.exp(Ltgt - lqhat[:, None] - math.log(ds.n2))      # rows sum to 1
-            qstar_ratio = np.einsum("kj,kjd->kd", Wt, Gtgt)           # qhat*_T / qhat_T
+            qstar_ratio = contract_records(                          # qhat*_T / qhat_T
+                model.grad_factors(theta, tcol, ds.z_target), Wt
+            )
             d = theta.shape[0]
             psi = np.zeros((ds.n1, d))                               # per-record score rows
             rows_sum = np.zeros(d)
@@ -144,10 +163,11 @@ class LikelihoodContext:
                 rows_sum += unc_rows.sum(axis=0)
             psi3 = np.zeros((self.cens_idx.size, d))
             if self.cens_idx.size:
-                Gcen = model.log_density_grad(theta, tcol, z_cens)    # (K, n_c, d)
-                u = np.exp(e - cens_logsum[None, :])
-                u = np.where(self.tail_mask, u, 0.0)
-                psi3 = np.einsum("ki,kid->id", u, Gcen) - np.einsum("ki,kd->id", u, qstar_ratio)
+                tail_w = np.where(self.tail_mask, np.exp(e - cens_logsum[None, :]), 0.0)
+                psi3 = (
+                    contract_times(model.grad_factors(theta, tcol, z_cens), tail_w)
+                    - tail_w.T @ qstar_ratio
+                )
                 psi[self.cens_idx] = psi3
                 rows_sum += psi3.sum(axis=0)
             env["Wt"] = Wt
@@ -185,10 +205,10 @@ def qhat_T(ctx: LikelihoodContext, theta, t):
 def qhat_T_star(ctx: LikelihoodContext, theta, t):
     """Target-averaged density gradient at time(s) t (vector of length d)."""
     theta = ctx.model.check_theta(np.asarray(theta, dtype=float), ctx.dataset.d_z)
-    t_arr = np.asarray(t, dtype=float)
-    logq = ctx.model.log_density(theta, t_arr[..., None], ctx.dataset.z_target)
-    grad = ctx.model.log_density_grad(theta, t_arr[..., None], ctx.dataset.z_target)
-    return np.einsum("...j,...jd->...d", np.exp(logq), grad) / ctx.dataset.n2
+    t_col = np.asarray(t, dtype=float)[..., None]
+    z = ctx.dataset.z_target
+    q = np.exp(ctx.model.log_density(theta, t_col, z))
+    return contract_records(ctx.model.grad_factors(theta, t_col, z), q) / ctx.dataset.n2
 
 
 def s_functionals(ctx: LikelihoodContext, theta, x, z) -> SFunctionals:

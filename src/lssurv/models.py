@@ -1,12 +1,30 @@
 """Parametric conditional event-time models q(t | z; theta).
 
-Each model exposes vectorized log-density, analytic log-density gradient,
-closed-form survival and inverse survival, a domain check and a crude
-initializer.  Parameters are flat numpy vectors laid out as the regression
-block followed by the baseline block; ``param_names`` documents the slots.
+The model contract.  Every zoo model depends on the covariates only through
+the linear predictor ``u = z @ beta``, so it is written once, in u-space.  A
+zoo model declares its baseline slot names (``baseline``), the ones
+constrained to (0, inf) (``positive``), and supplies four functions of
+``(t, u, *base)``, ``base`` being the baseline scalars:
 
-All concrete models depend on the covariates only through the linear
-predictor ``u = z @ beta``, which the samplers exploit.
+* ``u_log_density``: the log density ``l = log q``;
+* ``u_partials``: ``(dl/du, (dl/dbase_1, ...))``, each with the broadcast
+  shape of ``t`` and ``u``;
+* ``u_survival`` and ``u_inverse_survival``: the survival function and its
+  inverse in ``t`` at level ``v``.
+
+``SurvivalModel`` derives the rest: the parameter layout (``beta_1 ..
+beta_{d_z}`` followed by the baseline block), and from theta and z (split
+and ``u`` formed once per call) ``log_density``, ``log_density_grad``
+(regression block ``(dl/du) * z``), ``survival``, ``inverse_survival`` and
+``grad_factors``, the factored gradient through which the likelihood and
+the sandwich contract (event time x record) grids without a (K, n, d)
+tensor.
+
+A model without a linear predictor declares no baseline slots and overrides
+``d_theta``, ``param_names``, ``positive_mask``, ``log_density``,
+``log_density_grad`` and ``survival``; its ``grad_factors`` is a zero-width
+regression block followed by its own full gradient, so the contractions run
+unchanged.
 """
 
 from __future__ import annotations
@@ -21,11 +39,6 @@ from .errors import DomainError
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _linpred(z, beta):
-    z = np.asarray(z, dtype=float)
-    return z @ beta
-
-
 def _exp_clip(a):
     """exp with the argument capped well below the overflow threshold; the
     result stays a huge finite number (with slack for scale factors) so
@@ -36,9 +49,8 @@ def _exp_clip(a):
 class SurvivalModel:
     """Interface shared by the model zoo.  Stateless and thread-safe.
 
-    A zoo model declares its baseline slot names (``baseline``) and which of
-    them are constrained to (0, inf) (``positive``); the parameter layout
-    ``beta_1 .. beta_{d_z}`` followed by the baseline block derives from them.
+    See the module docstring for the contract: a zoo model supplies the
+    u-space functions, this class derives every theta-space method.
     """
 
     name: str = ""
@@ -55,12 +67,6 @@ class SurvivalModel:
         """Slots constrained to (0, inf); the optimizer log-transforms these."""
         return np.array([False] * d_z + [b in self.positive for b in self.baseline], dtype=bool)
 
-    def _split(self, theta):
-        """Split a flat parameter vector into ``beta`` and the baseline scalars."""
-        theta = np.asarray(theta, dtype=float)
-        nb = len(self.baseline)
-        return (theta[:-nb], *theta[-nb:])
-
     def check_theta(self, theta, d_z: int) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.d_theta(d_z),):
@@ -73,40 +79,44 @@ class SurvivalModel:
             raise DomainError(f"{self.name}: positivity constraint violated")
         return theta
 
+    def split(self, theta):
+        """``(beta, baseline scalars)`` of a flat parameter vector."""
+        theta = np.asarray(theta, dtype=float)
+        nb = len(self.baseline)
+        return theta[:-nb], theta[-nb:]
+
+    def _u_args(self, theta, t, z):
+        """``(t, u, *base)``, the arguments of the u-space functions."""
+        beta, base = self.split(theta)
+        return (np.asarray(t, dtype=float), np.asarray(z, dtype=float) @ beta, *base)
+
     def log_density(self, theta, t, z):
-        raise NotImplementedError
+        return self.u_log_density(*self._u_args(theta, t, z))
 
     def log_density_grad(self, theta, t, z):
-        raise NotImplementedError
+        g_u, g_base = self.u_partials(*self._u_args(theta, t, z))
+        return np.concatenate(
+            [g_u[..., None] * np.asarray(z, dtype=float), np.stack(g_base, axis=-1)], axis=-1
+        )
+
+    def grad_factors(self, theta, t, z):
+        """``log_density_grad`` factored as ``(g_u, g_base, zr)``: the
+        gradient is ``g_u[..., None] * zr`` followed by one slot per entry of
+        ``g_base``.  A model without a linear predictor gives a zero-width
+        ``zr`` and its full gradient as ``g_base``."""
+        if not self.baseline:
+            g = self.log_density_grad(theta, t, z)
+            return 0.0, np.moveaxis(g, -1, 0), np.zeros(np.shape(z)[:-1] + (0,))
+        return (*self.u_partials(*self._u_args(theta, t, z)), np.asarray(z, dtype=float))
 
     def survival(self, theta, t, z):
-        raise NotImplementedError
+        return self.u_survival(*self._u_args(theta, t, z))
 
     def inverse_survival(self, theta, v, z):
-        """Solve S(t) = v by bisection; models with closed forms override."""
-        v = float(v)
-        lo, hi = 1e-12, 1.0
-        while self.survival(theta, hi, z) > v and hi < 1e15:
-            hi *= 4.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.survival(theta, mid, z) > v:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return float(self.u_inverse_survival(*self._u_args(theta, v, z)))
 
     def default_init(self, x, delta, z) -> np.ndarray:
         raise NotImplementedError
-
-
-def _beta_grad(base_shape, z, scalar_factor):
-    """Stack the regression-block gradient ``scalar_factor * z`` onto
-    ``base_shape``; ``scalar_factor`` broadcasts over the leading axes."""
-    z = np.asarray(z, dtype=float)
-    d_z = z.shape[-1] if z.ndim else 0
-    zb = np.broadcast_to(z, base_shape + (d_z,))
-    return np.asarray(scalar_factor)[..., None] * zb
 
 
 class PHWeibull(SurvivalModel):
@@ -117,39 +127,24 @@ class PHWeibull(SurvivalModel):
     baseline = ("lambda", "gamma")
     positive = ("lambda", "gamma")
 
-    def log_density(self, theta, t, z):
-        beta, lam, gam = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_log_density(self, t, u, lam, gam):
         logt = np.log(t)
         return math.log(lam) + math.log(gam) + (gam - 1.0) * logt + u - lam * _exp_clip(gam * logt + u)
 
-    def log_density_grad(self, theta, t, z):
-        beta, lam, gam = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_partials(self, t, u, lam, gam):
         logt = np.log(t)
         He = _exp_clip(gam * logt + u) * lam  # H(t) * exp(u)
-        base = np.broadcast(t, u).shape
-        g_beta = _beta_grad(base, z, np.broadcast_to(1.0 - He, base))
-        g_lam = np.broadcast_to(1.0 / lam - He / lam, base)
-        g_gam = np.broadcast_to(1.0 / gam + logt * (1.0 - He), base)
-        return np.concatenate([g_beta, g_lam[..., None], g_gam[..., None]], axis=-1)
+        g_u = 1.0 - He
+        return g_u, (1.0 / lam - He / lam, 1.0 / gam + logt * g_u)
 
-    def survival(self, theta, t, z):
-        beta, lam, gam = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_survival(self, t, u, lam, gam):
         return np.exp(-lam * np.power(t, gam) * np.exp(u))
 
-    def inverse_survival(self, theta, v, z):
-        beta, lam, gam = self._split(theta)
-        u = _linpred(z, beta)
-        return float((-np.log(v) / (lam * np.exp(u))) ** (1.0 / gam))
+    def u_inverse_survival(self, v, u, lam, gam):
+        return (-np.log(v) / (lam * np.exp(u))) ** (1.0 / gam)
 
     def default_init(self, x, delta, z):
-        lam = max(delta.sum() / x.sum(), 1e-3)
-        return np.concatenate([np.zeros(z.shape[1]), [lam, 1.0]])
+        return np.concatenate([np.zeros(z.shape[1]), [delta.sum() / x.sum(), 1.0]])
 
 
 class POLogLogistic(SurvivalModel):
@@ -160,40 +155,23 @@ class POLogLogistic(SurvivalModel):
     baseline = ("mu", "sigma")
     positive = ("sigma",)
 
-    def _logH(self, t, mu, sigma):
-        return (np.log(t) - mu) / sigma
-
-    def log_density(self, theta, t, z):
-        beta, mu, sigma = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
-        logH = self._logH(t, mu, sigma)
+    def u_log_density(self, t, u, mu, sigma):
+        logH = (np.log(t) - mu) / sigma
         # log h = logH - log(sigma * t)
         return logH - np.log(sigma) - np.log(t) + u - 2.0 * np.logaddexp(0.0, logH + u)
 
-    def log_density_grad(self, theta, t, z):
-        beta, mu, sigma = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
-        logH = self._logH(t, mu, sigma)
-        G = special.expit(logH + u)  # H e^u / (1 + H e^u)
-        base = np.broadcast(t, u).shape
-        g_beta = _beta_grad(base, z, np.broadcast_to(1.0 - 2.0 * G, base))
-        g_mu = np.broadcast_to((2.0 * G - 1.0) / sigma, base)
-        g_sigma = np.broadcast_to((mu - np.log(t)) * (1.0 - 2.0 * G) / sigma**2 - 1.0 / sigma, base)
-        return np.concatenate([g_beta, g_mu[..., None], g_sigma[..., None]], axis=-1)
+    def u_partials(self, t, u, mu, sigma):
+        G = special.expit((np.log(t) - mu) / sigma + u)  # H e^u / (1 + H e^u)
+        return 1.0 - 2.0 * G, (
+            (2.0 * G - 1.0) / sigma,
+            (mu - np.log(t)) * (1.0 - 2.0 * G) / sigma**2 - 1.0 / sigma,
+        )
 
-    def survival(self, theta, t, z):
-        beta, mu, sigma = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
-        return special.expit(-(self._logH(t, mu, sigma) + u))
+    def u_survival(self, t, u, mu, sigma):
+        return special.expit(-((np.log(t) - mu) / sigma + u))
 
-    def inverse_survival(self, theta, v, z):
-        beta, mu, sigma = self._split(theta)
-        u = _linpred(z, beta)
-        logH = np.log1p(-v) - np.log(v) - u
-        return float(np.exp(mu + sigma * logH))
+    def u_inverse_survival(self, v, u, mu, sigma):
+        return np.exp(mu + sigma * (np.log1p(-v) - np.log(v) - u))
 
     def default_init(self, x, delta, z):
         logs = np.log(x[delta == 1])
@@ -209,35 +187,19 @@ class AFTLogNormal(SurvivalModel):
     baseline = ("mu", "sigma")
     positive = ("sigma",)
 
-    def log_density(self, theta, t, z):
-        beta, mu, sigma = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_log_density(self, t, u, mu, sigma):
         s = (np.log(t) - mu - u) / sigma
         return -np.log(sigma) - np.log(t) - 0.5 * s**2 - 0.5 * _LOG_2PI
 
-    def log_density_grad(self, theta, t, z):
-        beta, mu, sigma = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_partials(self, t, u, mu, sigma):
         s = (np.log(t) - mu - u) / sigma
-        base = np.broadcast(t, u).shape
-        g_beta = _beta_grad(base, z, np.broadcast_to(s / sigma, base))
-        g_mu = np.broadcast_to(s / sigma, base)
-        g_sigma = np.broadcast_to((s**2 - 1.0) / sigma, base)
-        return np.concatenate([g_beta, g_mu[..., None], g_sigma[..., None]], axis=-1)
+        return s / sigma, (s / sigma, (s**2 - 1.0) / sigma)
 
-    def survival(self, theta, t, z):
-        beta, mu, sigma = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
-        s = (np.log(t) - mu - u) / sigma
-        return special.ndtr(-s)
+    def u_survival(self, t, u, mu, sigma):
+        return special.ndtr(-(np.log(t) - mu - u) / sigma)
 
-    def inverse_survival(self, theta, v, z):
-        beta, mu, sigma = self._split(theta)
-        u = _linpred(z, beta)
-        return float(np.exp(mu + u - sigma * special.ndtri(v)))
+    def u_inverse_survival(self, v, u, mu, sigma):
+        return np.exp(mu + u - sigma * special.ndtri(v))
 
     def default_init(self, x, delta, z):
         logs = np.log(x[delta == 1])
@@ -254,36 +216,21 @@ class AFTExponential(SurvivalModel):
     baseline = ("lambda",)
     positive = ("lambda",)
 
-    def log_density(self, theta, t, z):
-        beta, lam = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_log_density(self, t, u, lam):
         return math.log(lam) - u - lam * t * _exp_clip(-u)
 
-    def log_density_grad(self, theta, t, z):
-        beta, lam = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_partials(self, t, u, lam):
         te = t * _exp_clip(-u)
-        base = np.broadcast(t, u).shape
-        g_beta = _beta_grad(base, z, np.broadcast_to(lam * te - 1.0, base))
-        g_lam = np.broadcast_to(1.0 / lam - te, base)
-        return np.concatenate([g_beta, g_lam[..., None]], axis=-1)
+        return lam * te - 1.0, (1.0 / lam - te,)
 
-    def survival(self, theta, t, z):
-        beta, lam = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_survival(self, t, u, lam):
         return np.exp(-lam * t * np.exp(-u))
 
-    def inverse_survival(self, theta, v, z):
-        beta, lam = self._split(theta)
-        u = _linpred(z, beta)
-        return float(-np.log(v) * np.exp(u) / lam)
+    def u_inverse_survival(self, v, u, lam):
+        return -np.log(v) * np.exp(u) / lam
 
     def default_init(self, x, delta, z):
-        lam = max(delta.sum() / x.sum(), 1e-3)
-        return np.concatenate([np.zeros(z.shape[1]), [lam]])
+        return np.concatenate([np.zeros(z.shape[1]), [delta.sum() / x.sum()]])
 
 
 class AHWeibull(SurvivalModel):
@@ -304,40 +251,24 @@ class AHWeibull(SurvivalModel):
             raise DomainError("ah-weibull: gamma must stay away from 1")
         return theta
 
-    def log_density(self, theta, t, z):
-        beta, lam, gam = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_log_density(self, t, u, lam, gam):
         logt = np.log(t)
         H = lam * _exp_clip(gam * logt + (gam - 1.0) * u)
         return math.log(gam) + math.log(lam) + (gam - 1.0) * (logt + u) - H
 
-    def log_density_grad(self, theta, t, z):
-        beta, lam, gam = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_partials(self, t, u, lam, gam):
         logt = np.log(t)
-        H = lam * _exp_clip(gam * logt + (gam - 1.0) * u)
-        base = np.broadcast(t, u).shape
-        g_beta = _beta_grad(base, z, np.broadcast_to((gam - 1.0) * (1.0 - H), base))
-        g_lam = np.broadcast_to((1.0 - H) / lam, base)
-        g_gam = np.broadcast_to(1.0 / gam + (logt + u) * (1.0 - H), base)
-        return np.concatenate([g_beta, g_lam[..., None], g_gam[..., None]], axis=-1)
+        one_m_H = 1.0 - lam * _exp_clip(gam * logt + (gam - 1.0) * u)
+        return (gam - 1.0) * one_m_H, (one_m_H / lam, 1.0 / gam + (logt + u) * one_m_H)
 
-    def survival(self, theta, t, z):
-        beta, lam, gam = self._split(theta)
-        t = np.asarray(t, dtype=float)
-        u = _linpred(z, beta)
+    def u_survival(self, t, u, lam, gam):
         return np.exp(-lam * np.power(t, gam) * np.exp((gam - 1.0) * u))
 
-    def inverse_survival(self, theta, v, z):
-        beta, lam, gam = self._split(theta)
-        u = _linpred(z, beta)
-        return float((-np.log(v) / (lam * np.exp((gam - 1.0) * u))) ** (1.0 / gam))
+    def u_inverse_survival(self, v, u, lam, gam):
+        return (-np.log(v) / (lam * np.exp((gam - 1.0) * u))) ** (1.0 / gam)
 
     def default_init(self, x, delta, z):
-        lam = max(delta.sum() / x.sum(), 1e-3)
-        return np.concatenate([np.zeros(z.shape[1]), [lam, 1.3]])
+        return np.concatenate([np.zeros(z.shape[1]), [delta.sum() / x.sum(), 1.3]])
 
 
 REGISTRY = {
@@ -357,39 +288,35 @@ def get_model(name: str) -> SurvivalModel:
         ) from None
 
 
-def density(model: SurvivalModel, theta, t, z):
-    """q(t | z; theta) with domain checks on theta and t."""
+def _checked(model: SurvivalModel, theta, z, t=None) -> np.ndarray:
+    """``theta`` checked against the dimension of ``z``; ``t``, when given,
+    must be positive and finite."""
     d_z = np.asarray(z, dtype=float).shape[-1] if np.asarray(z).ndim else 0
     theta = model.check_theta(theta, d_z)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
-        raise DomainError("t must be positive and finite")
-    return np.exp(model.log_density(theta, t, z))
+    if t is not None:
+        t_arr = np.asarray(t, dtype=float)
+        if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
+            raise DomainError("t must be positive and finite")
+    return theta
+
+
+def density(model: SurvivalModel, theta, t, z):
+    """q(t | z; theta) with domain checks on theta and t."""
+    return np.exp(model.log_density(_checked(model, theta, z, t), t, z))
 
 
 def log_density_grad(model: SurvivalModel, theta, t, z):
-    d_z = np.asarray(z, dtype=float).shape[-1] if np.asarray(z).ndim else 0
-    theta = model.check_theta(theta, d_z)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
-        raise DomainError("t must be positive and finite")
-    return model.log_density_grad(theta, t, z)
+    return model.log_density_grad(_checked(model, theta, z, t), t, z)
 
 
 def survival(model: SurvivalModel, theta, t, z):
-    d_z = np.asarray(z, dtype=float).shape[-1] if np.asarray(z).ndim else 0
-    theta = model.check_theta(theta, d_z)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
-        raise DomainError("t must be positive and finite")
-    return model.survival(theta, t, z)
+    return model.survival(_checked(model, theta, z, t), t, z)
 
 
 def sample_event_time(model: SurvivalModel, theta, z, rng) -> float:
     """Draw an event time by inverting the conditional survival at one
     uniform variate (``rng`` only needs a ``uniform()`` method)."""
-    d_z = np.asarray(z, dtype=float).shape[-1] if np.asarray(z).ndim else 0
-    theta = model.check_theta(theta, d_z)
+    theta = _checked(model, theta, z)
     v = 1.0 - float(rng.uniform())
     return model.inverse_survival(theta, v, z)
 

@@ -7,7 +7,8 @@ response distributions differ between populations while the conditional
 covariate law stays shared.  Target covariates come straight from q_Z.
 
 The conditional draw uses rejection sampling with an envelope over the
-linear predictor (all zoo models touch z only through ``u = z @ beta``),
+linear predictor: all zoo models touch z only through ``u = z @ beta``, so
+the envelope maximizes the model's u-space log density over u directly,
 falling back to a short random-walk Metropolis-Hastings chain when the
 envelope cannot be used or acceptance stalls.
 """
@@ -132,29 +133,19 @@ def _rep_rng(seed: int, rep: int):
     return np.random.default_rng(np.random.SeedSequence((seed, rep)))
 
 
-def _z_of_u(u, beta):
-    nb2 = float(beta @ beta)
-    return np.outer(np.atleast_1d(u), beta) / nb2
-
-
-def _log_density_at_u(model, theta, d_z, t, u):
-    beta = np.asarray(theta, dtype=float)[:d_z]
-    return model.log_density(theta, t, _z_of_u(u, beta))
-
-
-def _envelope(model, theta, d_z, ts):
+def _envelope(model, theta, ts):
     """Per-time log-supremum of the conditional density over the linear
-    predictor."""
+    predictor, from the model's u-space log density."""
+    _, base = model.split(theta)
     grid = np.linspace(-60.0, 60.0, 1201)
-    beta = np.asarray(theta, dtype=float)[:d_z]
-    vals = model.log_density(theta, np.asarray(ts)[:, None], _z_of_u(grid, beta))
+    vals = model.u_log_density(np.asarray(ts)[:, None], grid, *base)
     best = np.argmax(vals, axis=1)
     out = np.empty(len(ts))
     for i, b in enumerate(best):
         lo = grid[max(b - 1, 0)]
         hi = grid[min(b + 1, grid.size - 1)]
         res = optimize.minimize_scalar(
-            lambda u: -float(_log_density_at_u(model, theta, d_z, ts[i], np.array([u]))[0]),
+            lambda u: -float(model.u_log_density(ts[i], u, *base)),
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-8},
@@ -193,7 +184,7 @@ def sample_z_given_t_batch(model: SurvivalModel, theta, qz: QzSpec, ts, rng, max
         # density constant in z: acceptance probability is constant
         return qz.sample(rng, n)
     out = np.empty((n, qz.d))
-    log_m = _envelope(model, theta, qz.d, ts)
+    log_m = _envelope(model, theta, ts)
     pending = np.arange(n)
     rounds = 0
     while pending.size and rounds < max_rounds:

@@ -14,9 +14,10 @@ through ratios against itself).
 
 Every input comes from the fit's own ``LikelihoodContext`` evaluated at
 theta-hat: its product-limit fit, its kept censored records (one empty-tail
-rule), the densities and the per-record score rows.  Only the target and
-censored-record density gradients, (K, n, d) tensors the context does not
-cache, are recomputed once per call.
+rule), the densities and the per-record score rows.  The target and
+censored-record density gradients are recomputed once per call as the
+model's ``grad_factors`` and contracted over the (event time x record) grid
+without forming the (K, n, d) gradient tensor.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalUnderflow, SingularA
-from .likelihood import LikelihoodContext
+from .likelihood import LikelihoodContext, contract_records, contract_times
 # kaplan_meier stays bound here: the perfbench span test patches it in this module
 from .nonparam import influence_context, kaplan_meier  # noqa: F401
 
@@ -43,12 +44,11 @@ class VarianceParts:
 
 
 def _target_terms(ctx: LikelihoodContext, env):
-    """``rho_tgt = q(t_k, Z_j) / qhat(t_k)`` (K, n2) and the target density
-    gradients (K, n2, d) at the evaluated theta."""
+    """``rho_tgt = q(t_k, Z_j) / qhat(t_k)`` (K, n2) and the factored target
+    density gradients at the evaluated theta."""
     ds = ctx.dataset
     rho_tgt = env["Wt"] * ds.n2
-    Gtgt = ctx.model.log_density_grad(env["theta"], ctx.tk[:, None], ds.z_target)
-    return rho_tgt, Gtgt
+    return rho_tgt, ctx.model.grad_factors(env["theta"], ctx.tk[:, None], ds.z_target)
 
 
 # -- event-CDF estimation component -------------------------------------------
@@ -90,34 +90,23 @@ def _psi_pt_rows(ctx: LikelihoodContext, phi, c_mat):
 # -- covariate-distribution component -----------------------------------------
 
 def _psi_qz_rows(ctx: LikelihoodContext, env, phi, s0, c_mat):
-    n1 = ctx.dataset.n1
     ck = ctx.km.event_counts.astype(float)
     qstar = env["qstar_ratio"]
-    rho_tgt, Gtgt = _target_terms(ctx, env)
-    term1 = -(
-        np.einsum("k,kj,kjd->jd", ck, rho_tgt, Gtgt)
-        - np.einsum("k,kj,kd->jd", ck, rho_tgt, qstar)
-    ) / n1
-    if ctx.cens_idx.size == 0:
-        return term1
-    Gcen = ctx.model.log_density_grad(
+    rho_tgt, tgt_factors = _target_terms(ctx, env)
+    cen_factors = ctx.model.grad_factors(
         env["theta"], ctx.tk[:, None], ctx.dataset.z_source[ctx.cens_idx]
     )
     inv_s0 = 1.0 / s0
-    A0 = phi @ inv_s0                                                 # (K,)
-    A1 = np.einsum("km,kmd,m->kd", phi, Gcen, inv_s0)
-    A2 = phi @ c_mat                                                  # (K, d)
-
-    centered = rho_tgt - 1.0                                          # (K, n2)
-    wk = ctx.w
-    term2 = (
-        -np.einsum("k,kd,kj->jd", wk, A1, centered)
-        - np.einsum("k,k,kj,kjd->jd", wk, A0, rho_tgt, Gtgt)
-        + np.einsum("k,k,kd->d", wk, A0, qstar)[None, :]
-        + 2.0 * np.einsum("k,k,kd,kj->jd", wk, A0, qstar, centered)
-    ) / n1
-    term3 = np.einsum("k,kd,kj->jd", wk, A2, centered) / n1
-    return term1 + term2 + term3
+    a0 = ctx.w * (phi @ inv_s0)                                       # (K,)
+    # w_k (A2 - A1): A1 the phi/s0-weighted censored gradients, A2 = phi @ c
+    a21 = ctx.w[:, None] * (phi @ c_mat - contract_records(cen_factors, phi * inv_s0))
+    rows = (
+        -contract_times(tgt_factors, (ck + a0)[:, None] * rho_tgt)
+        + rho_tgt.T @ (ck[:, None] * qstar)
+        + (rho_tgt - 1.0).T @ (a21 + 2.0 * a0[:, None] * qstar)
+        + (a0 @ qstar)[None, :]
+    )
+    return rows / ctx.dataset.n1
 
 
 def eta_q_hat(ctx: LikelihoodContext, theta, x, z):
@@ -128,7 +117,7 @@ def eta_q_hat(ctx: LikelihoodContext, theta, x, z):
     """
     env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
     theta, model, tk = env["theta"], ctx.model, ctx.tk
-    rho_tgt, Gtgt = _target_terms(ctx, env)
+    rho_tgt, tgt_factors = _target_terms(ctx, env)
     qstar = env["qstar_ratio"]
     z = np.asarray(z, dtype=float)
     lz = model.log_density(theta, tk, z)
@@ -136,10 +125,12 @@ def eta_q_hat(ctx: LikelihoodContext, theta, x, z):
     wr = ctx.w * np.where(tk > float(x), np.exp(lz - env["lqhat"]), 0.0)  # w_k q(t_k,z)/qhat(t_k)
     centered = rho_tgt - 1.0                                 # (q(t_k,Z_j) - qhat)/qhat
     eta0 = -centered.T @ wr                                  # (n2,)
-    eta1 = -np.einsum("k,kd,kj->jd", wr, gz, centered)
-    eta2 = np.einsum(
-        "k,kjd->jd", wr, rho_tgt[:, :, None] * Gtgt - qstar[:, None, :]
-    ) - 2.0 * np.einsum("k,kd,kj->jd", wr, qstar, centered)
+    eta1 = -centered.T @ (wr[:, None] * gz)
+    eta2 = (
+        contract_times(tgt_factors, wr[:, None] * rho_tgt)
+        - (wr @ qstar)[None, :]
+        - 2.0 * centered.T @ (wr[:, None] * qstar)
+    )
     return eta0, eta1, eta2
 
 

@@ -23,6 +23,7 @@ from lssurv.likelihood import LikelihoodContext, approx_loglik, s_functionals, s
 from lssurv.models import PHWeibull, SurvivalModel, get_model
 from lssurv.variance import a_matrix_fd, asymptotic_variance, eta_q_hat
 
+from fixture_models import TwoPointLogNormal
 
 
 def sim_dataset(seed=11, n1=160, n2=160):
@@ -99,6 +100,36 @@ def test_one_dimensional_fit_matches_grid_search():
     assert abs(fr.theta_hat[0] - best) <= (grid[1] - grid[0])
 
 
+def test_models_without_linear_predictor_take_the_same_contractions():
+    # score and sandwich of models that supply their own full gradient
+    # (zero-width regression block) instead of u-space partials
+    rng = np.random.default_rng(42)
+    n = 60
+    zsrc = rng.integers(1, 3, n).astype(float)
+    t = np.exp(rng.normal(0, 0.75 * zsrc))
+    c = np.exp(rng.normal(0.8, 1.0, n))
+    two_point = ls.Dataset(np.minimum(t, c), (t <= c).astype(int), zsrc[:, None],
+                           rng.integers(1, 3, n).astype(float)[:, None])
+    cases = [
+        (TwoPointLogNormal(), two_point, np.array([0.75, 0.8, 0.6])),
+        (_OneSlot([1.0, 1.0, 1.0, 1.5]), sim_dataset(seed=5, n1=80, n2=60), np.array([0.9])),
+    ]
+    for model, ds, theta in cases:
+        ctx = LikelihoodContext(model, ds)
+        assert ctx.cens_idx.size and ctx.unc_idx.size
+        fd = np.empty_like(theta)
+        for j in range(theta.size):
+            h = 1e-5 * max(1.0, abs(theta[j]))
+            up, dn = theta.copy(), theta.copy()
+            up[j] += h
+            dn[j] -= h
+            fd[j] = (approx_loglik(ctx, up) - approx_loglik(ctx, dn)) / (2 * h)
+        np.testing.assert_allclose(score(ctx, theta), fd, rtol=1e-6, atol=1e-7)
+        sigma, parts = asymptotic_variance(ctx, theta)
+        assert sigma.shape == (theta.size, theta.size) and np.all(np.isfinite(sigma))
+        assert np.all(np.isfinite(parts.psi_qZ_per_target))
+
+
 def test_nonconvergence_raises():
     ds = sim_dataset(seed=3, n1=40, n2=40)
     with pytest.raises(NonConvergence):
@@ -154,6 +185,18 @@ def test_eta_q_components_sum_to_zero(fitted):
     assert abs(eta0.sum()) < tol
     assert np.max(np.abs(eta1.sum(axis=0))) < tol
     assert np.max(np.abs(eta2.sum(axis=0))) < tol
+
+
+def test_single_target_record():
+    # every target sum of the psi_qZ terms vanishes by construction, so with
+    # one target record each row is zero; the fit still ends in finite SEs
+    ds0 = sim_dataset()
+    ds = ls.Dataset(ds0.x, ds0.delta, ds0.z_source, ds0.z_target[:1])
+    _, parts = asymptotic_variance(LikelihoodContext(get_model("ph-weibull"), ds),
+                                   np.array([1.0, 1.0, 1.0, 1.5]))
+    np.testing.assert_allclose(parts.psi_qZ_per_target, 0.0, atol=1e-12)
+    fr = fit("ph-weibull", ds)
+    assert fr.se.shape == (4,) and np.all(np.isfinite(fr.se))
 
 
 def test_psi_pt_vanishes_without_censoring():
@@ -274,6 +317,40 @@ def test_conditional_functional_requires_covariance_before_quadrature(fitted, mo
     monkeypatch.setattr(integrate, "quad", no_quad)
     with pytest.raises(ValidationError):
         conditional_functional("ph-weibull", bare, np.zeros(2), lambda t: t)
+
+
+def _rescaled_back(name, theta, c):
+    """A fit on times multiplied by ``c`` mapped back to the original scale."""
+    back = theta.copy()
+    if name == "ph-weibull":
+        back[-2] *= c ** theta[-1]
+    elif name == "aft-exponential":
+        back[-1] *= c
+    else:
+        back[-2] -= math.log(c)
+    return back
+
+
+@pytest.mark.parametrize("name,c", [
+    ("ph-weibull", 1e-6),
+    pytest.param("ph-weibull", 1e6, marks=pytest.mark.xfail(
+        raises=NonConvergence, strict=True,
+        reason="at lambda ~ 1e-13 the gradient tolerance on the raw lambda slot is "
+               "below the rounding floor of the score")),
+    ("aft-exponential", 1e-6),
+    ("aft-exponential", 1e6),
+    ("aft-lognormal", 1e-6),
+    ("aft-lognormal", 1e6),
+])
+def test_fit_is_time_scale_equivariant(name, c):
+    # rescaling time leaves beta and the shape fixed, rescales the rate
+    # (lambda * c**-gamma, lambda / c) and shifts the log-normal location
+    ds = sim_dataset(seed=3, n1=80, n2=80)
+    scaled = ls.Dataset(ds.x * c, ds.delta, ds.z_source, ds.z_target)
+    opts = FitOptions(skip_variance=True)
+    want = fit(name, ds, opts=opts).theta_hat
+    got = fit(name, scaled, opts=opts).theta_hat
+    np.testing.assert_allclose(_rescaled_back(name, got, c), want, rtol=1e-5, atol=1e-6)
 
 
 def test_bic_penalty_arithmetic():
