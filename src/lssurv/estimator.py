@@ -4,9 +4,9 @@ Positive parameter slots are log-transformed so the search is unconstrained;
 the analytic score is mapped through the chain rule.  A BFGS pass is
 followed, when its gradient is still above tolerance, by damped Newton
 steps on the score (strict sup-norm descent) whose Jacobian is the
-sandwich's own central-difference ``variance.a_matrix_fd``.  Both use the
-one ``LikelihoodContext`` built per fit, which the variance then reads at
-the maximizer.
+sandwich's own exact Hessian ``variance.a_matrix``.  Both use the one
+``LikelihoodContext`` built per fit, which the variance then reads at the
+maximizer.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from .errors import (
     NonConvergence,
     NumericalUnderflow,
     QuadratureFailure,
-    SingularA,
     ValidationError,
 )
 from .likelihood import LikelihoodContext
 from .models import REGISTRY_ORDER, SurvivalModel, get_model
-from .variance import VarianceParts, a_matrix_fd, asymptotic_variance
+from .variance import VarianceParts, a_matrix, asymptotic_variance
 
 Z975 = 1.96
 
@@ -219,10 +218,7 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
         steps = 0
         d = theta.shape[0]
         while np.max(np.abs(sc)) > opts.grad_tol and steps < budget:
-            try:
-                J = a_matrix_fd(ctx, theta)
-            except SingularA:
-                break
+            J = a_matrix(ctx, theta)
             try:
                 step = np.linalg.solve(J, -sc)
             except np.linalg.LinAlgError:

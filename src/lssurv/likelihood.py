@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data import Dataset
 from .errors import EmptyTail, NumericalUnderflow
@@ -46,6 +45,18 @@ class SFunctionals:
     s2: np.ndarray
 
 
+def log_sum_weights(a, axis, mask=None):
+    """``log sum exp(a)`` along ``axis`` and the normalized weights
+    ``exp(a - logsum)`` from one max-shifted ``exp``; entries outside
+    ``mask`` count as ``-inf`` (weight 0)."""
+    where = True if mask is None else mask
+    m = np.max(a, axis=axis, keepdims=True, initial=-np.inf, where=where)
+    e = np.exp(a - m, out=np.zeros(np.shape(a)), where=where)
+    total = e.sum(axis=axis, keepdims=True)
+    e /= total
+    return np.squeeze(m + np.log(total), axis=axis), e
+
+
 def contract_records(factors, W):
     """``sum_j W[..., j] * grad[..., j, :]`` for the density gradient on a
     grid whose last axis runs over records, from its ``grad_factors``: the
@@ -62,6 +73,29 @@ def contract_times(factors, W):
     g_u, g_base, zr = factors
     base = [np.einsum("kj,kj->j", W, g) for g in g_base]
     return np.concatenate([(W * g_u).sum(axis=0)[:, None] * zr, np.stack(base, axis=-1)], axis=-1)
+
+
+def contract_hessian(factors, second, V):
+    """``sum V * (H + g g^T)`` over a grid whose last axis runs over records,
+    from its ``grad_factors`` and ``hess_factors``: the regression block is
+    ``zr^T diag(colsum) zr``, the regression-baseline block one column-sum
+    product with ``zr`` per slot and the baseline block plain sums, so no
+    (..., d, d) array is formed."""
+    g_u, g_b, zr = factors
+    h_uu, h_ub, h_bb = second
+    lead = tuple(range(np.ndim(V) - 1))
+
+    def per_record(a):
+        return np.sum(V * a, axis=lead)
+
+    d_z, nb = zr.shape[-1], len(g_b)
+    out = np.empty((d_z + nb, d_z + nb))
+    out[:d_z, :d_z] = zr.T @ (per_record(h_uu + g_u * g_u)[:, None] * zr)
+    for s in range(nb):
+        out[:d_z, d_z + s] = out[d_z + s, :d_z] = zr.T @ per_record(h_ub[s] + g_u * g_b[s])
+        for r in range(s, nb):
+            out[d_z + s, d_z + r] = out[d_z + r, d_z + s] = np.sum(V * (h_bb[s][r] + g_b[s] * g_b[r]))
+    return out
 
 
 class LikelihoodContext:
@@ -115,7 +149,8 @@ class LikelihoodContext:
         tcol = self.tk[:, None]
 
         Ltgt = model.log_density(theta, tcol, ds.z_target)        # (K, n2)
-        lqhat = special.logsumexp(Ltgt, axis=1) - math.log(ds.n2)  # (K,)
+        lse, Wt = log_sum_weights(Ltgt, axis=1)                    # Wt rows sum to 1
+        lqhat = lse - math.log(ds.n2)                              # (K,)
         if np.any(lqhat < _LOG_FLOOR) or not np.all(np.isfinite(lqhat)):
             raise NumericalUnderflow("target-averaged density underflow")
 
@@ -126,9 +161,9 @@ class LikelihoodContext:
 
         z_cens = ds.z_source[self.cens_idx]
         Lcen = model.log_density(theta, tcol, z_cens) if self.cens_idx.size else np.zeros((self.K, 0))
-        e = self.logw[:, None] + Lcen - lqhat[:, None]
-        e = np.where(self.tail_mask, e, -np.inf)
-        cens_logsum = special.logsumexp(e, axis=0) if self.cens_idx.size else np.zeros(0)
+        cens_logsum, tail_w = log_sum_weights(
+            self.logw[:, None] + Lcen - lqhat[:, None], axis=0, mask=self.tail_mask
+        )
         if self.cens_idx.size and (
             np.any(cens_logsum < _LOG_FLOOR) or not np.all(np.isfinite(cens_logsum))
         ):
@@ -141,15 +176,15 @@ class LikelihoodContext:
 
         env = {
             "theta": theta,
-            "Ltgt": Ltgt,
             "lqhat": lqhat,
+            "Wt": Wt,
             "own_logq": own_logq,
             "Lcen": Lcen,
             "cens_logsum": cens_logsum,
+            "tail_w": tail_w,
             "loglik": loglik,
         }
         if need_score:
-            Wt = np.exp(Ltgt - lqhat[:, None] - math.log(ds.n2))      # rows sum to 1
             qstar_ratio = contract_records(                          # qhat*_T / qhat_T
                 model.grad_factors(theta, tcol, ds.z_target), Wt
             )
@@ -163,14 +198,12 @@ class LikelihoodContext:
                 rows_sum += unc_rows.sum(axis=0)
             psi3 = np.zeros((self.cens_idx.size, d))
             if self.cens_idx.size:
-                tail_w = np.where(self.tail_mask, np.exp(e - cens_logsum[None, :]), 0.0)
                 psi3 = (
                     contract_times(model.grad_factors(theta, tcol, z_cens), tail_w)
                     - tail_w.T @ qstar_ratio
                 )
                 psi[self.cens_idx] = psi3
                 rows_sum += psi3.sum(axis=0)
-            env["Wt"] = Wt
             env["qstar_ratio"] = qstar_ratio
             env["psi3_cens"] = psi3
             env["psi"] = psi
@@ -198,7 +231,7 @@ def qhat_T(ctx: LikelihoodContext, theta, t):
     theta = ctx.model.check_theta(np.asarray(theta, dtype=float), ctx.dataset.d_z)
     t_arr = np.asarray(t, dtype=float)
     logq = ctx.model.log_density(theta, t_arr[..., None], ctx.dataset.z_target)
-    out = np.exp(special.logsumexp(logq, axis=-1)) / ctx.dataset.n2
+    out = np.exp(log_sum_weights(logq, axis=-1)[0]) / ctx.dataset.n2
     return float(out) if np.isscalar(t) else out
 
 

@@ -3,12 +3,14 @@
 The model contract.  Every zoo model depends on the covariates only through
 the linear predictor ``u = z @ beta``, so it is written once, in u-space.  A
 zoo model declares its baseline slot names (``baseline``), the ones
-constrained to (0, inf) (``positive``), and supplies four functions of
+constrained to (0, inf) (``positive``), and supplies five functions of
 ``(t, u, *base)``, ``base`` being the baseline scalars:
 
 * ``u_log_density``: the log density ``l = log q``;
 * ``u_partials``: ``(dl/du, (dl/dbase_1, ...))``, each with the broadcast
   shape of ``t`` and ``u``;
+* ``u_second_partials``: ``(d2l/du2, (d2l/du dbase_s, ...),
+  ((d2l/dbase_s dbase_r, ...), ...))``, the last a full symmetric table;
 * ``u_survival`` and ``u_inverse_survival``: the survival function and its
   inverse in ``t`` at level ``v``.
 
@@ -16,15 +18,15 @@ constrained to (0, inf) (``positive``), and supplies four functions of
 beta_{d_z}`` followed by the baseline block), and from theta and z (split
 and ``u`` formed once per call) ``log_density``, ``log_density_grad``
 (regression block ``(dl/du) * z``), ``survival``, ``inverse_survival`` and
-``grad_factors``, the factored gradient through which the likelihood and
-the sandwich contract (event time x record) grids without a (K, n, d)
-tensor.
+``grad_factors`` and ``hess_factors``, the factored gradient and Hessian
+through which the likelihood and the sandwich contract (event time x record)
+grids without a (K, n, d) or (K, n, d, d) tensor.
 
 A model without a linear predictor declares no baseline slots and overrides
 ``d_theta``, ``param_names``, ``positive_mask``, ``log_density``,
-``log_density_grad`` and ``survival``; its ``grad_factors`` is a zero-width
-regression block followed by its own full gradient, so the contractions run
-unchanged.
+``log_density_grad``, ``log_density_hess`` and ``survival``; its factors are
+a zero-width regression block followed by its own full gradient and Hessian,
+so the contractions run unchanged.
 """
 
 from __future__ import annotations
@@ -109,6 +111,18 @@ class SurvivalModel:
             return 0.0, np.moveaxis(g, -1, 0), np.zeros(np.shape(z)[:-1] + (0,))
         return (*self.u_partials(*self._u_args(theta, t, z)), np.asarray(z, dtype=float))
 
+    def hess_factors(self, theta, t, z):
+        """The Hessian of the log density factored over the ``zr`` of
+        ``grad_factors``: ``(h_uu, h_ub, h_bb)`` with regression block
+        ``h_uu[..., None, None] * zr zr^T``, regression-baseline column ``s``
+        ``h_ub[s][..., None] * zr`` and baseline entries ``h_bb[s][r]``.  A
+        model without a linear predictor (zero-width ``zr``) gives its full
+        ``log_density_hess`` as ``h_bb``."""
+        if not self.baseline:
+            h = np.moveaxis(self.log_density_hess(theta, t, z), (-2, -1), (0, 1))
+            return 0.0, (0.0,) * h.shape[0], h
+        return self.u_second_partials(*self._u_args(theta, t, z))
+
     def survival(self, theta, t, z):
         return self.u_survival(*self._u_args(theta, t, z))
 
@@ -136,6 +150,15 @@ class PHWeibull(SurvivalModel):
         He = _exp_clip(gam * logt + u) * lam  # H(t) * exp(u)
         g_u = 1.0 - He
         return g_u, (1.0 / lam - He / lam, 1.0 / gam + logt * g_u)
+
+    def u_second_partials(self, t, u, lam, gam):
+        logt = np.log(t)
+        He = _exp_clip(gam * logt + u) * lam
+        l_lg = -He * logt / lam
+        return -He, (-He / lam, -He * logt), (
+            (-1.0 / lam**2, l_lg),
+            (l_lg, -1.0 / gam**2 - He * logt**2),
+        )
 
     def u_survival(self, t, u, lam, gam):
         return np.exp(-lam * np.power(t, gam) * np.exp(u))
@@ -167,6 +190,16 @@ class POLogLogistic(SurvivalModel):
             (mu - np.log(t)) * (1.0 - 2.0 * G) / sigma**2 - 1.0 / sigma,
         )
 
+    def u_second_partials(self, t, u, mu, sigma):
+        r = mu - np.log(t)
+        G = special.expit(-r / sigma + u)
+        D2 = 2.0 * G * (1.0 - G)                          # d(2G)/d(logit)
+        l_ms = D2 * r / sigma**3 - (2.0 * G - 1.0) / sigma**2
+        return -D2, (D2 / sigma, -D2 * r / sigma**2), (
+            (-D2 / sigma**2, l_ms),
+            (l_ms, -D2 * r**2 / sigma**4 - 2.0 * r * (1.0 - 2.0 * G) / sigma**3 + 1.0 / sigma**2),
+        )
+
     def u_survival(self, t, u, mu, sigma):
         return special.expit(-((np.log(t) - mu) / sigma + u))
 
@@ -195,6 +228,12 @@ class AFTLogNormal(SurvivalModel):
         s = (np.log(t) - mu - u) / sigma
         return s / sigma, (s / sigma, (s**2 - 1.0) / sigma)
 
+    def u_second_partials(self, t, u, mu, sigma):
+        s = (np.log(t) - mu - u) / sigma
+        l_ms = -2.0 * s / sigma**2
+        h = -1.0 / sigma**2
+        return h, (h, l_ms), ((h, l_ms), (l_ms, (1.0 - 3.0 * s**2) / sigma**2))
+
     def u_survival(self, t, u, mu, sigma):
         return special.ndtr(-(np.log(t) - mu - u) / sigma)
 
@@ -222,6 +261,10 @@ class AFTExponential(SurvivalModel):
     def u_partials(self, t, u, lam):
         te = t * _exp_clip(-u)
         return lam * te - 1.0, (1.0 / lam - te,)
+
+    def u_second_partials(self, t, u, lam):
+        te = t * _exp_clip(-u)
+        return -lam * te, (te,), ((-1.0 / lam**2,),)
 
     def u_survival(self, t, u, lam):
         return np.exp(-lam * t * np.exp(-u))
@@ -260,6 +303,16 @@ class AHWeibull(SurvivalModel):
         logt = np.log(t)
         one_m_H = 1.0 - lam * _exp_clip(gam * logt + (gam - 1.0) * u)
         return (gam - 1.0) * one_m_H, (one_m_H / lam, 1.0 / gam + (logt + u) * one_m_H)
+
+    def u_second_partials(self, t, u, lam, gam):
+        logt = np.log(t)
+        v = logt + u
+        H = lam * _exp_clip(gam * logt + (gam - 1.0) * u)
+        l_lg = -H * v / lam
+        return -((gam - 1.0) ** 2) * H, (-(gam - 1.0) * H / lam, 1.0 - H - (gam - 1.0) * H * v), (
+            (-1.0 / lam**2, l_lg),
+            (l_lg, -1.0 / gam**2 - H * v**2),
+        )
 
     def u_survival(self, t, u, lam, gam):
         return np.exp(-lam * np.power(t, gam) * np.exp((gam - 1.0) * u))

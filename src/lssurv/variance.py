@@ -1,7 +1,8 @@
 """Plug-in asymptotic covariance of the maximizer.
 
-The sandwich is ``A^{-1} S A^{-T}`` where ``A`` is the Jacobian of the mean
-source score and the meat ``S`` combines the per-source influence (score
+The sandwich is ``A^{-1} S A^{-T}`` where ``A``, the Jacobian of the mean
+source score, is the exact Hessian of the approximated log-likelihood
+(``a_matrix``) and the meat ``S`` combines the per-source influence (score
 plus the event-CDF estimation term) with the per-target influence (the
 covariate-distribution estimation term), weighted by the sampling fraction:
 
@@ -14,10 +15,13 @@ through ratios against itself).
 
 Every input comes from the fit's own ``LikelihoodContext`` evaluated at
 theta-hat: its product-limit fit, its kept censored records (one empty-tail
-rule), the densities and the per-record score rows.  The target and
-censored-record density gradients are recomputed once per call as the
-model's ``grad_factors`` and contracted over the (event time x record) grid
-without forming the (K, n, d) gradient tensor.
+rule), the densities, the normalized target and tail weights and the
+per-record score rows; ``A`` needs no further evaluation of the likelihood.
+The target and censored-record density gradients are recomputed once per
+call as the model's ``grad_factors`` and contracted over the (event time x
+record) grid without forming the (K, n, d) gradient tensor; ``a_matrix``
+contracts ``hess_factors`` the same way, one block of event-time rows at a
+time, so no (K, n, d, d) or whole-grid second-partial array is formed.
 """
 
 from __future__ import annotations
@@ -26,10 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalUnderflow, SingularA
-from .likelihood import LikelihoodContext, contract_records, contract_times
+from .errors import SingularA
+from .likelihood import LikelihoodContext, contract_hessian, contract_records, contract_times
 # kaplan_meier stays bound here: the perfbench span test patches it in this module
 from .nonparam import influence_context, kaplan_meier  # noqa: F401
+
+# event-time rows per block of second partials: a whole (K, n) grid of them
+# would raise the variance's peak memory above the likelihood's own
+_BLOCK = 128
 
 
 @dataclass
@@ -134,39 +142,45 @@ def eta_q_hat(ctx: LikelihoodContext, theta, x, z):
     return eta0, eta1, eta2
 
 
-def a_matrix_fd(ctx: LikelihoodContext, theta) -> np.ndarray:
-    """Central-difference Jacobian of the mean source score at theta.
+def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
+    """Exact Hessian of ``approx_loglik`` at theta, the Jacobian of the mean
+    source score.
 
-    Steps follow ``max(1e-5, 1e-4 |theta_j|)`` clamped to stay inside the
-    positivity constraints, and shrink when a probe leaves the domain (e.g.
-    an excluded-point guard band) or underflows.
+    With ``c_k`` the events at ``t_k`` plus the tail weight ``sum_m tau_km``
+    of the censored records at ``t_k``, it is the own-record Hessians, minus
+    ``c_k`` times the Hessian of ``log qhat_T(t_k)``, plus the
+    ``tau``-weighted censored Hessians and outer products of
+    ``grad l(t_k, Z_m) - qstar_ratio_k``, minus each censored score row's
+    outer product.  The target and censored grids are contracted one block
+    of event-time rows at a time.
     """
-    model, d_z = ctx.model, ctx.dataset.d_z
-    theta = np.asarray(theta, dtype=float)
-    d = theta.shape[0]
-    pos = model.positive_mask(d_z)
-    A = np.empty((d, d))
-    for j in range(d):
-        h = max(1e-5, 1e-4 * abs(theta[j]))
-        if pos[j]:
-            h = min(h, 0.25 * theta[j])
-        for _ in range(8):
-            up = theta.copy()
-            dn = theta.copy()
-            up[j] += h
-            dn[j] -= h
-            try:
-                model.check_theta(up, d_z)
-                model.check_theta(dn, d_z)
-                _, s_up = ctx.value_and_score(up)
-                _, s_dn = ctx.value_and_score(dn)
-            except (DomainError, NumericalUnderflow):
-                h *= 0.25
-                continue
-            A[:, j] = (s_up - s_dn) / (2.0 * h)
-            break
-        else:
-            raise SingularA(f"cannot difference the score along slot {j}")
+    env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
+    theta, model, ds = env["theta"], ctx.model, ctx.dataset
+    q, Wt, tau, psi3 = env["qstar_ratio"], env["Wt"], env["tail_w"], env["psi3_cens"]
+    tau_k = tau.sum(axis=1)
+    c = ctx.km.event_counts + tau_k
+    x_unc, z_unc = ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx]
+    z_cens = ds.z_source[ctx.cens_idx]
+    g_own = model.log_density_grad(theta, x_unc, z_unc)
+    A = contract_hessian(
+        model.grad_factors(theta, x_unc, z_unc),
+        model.hess_factors(theta, x_unc, z_unc),
+        np.ones(x_unc.shape),
+    ) - g_own.T @ g_own
+    R = np.zeros_like(q)                      # R_k = sum_m tau_km grad l(t_k, Z_m)
+    for k0 in range(0, ctx.K, _BLOCK):
+        k = slice(k0, k0 + _BLOCK)
+        t = ctx.tk[k][:, None]
+        A -= contract_hessian(
+            model.grad_factors(theta, t, ds.z_target),
+            model.hess_factors(theta, t, ds.z_target),
+            c[k, None] * Wt[k],
+        )
+        cen = model.grad_factors(theta, t, z_cens)
+        A += contract_hessian(cen, model.hess_factors(theta, t, z_cens), tau[k])
+        R[k] = contract_records(cen, tau[k])
+    A += ((c + tau_k)[:, None] * q).T @ q - R.T @ q - q.T @ R - psi3.T @ psi3
+    A /= ds.n1
     return 0.5 * (A + A.T)
 
 
@@ -192,7 +206,7 @@ def asymptotic_variance(ctx: LikelihoodContext, theta_hat):
     v_q = np.atleast_2d(v_q)
     sigma_psi = min(1.0 / pi_n, 1.0 / (1.0 - pi_n)) * ((1.0 - pi_n) * v_p + pi_n * v_q)
 
-    A = a_matrix_fd(ctx, env["theta"])
+    A = a_matrix(ctx, env["theta"])
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e12 or np.max(np.abs(A)) < 1e-10:
         raise SingularA(

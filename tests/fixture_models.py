@@ -5,7 +5,8 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from lssurv.models import SurvivalModel
+import lssurv as ls
+from lssurv.models import PHWeibull, SurvivalModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -81,6 +82,26 @@ class TwoPointLogNormal(SurvivalModel):
             out[..., s] = (self.log_density(up, t, z) - self.log_density(dn, t, z)) / (2 * h)
         return out
 
+    def log_density_hess(self, theta, t, z):
+        # second central differences of the log density
+        theta = np.asarray(theta, dtype=float)
+        h = 1e-4 * np.maximum(1.0, np.abs(theta))
+        step = np.diag(h)
+
+        def f(*shifts):
+            return self.log_density(theta + sum(shifts, np.zeros(3)), t, z)
+
+        base = f()
+        out = np.empty(base.shape + (3, 3))
+        for s in range(3):
+            out[..., s, s] = (f(step[s]) - 2.0 * base + f(-step[s])) / h[s] ** 2
+            for r in range(s):
+                out[..., s, r] = out[..., r, s] = (
+                    f(step[s], step[r]) - f(step[s], -step[r])
+                    - f(-step[s], step[r]) + f(-step[s], -step[r])
+                ) / (4.0 * h[s] * h[r])
+        return out
+
     def survival(self, theta, t, z):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         zv = np.asarray(z, dtype=float).reshape(-1)[:1]
@@ -94,3 +115,55 @@ class TwoPointLogNormal(SurvivalModel):
 
     def default_init(self, x, delta, z):
         return np.array([1.0, 0.5, 1.0])
+
+
+def two_point_dataset(seed=42, n=60):
+    """Censored source and target samples over the covariate {1, 2} of
+    ``TwoPointLogNormal``, with log-normal event times of scale 0.75 z."""
+    rng = np.random.default_rng(seed)
+    zsrc = rng.integers(1, 3, n).astype(float)
+    t = np.exp(rng.normal(0, 0.75 * zsrc))
+    c = np.exp(rng.normal(0.8, 1.0, n))
+    return ls.Dataset(np.minimum(t, c), (t <= c).astype(int), zsrc[:, None],
+                      rng.integers(1, 3, n).astype(float)[:, None])
+
+
+class OneSlot(SurvivalModel):
+    """ph-weibull with everything frozen except the scale slot."""
+
+    name = "one-slot"
+
+    def __init__(self, frozen):
+        self.frozen = np.asarray(frozen, dtype=float)
+        self.inner = PHWeibull()
+
+    def d_theta(self, d_z):
+        return 1
+
+    def param_names(self, d_z):
+        return ["lambda"]
+
+    def positive_mask(self, d_z):
+        return np.array([True])
+
+    def _full(self, theta):
+        full = self.frozen.copy()
+        full[-2] = theta[0]
+        return full
+
+    def log_density(self, theta, t, z):
+        return self.inner.log_density(self._full(theta), t, z)
+
+    def log_density_grad(self, theta, t, z):
+        return self.inner.log_density_grad(self._full(theta), t, z)[..., -2:-1]
+
+    def log_density_hess(self, theta, t, z):
+        # d2/dlambda2 of the ph-weibull log density
+        shape = np.shape(self.log_density(theta, t, z)) + (1, 1)
+        return np.full(shape, -1.0 / float(theta[0]) ** 2)
+
+    def survival(self, theta, t, z):
+        return self.inner.survival(self._full(theta), t, z)
+
+    def default_init(self, x, delta, z):
+        return np.array([1.0])

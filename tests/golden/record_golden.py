@@ -10,7 +10,9 @@ seed) drawn from the model itself, then
   the name of the error ``fit`` raised (``fit_error``).
 
 The dataset itself is stored, so the check does not depend on the sampler.
-Run from the repository root:
+For each fixture and key the recorder prints the largest change against the
+file it overwrites, relative to the largest magnitude recorded there (the
+measure ``tests/test_golden.py`` applies).  Run from the repository root:
 
     PYTHONPATH=src python tests/golden/record_golden.py
 """
@@ -80,10 +82,27 @@ def write(doc: dict, path: Path) -> None:
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
+def relative_change(old, new) -> str:
+    if old is None or new is None or isinstance(old, str) or isinstance(new, str):
+        return "same" if old == new else f"{old!r} -> {new!r}"
+    old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
+    if old.shape != new.shape:
+        return f"shape {old.shape} -> {new.shape}"
+    scale = np.max(np.abs(old), initial=0.0)
+    diff = np.max(np.abs(new - old), initial=0.0)
+    return f"{diff / scale if scale else diff:.1e}"
+
+
 def main(names) -> int:
     for name in names or list(TRUTH):
-        write(record(name), fixture_path(name))
-        print(f"wrote {fixture_path(name)}")
+        path = fixture_path(name)
+        old = json.loads(path.read_text()) if path.exists() else {}
+        doc = record(name)
+        write(doc, path)
+        print(f"wrote {path}")
+        for key, value in doc.items():
+            new = np.asarray(value).tolist() if isinstance(value, np.ndarray) else value
+            print(f"  {name:16s} {key:10s} {relative_change(old.get(key), new)}")
     return 0
 
 

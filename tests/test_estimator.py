@@ -20,10 +20,10 @@ from lssurv.estimator import (
     fit,
 )
 from lssurv.likelihood import LikelihoodContext, approx_loglik, s_functionals, score
-from lssurv.models import PHWeibull, SurvivalModel, get_model
-from lssurv.variance import a_matrix_fd, asymptotic_variance, eta_q_hat
+from lssurv.models import SurvivalModel, get_model
+from lssurv.variance import a_matrix, asymptotic_variance, eta_q_hat
 
-from fixture_models import TwoPointLogNormal
+from fixture_models import OneSlot, TwoPointLogNormal, two_point_dataset
 
 
 def sim_dataset(seed=11, n1=160, n2=160):
@@ -53,45 +53,9 @@ def test_fit_estimates_near_truth(fitted):
     assert np.all(np.abs(fr.theta_hat - truth) <= 5 * fr.se + 0.05)
 
 
-class _OneSlot(SurvivalModel):
-    """ph-weibull with everything frozen except the scale slot."""
-
-    name = "one-slot"
-
-    def __init__(self, frozen):
-        self.frozen = np.asarray(frozen, dtype=float)
-        self.inner = PHWeibull()
-
-    def d_theta(self, d_z):
-        return 1
-
-    def param_names(self, d_z):
-        return ["lambda"]
-
-    def positive_mask(self, d_z):
-        return np.array([True])
-
-    def _full(self, theta):
-        full = self.frozen.copy()
-        full[-2] = theta[0]
-        return full
-
-    def log_density(self, theta, t, z):
-        return self.inner.log_density(self._full(theta), t, z)
-
-    def log_density_grad(self, theta, t, z):
-        return self.inner.log_density_grad(self._full(theta), t, z)[..., -2:-1]
-
-    def survival(self, theta, t, z):
-        return self.inner.survival(self._full(theta), t, z)
-
-    def default_init(self, x, delta, z):
-        return np.array([1.0])
-
-
 def test_one_dimensional_fit_matches_grid_search():
     ds = sim_dataset(seed=5, n1=80, n2=60)
-    model = _OneSlot([1.0, 1.0, 1.0, 1.5])
+    model = OneSlot([1.0, 1.0, 1.0, 1.5])
     fr = fit(model, ds, init=np.array([0.8]), opts=FitOptions(skip_variance=True))
     ctx = LikelihoodContext(model, ds)
     grid = np.linspace(0.2, 3.0, 10_000)
@@ -103,16 +67,9 @@ def test_one_dimensional_fit_matches_grid_search():
 def test_models_without_linear_predictor_take_the_same_contractions():
     # score and sandwich of models that supply their own full gradient
     # (zero-width regression block) instead of u-space partials
-    rng = np.random.default_rng(42)
-    n = 60
-    zsrc = rng.integers(1, 3, n).astype(float)
-    t = np.exp(rng.normal(0, 0.75 * zsrc))
-    c = np.exp(rng.normal(0.8, 1.0, n))
-    two_point = ls.Dataset(np.minimum(t, c), (t <= c).astype(int), zsrc[:, None],
-                           rng.integers(1, 3, n).astype(float)[:, None])
     cases = [
-        (TwoPointLogNormal(), two_point, np.array([0.75, 0.8, 0.6])),
-        (_OneSlot([1.0, 1.0, 1.0, 1.5]), sim_dataset(seed=5, n1=80, n2=60), np.array([0.9])),
+        (TwoPointLogNormal(), two_point_dataset(), np.array([0.75, 0.8, 0.6])),
+        (OneSlot([1.0, 1.0, 1.0, 1.5]), sim_dataset(seed=5, n1=80, n2=60), np.array([0.9])),
     ]
     for model, ds, theta in cases:
         ctx = LikelihoodContext(model, ds)
@@ -157,7 +114,7 @@ def test_a_matrix_is_loglik_hessian(fitted):
     ds, fr = fitted
     model = get_model("ph-weibull")
     ctx = LikelihoodContext(model, ds)
-    A = a_matrix_fd(ctx, fr.theta_hat)
+    A = a_matrix(ctx, fr.theta_hat)
     d = fr.theta_hat.size
     H = np.empty((d, d))
     h = 1e-4
