@@ -6,6 +6,7 @@ import pytest
 import lssurv as ls
 from lssurv.errors import (
     DomainError,
+    DomainEscape,
     NonConvergence,
     QuadratureFailure,
     SingularA,
@@ -290,10 +291,7 @@ def _rescaled_back(name, theta, c):
 
 @pytest.mark.parametrize("name,c", [
     ("ph-weibull", 1e-6),
-    pytest.param("ph-weibull", 1e6, marks=pytest.mark.xfail(
-        raises=NonConvergence, strict=True,
-        reason="at lambda ~ 1e-13 the gradient tolerance on the raw lambda slot is "
-               "below the rounding floor of the score")),
+    ("ph-weibull", 1e6),
     ("aft-exponential", 1e-6),
     ("aft-exponential", 1e6),
     ("aft-lognormal", 1e-6),
@@ -362,6 +360,12 @@ def test_bic_select_excludes_failed_models():
     assert report.warnings
 
 
+def test_fit_raises_domain_escape_when_nothing_evaluates():
+    # every likelihood evaluation fails, the BFGS end point's included
+    with pytest.raises(DomainEscape):
+        fit(_AlwaysFails(), sim_dataset(seed=31, n1=60, n2=60))
+
+
 def test_bic_select_split_preconditions():
     ds = sim_dataset(seed=31, n1=240, n2=240)
     with pytest.raises(ValidationError):
@@ -383,7 +387,6 @@ def test_fit_result_json_roundtrip(fitted):
 
 def test_domain_escape_transform_guard():
     from lssurv.estimator import _transforms
-    from lssurv.errors import DomainEscape
 
     _, to_theta, _ = _transforms(get_model("ph-weibull"), 2)
     with pytest.raises(DomainEscape):
