@@ -12,6 +12,13 @@ where ``w_k`` are the product-limit jumps of the source event-time CDF and
 evaluated in log space; ratios are formed through normalized weights so the
 gradient is exact and stable.
 
+Both (event time x record) grids are walked in blocks of at most
+``_BLOCK_CELLS`` cells, one ``terms`` call per block, each contracted at
+once: the target grid in blocks of event-time rows, since its log-sums run
+over records, and the censored grid in blocks of record columns, since its
+tail log-sums run over event times.  So every block's log-sum is complete
+and the block size changes no formula.
+
 Censored records with no event time beyond them have an undefined tail term
 and are dropped with a warning count (the product-limit tail carries no
 mass there).
@@ -27,12 +34,28 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyTail, NumericalUnderflow
-from .models import SurvivalModel
+from .models import SurvivalModel, full_gradient
 from .nonparam import kaplan_meier
 
 logger = logging.getLogger("lssurv")
 
 _LOG_FLOOR = math.log(1e-300)
+
+# cells per block of a grid pass: 512 KiB per float64 temporary, so the
+# temporaries of one block stay in cache
+_BLOCK_CELLS = 1 << 16
+
+
+def grid_blocks(n_rows, n_cols):
+    """Slices of at most ``_BLOCK_CELLS`` cells, and at least one row, over
+    the rows of an (n_rows, n_cols) grid."""
+    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _check(logs, what):
+    if np.any(logs < _LOG_FLOOR) or not np.all(np.isfinite(logs)):
+        raise NumericalUnderflow(f"{what} underflow")
 
 
 @dataclass
@@ -48,10 +71,12 @@ class SFunctionals:
 def log_sum_weights(a, axis, mask=None):
     """``log sum exp(a)`` along ``axis`` and the normalized weights
     ``exp(a - logsum)`` from one max-shifted ``exp``; entries outside
-    ``mask`` count as ``-inf`` (weight 0)."""
-    where = True if mask is None else mask
-    m = np.max(a, axis=axis, keepdims=True, initial=-np.inf, where=where)
-    e = np.exp(a - m, out=np.zeros(np.shape(a)), where=where)
+    ``mask`` count as ``-inf`` (weight 0).  The mask is applied by value, not
+    through ``where=``, which would take numpy's element-wise loops."""
+    if mask is not None:
+        a = np.where(mask, a, -np.inf)
+    m = np.max(a, axis=axis, keepdims=True)
+    e = np.exp(a - m)
     total = e.sum(axis=axis, keepdims=True)
     e /= total
     return np.squeeze(m + np.log(total), axis=axis), e
@@ -59,7 +84,7 @@ def log_sum_weights(a, axis, mask=None):
 
 def contract_records(factors, W):
     """``sum_j W[..., j] * grad[..., j, :]`` for the density gradient on a
-    grid whose last axis runs over records, from its ``grad_factors``: the
+    grid whose last axis runs over records, from its ``terms`` factors: the
     regression block is one matrix product, the baseline block one weighted
     sum per slot, and the full gradient grid is never formed."""
     g_u, g_base, zr = factors
@@ -69,7 +94,7 @@ def contract_records(factors, W):
 
 def contract_times(factors, W):
     """``sum_k W[k, j] * grad[k, j, :]`` over the event times of an (event
-    time x record) grid, one row per record, from its ``grad_factors``."""
+    time x record) grid, one row per record, from its ``terms`` factors."""
     g_u, g_base, zr = factors
     base = [np.einsum("kj,kj->j", W, g) for g in g_base]
     return np.concatenate([(W * g_u).sum(axis=0)[:, None] * zr, np.stack(base, axis=-1)], axis=-1)
@@ -77,7 +102,7 @@ def contract_times(factors, W):
 
 def contract_hessian(factors, second, V):
     """``sum V * (H + g g^T)`` over a grid whose last axis runs over records,
-    from its ``grad_factors`` and ``hess_factors``: the regression block is
+    from its first- and second-order ``terms`` factors: the regression block is
     ``zr^T diag(colsum) zr``, the regression-baseline block one column-sum
     product with ``zr`` per slot and the baseline block plain sums, so no
     (..., d, d) array is formed."""
@@ -146,28 +171,39 @@ class LikelihoodContext:
                 return env
         model, ds = self.model, self.dataset
         theta = model.check_theta(theta, ds.d_z)
-        tcol = self.tk[:, None]
+        order, d, K, n_c = int(need_score), theta.shape[0], self.K, self.cens_idx.size
 
-        Ltgt = model.log_density(theta, tcol, ds.z_target)        # (K, n2)
-        lse, Wt = log_sum_weights(Ltgt, axis=1)                    # Wt rows sum to 1
-        lqhat = lse - math.log(ds.n2)                              # (K,)
-        if np.any(lqhat < _LOG_FLOOR) or not np.all(np.isfinite(lqhat)):
-            raise NumericalUnderflow("target-averaged density underflow")
+        # target grid (K, n2) in blocks of event-time rows: each row's
+        # log-sum over the target records is complete within its block
+        lqhat, Wt = np.empty(K), np.empty((K, ds.n2))            # Wt rows sum to 1
+        qstar_ratio = np.empty((K, d))                            # qhat*_T / qhat_T
+        for k in grid_blocks(K, ds.n2):
+            block = model.terms(theta, self.tk[k, None], ds.z_target, order)
+            lse, Wt[k] = log_sum_weights(block[0], axis=1)
+            lqhat[k] = lse - math.log(ds.n2)
+            _check(lqhat[k], "target-averaged density")
+            if need_score:
+                qstar_ratio[k] = contract_records(block[1], Wt[k])
 
-        x_unc = ds.x[self.unc_idx]
-        own_logq = model.log_density(theta, x_unc, ds.z_source[self.unc_idx])
-        if np.any(own_logq < _LOG_FLOOR) or not np.all(np.isfinite(own_logq)):
-            raise NumericalUnderflow("event density underflow")
+        own = model.terms(theta, ds.x[self.unc_idx], ds.z_source[self.unc_idx], order)
+        own_logq = own[0]
+        _check(own_logq, "event density")
 
+        # censored grid (K, n_c) in blocks of record columns: each record's
+        # tail log-sum over the event times is complete within its block
         z_cens = ds.z_source[self.cens_idx]
-        Lcen = model.log_density(theta, tcol, z_cens) if self.cens_idx.size else np.zeros((self.K, 0))
-        cens_logsum, tail_w = log_sum_weights(
-            self.logw[:, None] + Lcen - lqhat[:, None], axis=0, mask=self.tail_mask
-        )
-        if self.cens_idx.size and (
-            np.any(cens_logsum < _LOG_FLOOR) or not np.all(np.isfinite(cens_logsum))
-        ):
-            raise NumericalUnderflow("censored tail underflow")
+        Lcen, tail_w = np.empty((K, n_c)), np.empty((K, n_c))
+        cens_logsum, psi3 = np.empty(n_c), np.zeros((n_c, d))
+        for m in grid_blocks(n_c, K):
+            block = model.terms(theta, self.tk[:, None], z_cens[m], order)
+            Lcen[:, m] = block[0]
+            cens_logsum[m], tw = log_sum_weights(
+                self.logw[:, None] + block[0] - lqhat[:, None], axis=0, mask=self.tail_mask[:, m]
+            )
+            _check(cens_logsum[m], "censored tail")
+            tail_w[:, m] = tw
+            if need_score:
+                psi3[m] = contract_times(block[1], tw) - tw.T @ qstar_ratio
 
         contrib = np.zeros(ds.n1)
         contrib[self.unc_idx] = own_logq - lqhat[self.k_of_unc]
@@ -185,29 +221,14 @@ class LikelihoodContext:
             "loglik": loglik,
         }
         if need_score:
-            qstar_ratio = contract_records(                          # qhat*_T / qhat_T
-                model.grad_factors(theta, tcol, ds.z_target), Wt
-            )
-            d = theta.shape[0]
             psi = np.zeros((ds.n1, d))                               # per-record score rows
-            rows_sum = np.zeros(d)
-            if self.unc_idx.size:
-                Gown = model.log_density_grad(theta, x_unc, ds.z_source[self.unc_idx])
-                unc_rows = Gown - qstar_ratio[self.k_of_unc]
-                psi[self.unc_idx] = unc_rows
-                rows_sum += unc_rows.sum(axis=0)
-            psi3 = np.zeros((self.cens_idx.size, d))
-            if self.cens_idx.size:
-                psi3 = (
-                    contract_times(model.grad_factors(theta, tcol, z_cens), tail_w)
-                    - tail_w.T @ qstar_ratio
-                )
-                psi[self.cens_idx] = psi3
-                rows_sum += psi3.sum(axis=0)
+            unc_rows = full_gradient(own[1]) - qstar_ratio[self.k_of_unc]
+            psi[self.unc_idx] = unc_rows
+            psi[self.cens_idx] = psi3
             env["qstar_ratio"] = qstar_ratio
             env["psi3_cens"] = psi3
             env["psi"] = psi
-            env["score"] = rows_sum / ds.n1
+            env["score"] = (unc_rows.sum(axis=0) + psi3.sum(axis=0)) / ds.n1
         self._cache_key = theta.tobytes()
         self._cache_val = env
         return env
@@ -239,9 +260,8 @@ def qhat_T_star(ctx: LikelihoodContext, theta, t):
     """Target-averaged density gradient at time(s) t (vector of length d)."""
     theta = ctx.model.check_theta(np.asarray(theta, dtype=float), ctx.dataset.d_z)
     t_col = np.asarray(t, dtype=float)[..., None]
-    z = ctx.dataset.z_target
-    q = np.exp(ctx.model.log_density(theta, t_col, z))
-    return contract_records(ctx.model.grad_factors(theta, t_col, z), q) / ctx.dataset.n2
+    lq, factors = ctx.model.terms(theta, t_col, ctx.dataset.z_target, 1)
+    return contract_records(factors, np.exp(lq)) / ctx.dataset.n2
 
 
 def s_functionals(ctx: LikelihoodContext, theta, x, z) -> SFunctionals:
@@ -250,10 +270,9 @@ def s_functionals(ctx: LikelihoodContext, theta, x, z) -> SFunctionals:
     theta = np.asarray(theta, dtype=float)
     env = ctx._evaluate(theta, need_score=True)
     mask = ctx.tk > float(x)
-    lz = ctx.model.log_density(theta, ctx.tk, np.asarray(z, dtype=float))
-    gz = ctx.model.log_density_grad(theta, ctx.tk, np.asarray(z, dtype=float))
+    lz, factors = ctx.model.terms(theta, ctx.tk, np.asarray(z, dtype=float), 1)
     r = np.where(mask, ctx.w * np.exp(lz - env["lqhat"]), 0.0)
     s0 = float(r.sum())
-    s1 = r @ gz
+    s1 = r @ full_gradient(factors)
     s2 = r @ env["qstar_ratio"]
     return SFunctionals(s0=s0, s1=s1, s2=s2)

@@ -3,30 +3,32 @@
 The model contract.  Every zoo model depends on the covariates only through
 the linear predictor ``u = z @ beta``, so it is written once, in u-space.  A
 zoo model declares its baseline slot names (``baseline``), the ones
-constrained to (0, inf) (``positive``), and supplies five functions of
+constrained to (0, inf) (``positive``), and supplies three functions of
 ``(t, u, *base)``, ``base`` being the baseline scalars:
 
-* ``u_log_density``: the log density ``l = log q``;
-* ``u_partials``: ``(dl/du, (dl/dbase_1, ...))``, each with the broadcast
-  shape of ``t`` and ``u``;
-* ``u_second_partials``: ``(d2l/du2, (d2l/du dbase_s, ...),
-  ((d2l/dbase_s dbase_r, ...), ...))``, the last a full symmetric table;
+* ``u_terms(t, u, *base, order)``, one kernel for the log density and its
+  partials, each with the broadcast shape of ``t`` and ``u``: ``[l]`` at
+  ``order=0``; ``[l, (dl/du, (dl/dbase_1, ...))]`` at ``order=1``; and at
+  ``order=2`` also ``(d2l/du2, (d2l/du dbase_s, ...), ((d2l/dbase_s
+  dbase_r, ...), ...))``, the last a full symmetric table.  Its preamble
+  (``log t`` and the one capped ``exp``) runs once per call, and each order
+  adds its entries without changing the lower ones;
 * ``u_survival`` and ``u_inverse_survival``: the survival function and its
   inverse in ``t`` at level ``v``.
 
 ``SurvivalModel`` derives the rest: the parameter layout (``beta_1 ..
 beta_{d_z}`` followed by the baseline block), and from theta and z (split
-and ``u`` formed once per call) ``log_density``, ``log_density_grad``
-(regression block ``(dl/du) * z``), ``survival``, ``inverse_survival`` and
-``grad_factors`` and ``hess_factors``, the factored gradient and Hessian
+and ``u`` formed once per call) ``terms``, the one theta-space entry point
 through which the likelihood and the sandwich contract (event time x record)
-grids without a (K, n, d) or (K, n, d, d) tensor.
+grids without a (K, n, d) or (K, n, d, d) tensor, plus ``log_density``,
+``log_density_grad`` (regression block ``(dl/du) * z``), ``survival`` and
+``inverse_survival``.
 
 A model without a linear predictor declares no baseline slots and overrides
 ``d_theta``, ``param_names``, ``positive_mask``, ``log_density``,
-``log_density_grad``, ``log_density_hess`` and ``survival``; its factors are
-a zero-width regression block followed by its own full gradient and Hessian,
-so the contractions run unchanged.
+``log_density_grad``, ``log_density_hess`` and ``survival``; its ``terms``
+factors are a zero-width regression block followed by its own full gradient
+and Hessian, so the contractions run unchanged.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ def _exp_clip(a):
     result stays a huge finite number (with slack for scale factors) so
     downstream log-densities stay NaN-free."""
     return np.exp(np.minimum(a, 600.0))
+
+
+def full_gradient(factors):
+    """The gradient rows ``[g_u * zr, g_base...]`` of the first-order
+    ``terms`` factors ``(g_u, g_base, zr)``."""
+    g_u, g_base, zr = factors
+    return np.concatenate([np.asarray(g_u)[..., None] * zr, np.stack(g_base, axis=-1)], axis=-1)
 
 
 class SurvivalModel:
@@ -92,36 +101,34 @@ class SurvivalModel:
         beta, base = self.split(theta)
         return (np.asarray(t, dtype=float), np.asarray(z, dtype=float) @ beta, *base)
 
-    def log_density(self, theta, t, z):
-        return self.u_log_density(*self._u_args(theta, t, z))
-
-    def log_density_grad(self, theta, t, z):
-        g_u, g_base = self.u_partials(*self._u_args(theta, t, z))
-        return np.concatenate(
-            [g_u[..., None] * np.asarray(z, dtype=float), np.stack(g_base, axis=-1)], axis=-1
-        )
-
-    def grad_factors(self, theta, t, z):
-        """``log_density_grad`` factored as ``(g_u, g_base, zr)``: the
-        gradient is ``g_u[..., None] * zr`` followed by one slot per entry of
-        ``g_base``.  A model without a linear predictor gives a zero-width
-        ``zr`` and its full gradient as ``g_base``."""
-        if not self.baseline:
-            g = self.log_density_grad(theta, t, z)
-            return 0.0, np.moveaxis(g, -1, 0), np.zeros(np.shape(z)[:-1] + (0,))
-        return (*self.u_partials(*self._u_args(theta, t, z)), np.asarray(z, dtype=float))
-
-    def hess_factors(self, theta, t, z):
-        """The Hessian of the log density factored over the ``zr`` of
-        ``grad_factors``: ``(h_uu, h_ub, h_bb)`` with regression block
+    def terms(self, theta, t, z, order=0):
+        """The log density at theta and, up to ``order``, its factored
+        partials: ``[l]``, then ``(g_u, g_base, zr)``, the gradient being
+        ``g_u[..., None] * zr`` followed by one slot per entry of ``g_base``,
+        then ``(h_uu, h_ub, h_bb)``, the Hessian with regression block
         ``h_uu[..., None, None] * zr zr^T``, regression-baseline column ``s``
         ``h_ub[s][..., None] * zr`` and baseline entries ``h_bb[s][r]``.  A
-        model without a linear predictor (zero-width ``zr``) gives its full
-        ``log_density_hess`` as ``h_bb``."""
+        model without a linear predictor gives a zero-width ``zr`` and its
+        full gradient and Hessian as ``g_base`` and ``h_bb``."""
         if not self.baseline:
-            h = np.moveaxis(self.log_density_hess(theta, t, z), (-2, -1), (0, 1))
-            return 0.0, (0.0,) * h.shape[0], h
-        return self.u_second_partials(*self._u_args(theta, t, z))
+            out = [self.log_density(theta, t, z)]
+            if order >= 1:
+                g = np.moveaxis(self.log_density_grad(theta, t, z), -1, 0)
+                out.append((0.0, g, np.zeros(np.shape(z)[:-1] + (0,))))
+            if order >= 2:
+                h = np.moveaxis(self.log_density_hess(theta, t, z), (-2, -1), (0, 1))
+                out.append((0.0, (0.0,) * h.shape[0], h))
+            return out
+        out = self.u_terms(*self._u_args(theta, t, z), order=order)
+        if order >= 1:
+            out[1] = (*out[1], np.asarray(z, dtype=float))
+        return out
+
+    def log_density(self, theta, t, z):
+        return self.terms(theta, t, z)[0]
+
+    def log_density_grad(self, theta, t, z):
+        return full_gradient(self.terms(theta, t, z, 1)[1])
 
     def survival(self, theta, t, z):
         return self.u_survival(*self._u_args(theta, t, z))
@@ -141,24 +148,20 @@ class PHWeibull(SurvivalModel):
     baseline = ("lambda", "gamma")
     positive = ("lambda", "gamma")
 
-    def u_log_density(self, t, u, lam, gam):
+    def u_terms(self, t, u, lam, gam, order=0):
         logt = np.log(t)
-        return math.log(lam) + math.log(gam) + (gam - 1.0) * logt + u - lam * _exp_clip(gam * logt + u)
-
-    def u_partials(self, t, u, lam, gam):
-        logt = np.log(t)
-        He = _exp_clip(gam * logt + u) * lam  # H(t) * exp(u)
-        g_u = 1.0 - He
-        return g_u, (1.0 / lam - He / lam, 1.0 / gam + logt * g_u)
-
-    def u_second_partials(self, t, u, lam, gam):
-        logt = np.log(t)
-        He = _exp_clip(gam * logt + u) * lam
-        l_lg = -He * logt / lam
-        return -He, (-He / lam, -He * logt), (
-            (-1.0 / lam**2, l_lg),
-            (l_lg, -1.0 / gam**2 - He * logt**2),
-        )
+        He = lam * _exp_clip(gam * logt + u)  # H(t) * exp(u)
+        out = [math.log(lam) + math.log(gam) + (gam - 1.0) * logt + u - He]
+        if order >= 1:
+            g_u = 1.0 - He
+            out.append((g_u, (1.0 / lam - He / lam, 1.0 / gam + logt * g_u)))
+        if order >= 2:
+            l_lg = -He * logt / lam
+            out.append((-He, (-He / lam, -He * logt), (
+                (-1.0 / lam**2, l_lg),
+                (l_lg, -1.0 / gam**2 - He * logt**2),
+            )))
+        return out
 
     def u_survival(self, t, u, lam, gam):
         return np.exp(-lam * np.power(t, gam) * np.exp(u))
@@ -178,27 +181,25 @@ class POLogLogistic(SurvivalModel):
     baseline = ("mu", "sigma")
     positive = ("sigma",)
 
-    def u_log_density(self, t, u, mu, sigma):
-        logH = (np.log(t) - mu) / sigma
+    def u_terms(self, t, u, mu, sigma, order=0):
+        logt = np.log(t)
+        logH = (logt - mu) / sigma
         # log h = logH - log(sigma * t)
-        return logH - np.log(sigma) - np.log(t) + u - 2.0 * np.logaddexp(0.0, logH + u)
-
-    def u_partials(self, t, u, mu, sigma):
-        G = special.expit((np.log(t) - mu) / sigma + u)  # H e^u / (1 + H e^u)
-        return 1.0 - 2.0 * G, (
-            (2.0 * G - 1.0) / sigma,
-            (mu - np.log(t)) * (1.0 - 2.0 * G) / sigma**2 - 1.0 / sigma,
-        )
-
-    def u_second_partials(self, t, u, mu, sigma):
-        r = mu - np.log(t)
-        G = special.expit(-r / sigma + u)
-        D2 = 2.0 * G * (1.0 - G)                          # d(2G)/d(logit)
-        l_ms = D2 * r / sigma**3 - (2.0 * G - 1.0) / sigma**2
-        return -D2, (D2 / sigma, -D2 * r / sigma**2), (
-            (-D2 / sigma**2, l_ms),
-            (l_ms, -D2 * r**2 / sigma**4 - 2.0 * r * (1.0 - 2.0 * G) / sigma**3 + 1.0 / sigma**2),
-        )
+        out = [logH - np.log(sigma) - logt + u - 2.0 * np.logaddexp(0.0, logH + u)]
+        if order >= 1:
+            G = special.expit(logH + u)  # H e^u / (1 + H e^u)
+            r = mu - logt
+            out.append((1.0 - 2.0 * G, (
+                (2.0 * G - 1.0) / sigma,
+                r * (1.0 - 2.0 * G) / sigma**2 - 1.0 / sigma,
+            )))
+        if order >= 2:
+            D2 = 2.0 * G * (1.0 - G)                          # d(2G)/d(logit)
+            l_ms = D2 * r / sigma**3 - (2.0 * G - 1.0) / sigma**2
+            l_ss = (-D2 * r**2 / sigma**4 - 2.0 * r * (1.0 - 2.0 * G) / sigma**3
+                    + 1.0 / sigma**2)
+            out.append((-D2, (D2 / sigma, -D2 * r / sigma**2), ((-D2 / sigma**2, l_ms), (l_ms, l_ss))))
+        return out
 
     def u_survival(self, t, u, mu, sigma):
         return special.expit(-((np.log(t) - mu) / sigma + u))
@@ -220,19 +221,18 @@ class AFTLogNormal(SurvivalModel):
     baseline = ("mu", "sigma")
     positive = ("sigma",)
 
-    def u_log_density(self, t, u, mu, sigma):
-        s = (np.log(t) - mu - u) / sigma
-        return -np.log(sigma) - np.log(t) - 0.5 * s**2 - 0.5 * _LOG_2PI
-
-    def u_partials(self, t, u, mu, sigma):
-        s = (np.log(t) - mu - u) / sigma
-        return s / sigma, (s / sigma, (s**2 - 1.0) / sigma)
-
-    def u_second_partials(self, t, u, mu, sigma):
-        s = (np.log(t) - mu - u) / sigma
-        l_ms = -2.0 * s / sigma**2
-        h = -1.0 / sigma**2
-        return h, (h, l_ms), ((h, l_ms), (l_ms, (1.0 - 3.0 * s**2) / sigma**2))
+    def u_terms(self, t, u, mu, sigma, order=0):
+        logt = np.log(t)
+        s = (logt - mu - u) / sigma
+        s2 = s**2
+        out = [-np.log(sigma) - logt - 0.5 * s2 - 0.5 * _LOG_2PI]
+        if order >= 1:
+            out.append((s / sigma, (s / sigma, (s2 - 1.0) / sigma)))
+        if order >= 2:
+            l_ms = -2.0 * s / sigma**2
+            h = -1.0 / sigma**2
+            out.append((h, (h, l_ms), ((h, l_ms), (l_ms, (1.0 - 3.0 * s2) / sigma**2))))
+        return out
 
     def u_survival(self, t, u, mu, sigma):
         return special.ndtr(-(np.log(t) - mu - u) / sigma)
@@ -255,16 +255,15 @@ class AFTExponential(SurvivalModel):
     baseline = ("lambda",)
     positive = ("lambda",)
 
-    def u_log_density(self, t, u, lam):
-        return math.log(lam) - u - lam * t * _exp_clip(-u)
-
-    def u_partials(self, t, u, lam):
-        te = t * _exp_clip(-u)
-        return lam * te - 1.0, (1.0 / lam - te,)
-
-    def u_second_partials(self, t, u, lam):
-        te = t * _exp_clip(-u)
-        return -lam * te, (te,), ((-1.0 / lam**2,),)
+    def u_terms(self, t, u, lam, order=0):
+        E = _exp_clip(-u)
+        out = [math.log(lam) - u - lam * t * E]
+        if order >= 1:
+            te = t * E
+            out.append((lam * te - 1.0, (1.0 / lam - te,)))
+        if order >= 2:
+            out.append((-lam * te, (te,), ((-1.0 / lam**2,),)))
+        return out
 
     def u_survival(self, t, u, lam):
         return np.exp(-lam * t * np.exp(-u))
@@ -294,25 +293,22 @@ class AHWeibull(SurvivalModel):
             raise DomainError("ah-weibull: gamma must stay away from 1")
         return theta
 
-    def u_log_density(self, t, u, lam, gam):
-        logt = np.log(t)
-        H = lam * _exp_clip(gam * logt + (gam - 1.0) * u)
-        return math.log(gam) + math.log(lam) + (gam - 1.0) * (logt + u) - H
-
-    def u_partials(self, t, u, lam, gam):
-        logt = np.log(t)
-        one_m_H = 1.0 - lam * _exp_clip(gam * logt + (gam - 1.0) * u)
-        return (gam - 1.0) * one_m_H, (one_m_H / lam, 1.0 / gam + (logt + u) * one_m_H)
-
-    def u_second_partials(self, t, u, lam, gam):
+    def u_terms(self, t, u, lam, gam, order=0):
         logt = np.log(t)
         v = logt + u
         H = lam * _exp_clip(gam * logt + (gam - 1.0) * u)
-        l_lg = -H * v / lam
-        return -((gam - 1.0) ** 2) * H, (-(gam - 1.0) * H / lam, 1.0 - H - (gam - 1.0) * H * v), (
-            (-1.0 / lam**2, l_lg),
-            (l_lg, -1.0 / gam**2 - H * v**2),
-        )
+        out = [math.log(gam) + math.log(lam) + (gam - 1.0) * v - H]
+        if order >= 1:
+            one_m_H = 1.0 - H
+            out.append(((gam - 1.0) * one_m_H, (one_m_H / lam, 1.0 / gam + v * one_m_H)))
+        if order >= 2:
+            l_lg = -H * v / lam
+            h_ub = (-(gam - 1.0) * H / lam, 1.0 - H - (gam - 1.0) * H * v)
+            out.append((-((gam - 1.0) ** 2) * H, h_ub, (
+                (-1.0 / lam**2, l_lg),
+                (l_lg, -1.0 / gam**2 - H * v**2),
+            )))
+        return out
 
     def u_survival(self, t, u, lam, gam):
         return np.exp(-lam * np.power(t, gam) * np.exp((gam - 1.0) * u))

@@ -138,14 +138,14 @@ def _envelope(model, theta, ts):
     predictor, from the model's u-space log density."""
     _, base = model.split(theta)
     grid = np.linspace(-60.0, 60.0, 1201)
-    vals = model.u_log_density(np.asarray(ts)[:, None], grid, *base)
+    vals = model.u_terms(np.asarray(ts)[:, None], grid, *base, order=0)[0]
     best = np.argmax(vals, axis=1)
     out = np.empty(len(ts))
     for i, b in enumerate(best):
         lo = grid[max(b - 1, 0)]
         hi = grid[min(b + 1, grid.size - 1)]
         res = optimize.minimize_scalar(
-            lambda u: -float(model.u_log_density(ts[i], u, *base)),
+            lambda u: -float(model.u_terms(ts[i], u, *base, order=0)[0]),
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-8},

@@ -17,11 +17,10 @@ Every input comes from the fit's own ``LikelihoodContext`` evaluated at
 theta-hat: its product-limit fit, its kept censored records (one empty-tail
 rule), the densities, the normalized target and tail weights and the
 per-record score rows; ``A`` needs no further evaluation of the likelihood.
-The target and censored-record density gradients are recomputed once per
-call as the model's ``grad_factors`` and contracted over the (event time x
-record) grid without forming the (K, n, d) gradient tensor; ``a_matrix``
-contracts ``hess_factors`` the same way, one block of event-time rows at a
-time, so no (K, n, d, d) or whole-grid second-partial array is formed.
+The target and censored-record density partials are recomputed from the
+model's ``terms``, one call per block of event-time rows
+(``likelihood.grid_blocks``), and contracted at once, so no (K, n, d) or
+(K, n, d, d) tensor and no whole-grid array of partials is formed.
 """
 
 from __future__ import annotations
@@ -31,13 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularA
-from .likelihood import LikelihoodContext, contract_hessian, contract_records, contract_times
+from .likelihood import (LikelihoodContext, contract_hessian, contract_records, contract_times,
+                         grid_blocks)
+from .models import full_gradient
 # kaplan_meier stays bound here: the perfbench span test patches it in this module
 from .nonparam import influence_context, kaplan_meier  # noqa: F401
-
-# event-time rows per block of second partials: a whole (K, n) grid of them
-# would raise the variance's peak memory above the likelihood's own
-_BLOCK = 128
 
 
 @dataclass
@@ -49,14 +46,6 @@ class VarianceParts:
     psi_qZ_per_target: np.ndarray   # (n2, d)
     a_matrix: np.ndarray            # (d, d)
     sigma_psi: np.ndarray           # (d, d)
-
-
-def _target_terms(ctx: LikelihoodContext, env):
-    """``rho_tgt = q(t_k, Z_j) / qhat(t_k)`` (K, n2) and the factored target
-    density gradients at the evaluated theta."""
-    ds = ctx.dataset
-    rho_tgt = env["Wt"] * ds.n2
-    return rho_tgt, ctx.model.grad_factors(env["theta"], ctx.tk[:, None], ds.z_target)
 
 
 # -- event-CDF estimation component -------------------------------------------
@@ -98,23 +87,25 @@ def _psi_pt_rows(ctx: LikelihoodContext, phi, c_mat):
 # -- covariate-distribution component -----------------------------------------
 
 def _psi_qz_rows(ctx: LikelihoodContext, env, phi, s0, c_mat):
+    ds, model, theta = ctx.dataset, ctx.model, env["theta"]
     ck = ctx.km.event_counts.astype(float)
     qstar = env["qstar_ratio"]
-    rho_tgt, tgt_factors = _target_terms(ctx, env)
-    cen_factors = ctx.model.grad_factors(
-        env["theta"], ctx.tk[:, None], ctx.dataset.z_source[ctx.cens_idx]
-    )
+    z_cens = ds.z_source[ctx.cens_idx]
     inv_s0 = 1.0 / s0
     a0 = ctx.w * (phi @ inv_s0)                                       # (K,)
-    # w_k (A2 - A1): A1 the phi/s0-weighted censored gradients, A2 = phi @ c
-    a21 = ctx.w[:, None] * (phi @ c_mat - contract_records(cen_factors, phi * inv_s0))
-    rows = (
-        -contract_times(tgt_factors, (ck + a0)[:, None] * rho_tgt)
-        + rho_tgt.T @ (ck[:, None] * qstar)
-        + (rho_tgt - 1.0).T @ (a21 + 2.0 * a0[:, None] * qstar)
-        + (a0 @ qstar)[None, :]
-    )
-    return rows / ctx.dataset.n1
+    rows = np.tile(a0 @ qstar, (ds.n2, 1))
+    for k in grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size)):
+        t, rho_tgt = ctx.tk[k, None], env["Wt"][k] * ds.n2
+        # w_k (A2 - A1): A1 the phi/s0-weighted censored gradients, A2 = phi @ c
+        cen = model.terms(theta, t, z_cens, 1)[1]
+        a21 = ctx.w[k, None] * (phi[k] @ c_mat - contract_records(cen, phi[k] * inv_s0))
+        tgt = model.terms(theta, t, ds.z_target, 1)[1]
+        rows += (
+            -contract_times(tgt, (ck[k] + a0[k])[:, None] * rho_tgt)
+            + rho_tgt.T @ (ck[k, None] * qstar[k])
+            + (rho_tgt - 1.0).T @ (a21 + 2.0 * a0[k, None] * qstar[k])
+        )
+    return rows / ds.n1
 
 
 def eta_q_hat(ctx: LikelihoodContext, theta, x, z):
@@ -124,21 +115,19 @@ def eta_q_hat(ctx: LikelihoodContext, theta, x, z):
     because the target average only enters through ratios against itself.
     """
     env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
-    theta, model, tk = env["theta"], ctx.model, ctx.tk
-    rho_tgt, tgt_factors = _target_terms(ctx, env)
+    theta, model, tk, ds = env["theta"], ctx.model, ctx.tk, ctx.dataset
+    rho_tgt = env["Wt"] * ds.n2
     qstar = env["qstar_ratio"]
-    z = np.asarray(z, dtype=float)
-    lz = model.log_density(theta, tk, z)
-    gz = model.log_density_grad(theta, tk, z)
+    lz, factors = model.terms(theta, tk, np.asarray(z, dtype=float), 1)
+    gz = full_gradient(factors)
     wr = ctx.w * np.where(tk > float(x), np.exp(lz - env["lqhat"]), 0.0)  # w_k q(t_k,z)/qhat(t_k)
     centered = rho_tgt - 1.0                                 # (q(t_k,Z_j) - qhat)/qhat
     eta0 = -centered.T @ wr                                  # (n2,)
     eta1 = -centered.T @ (wr[:, None] * gz)
-    eta2 = (
-        contract_times(tgt_factors, wr[:, None] * rho_tgt)
-        - (wr @ qstar)[None, :]
-        - 2.0 * centered.T @ (wr[:, None] * qstar)
-    )
+    eta2 = -(wr @ qstar)[None, :] - 2.0 * centered.T @ (wr[:, None] * qstar)
+    for k in grid_blocks(ctx.K, ds.n2):
+        tgt = model.terms(theta, tk[k, None], ds.z_target, 1)[1]
+        eta2 += contract_times(tgt, wr[k, None] * rho_tgt[k])
     return eta0, eta1, eta2
 
 
@@ -152,32 +141,25 @@ def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
     ``tau``-weighted censored Hessians and outer products of
     ``grad l(t_k, Z_m) - qstar_ratio_k``, minus each censored score row's
     outer product.  The target and censored grids are contracted one block
-    of event-time rows at a time.
+    of event-time rows at a time, from one second-order ``terms`` call per
+    grid and block.
     """
     env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
     theta, model, ds = env["theta"], ctx.model, ctx.dataset
     q, Wt, tau, psi3 = env["qstar_ratio"], env["Wt"], env["tail_w"], env["psi3_cens"]
     tau_k = tau.sum(axis=1)
     c = ctx.km.event_counts + tau_k
-    x_unc, z_unc = ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx]
     z_cens = ds.z_source[ctx.cens_idx]
-    g_own = model.log_density_grad(theta, x_unc, z_unc)
-    A = contract_hessian(
-        model.grad_factors(theta, x_unc, z_unc),
-        model.hess_factors(theta, x_unc, z_unc),
-        np.ones(x_unc.shape),
-    ) - g_own.T @ g_own
+    _, own, own2 = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 2)
+    g_own = full_gradient(own)
+    A = contract_hessian(own, own2, np.ones(ctx.unc_idx.shape)) - g_own.T @ g_own
     R = np.zeros_like(q)                      # R_k = sum_m tau_km grad l(t_k, Z_m)
-    for k0 in range(0, ctx.K, _BLOCK):
-        k = slice(k0, k0 + _BLOCK)
-        t = ctx.tk[k][:, None]
-        A -= contract_hessian(
-            model.grad_factors(theta, t, ds.z_target),
-            model.hess_factors(theta, t, ds.z_target),
-            c[k, None] * Wt[k],
-        )
-        cen = model.grad_factors(theta, t, z_cens)
-        A += contract_hessian(cen, model.hess_factors(theta, t, z_cens), tau[k])
+    for k in grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size)):
+        t = ctx.tk[k, None]
+        _, tgt, tgt2 = model.terms(theta, t, ds.z_target, 2)
+        A -= contract_hessian(tgt, tgt2, c[k, None] * Wt[k])
+        _, cen, cen2 = model.terms(theta, t, z_cens, 2)
+        A += contract_hessian(cen, cen2, tau[k])
         R[k] = contract_records(cen, tau[k])
     A += ((c + tau_k)[:, None] * q).T @ q - R.T @ q - q.T @ R - psi3.T @ psi3
     A /= ds.n1

@@ -61,9 +61,9 @@ def test_grid_contractions_match_dense_einsum(name, d_z):
     rng = np.random.default_rng(3)
     W = rng.uniform(size=Gtgt.shape[:2])
     V = rng.uniform(size=Gcen.shape[:2])
-    np.testing.assert_allclose(contract_records(model.grad_factors(theta, tcol, ds.z_target), W),
+    np.testing.assert_allclose(contract_records(model.terms(theta, tcol, ds.z_target, 1)[1], W),
                                np.einsum("kj,kjd->kd", W, Gtgt), **close)
-    np.testing.assert_allclose(contract_times(model.grad_factors(theta, tcol, z_cens), V),
+    np.testing.assert_allclose(contract_times(model.terms(theta, tcol, z_cens, 1)[1], V),
                                np.einsum("ki,kid->id", V, Gcen), **close)
 
     env = ctx._evaluate(theta, need_score=True)

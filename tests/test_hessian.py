@@ -47,10 +47,10 @@ def test_second_partials_match_differenced_partials(name):
     t = rng.exponential(1.5, 50) + 0.05
     u = rng.normal(0.0, 0.7, 50)
     base = np.array(BASELINE[name], dtype=float)
-    h_uu, h_ub, h_bb = model.u_second_partials(t, u, *base)
+    h_uu, h_ub, h_bb = model.u_terms(t, u, *base, order=2)[2]
 
     def partials(du=0.0, dbase=np.zeros(base.size)):
-        g_u, g_b = model.u_partials(t, u + du, *(base + dbase))
+        g_u, g_b = model.u_terms(t, u + du, *(base + dbase), order=1)[1]
         return np.broadcast_to(np.stack([g_u, *g_b]), (1 + base.size, t.size))
 
     # column 0: d/du; column 1 + r: d/dbase_r; rows follow (g_u, g_base...)
