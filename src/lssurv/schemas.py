@@ -71,6 +71,9 @@ SHIFT_TEST_SCHEMA = {
         "K": {"type": "integer"},
         "alpha": {"type": "number"},
         "seed": {"anyOf": [{"type": "integer"}, {"type": "null"}]},
+        "redraws": {"type": "integer", "minimum": 0},
+        "bandwidth_z": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+        "bandwidth_t": {"type": "number", "exclusiveMinimum": 0},
     },
 }
 

@@ -12,6 +12,12 @@ records, the time derivative by a Gaussian kernel, and the covariate
 indicator by a product of Gaussian CDFs.  The double integral over (z, t)
 is replaced by an equal-weight average over the pooled observed event
 points, which keeps the statistic well-defined for multivariate z.
+
+A bootstrap resample changes only how many copies of each record it holds,
+so replicate k is column k of an (n x K) count matrix: one count-weighted
+product-limit pass gives every column's jump masses, and the kernels, built
+once at the original records, turn a block of mass columns into ratio
+estimates with two matrix products per population.
 """
 
 from __future__ import annotations
@@ -23,22 +29,46 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateBandwidth, NoEvents, ValidationError
-from .nonparam import kaplan_meier
+from .likelihood import grid_blocks
 
 _DENOM_FLOOR = 1e-10
+# draws per population and replicate before a resample with no event is an error
+_MAX_REDRAWS = 100
+
+
+def _product_limit_masses(x, delta, counts) -> np.ndarray:
+    """Product-limit jump mass per record for each column of ``counts``, the
+    (n, B) copies of each record: each event time's jump is split equally
+    over its event copies, once per copy; censored records carry zero.  A
+    time a column does not hit multiplies its survival by exactly 1."""
+    x = np.asarray(x, dtype=float)
+    events = counts * (np.asarray(delta) == 1)[:, None]
+    if not np.all(events.sum(axis=0) > 0):
+        raise NoEvents("all observations are censored")
+    order = np.argsort(x, kind="stable")
+    _, start, time_of = np.unique(x[order], return_index=True, return_inverse=True)
+    d = np.add.reduceat(events[order], start)
+    removed = np.add.reduceat(counts[order], start)
+    at_risk = counts.sum(axis=0) - (np.cumsum(removed, axis=0) - removed)
+    surv = np.cumprod(np.where(d > 0, (at_risk - d) / np.maximum(at_risk, 1), 1.0), axis=0)
+    share = -np.diff(surv, axis=0, prepend=1.0) / np.maximum(d, 1)
+    masses = np.empty(events.shape)
+    masses[order] = share[time_of] * events[order]
+    return masses
 
 
 def stute_masses(x, delta) -> np.ndarray:
     """Per-record jump share of the product-limit CDF: the jump at each
     event time split equally over tied events; censored records carry zero."""
+    return _product_limit_masses(x, delta, np.ones((np.shape(x)[0], 1), dtype=np.int64))[:, 0]
+
+
+def _population(x, delta, z):
+    """Float times, the indicators and the covariates as an (n, d_z) array
+    (a (d_z, n) array is transposed)."""
     x = np.asarray(x, dtype=float)
-    delta = np.asarray(delta)
-    km = kaplan_meier(x, delta)
-    masses = np.zeros(x.shape[0])
-    unc = delta == 1
-    k = np.searchsorted(km.event_times, x[unc])
-    masses[unc] = km.jumps.masses[k] / km.event_counts[k]
-    return masses
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    return x, np.asarray(delta), (z.T if z.shape[0] != x.shape[0] else z)
 
 
 def stute_joint_cdf(x, delta, z):
@@ -47,13 +77,7 @@ def stute_joint_cdf(x, delta, z):
     Returns (z_atoms, t_atoms, masses); total mass equals the product-limit
     CDF at the largest observation.
     """
-    x = np.asarray(x, dtype=float)
-    delta = np.asarray(delta)
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if z.shape[0] != x.shape[0]:
-        z = z.T
-    if not np.any(delta == 1):
-        raise NoEvents("all records censored")
+    x, delta, z = _population(x, delta, z)
     masses = stute_masses(x, delta)
     unc = delta == 1
     return z[unc], x[unc], masses[unc]
@@ -75,6 +99,18 @@ def silverman_bandwidths(z_atoms, t_atoms) -> tuple:
     return h_z, h_t
 
 
+def _bandwidths(bandwidths, z_atoms, t_atoms) -> tuple:
+    """The rule of thumb on the given points for ``None`` or "auto", else the
+    given (h_z, h_t) pair; both must be positive."""
+    if bandwidths is None or (isinstance(bandwidths, str) and bandwidths == "auto"):
+        h_z, h_t = silverman_bandwidths(z_atoms, t_atoms)
+    else:
+        h_z, h_t = np.asarray(bandwidths[0], dtype=float), float(bandwidths[1])
+    if h_t <= 0 or np.any(h_z <= 0):
+        raise DegenerateBandwidth(f"bandwidths h_z={h_z}, h_t={h_t}")
+    return h_z, h_t
+
+
 @dataclass
 class RatioEstimate:
     grid_z: np.ndarray
@@ -82,17 +118,6 @@ class RatioEstimate:
     values: np.ndarray
     bandwidth_z: np.ndarray
     bandwidth_t: float
-
-
-def _ratio_values(z_atoms, t_atoms, masses, grid_z, grid_t, h_z, h_t):
-    # time kernel (G, m) shared by numerator and denominator
-    kt = np.exp(-0.5 * ((grid_t[:, None] - t_atoms[None, :]) / h_t) ** 2)
-    denom = kt @ masses
-    num_w = kt.copy()
-    for j in range(z_atoms.shape[1]):
-        num_w *= special.ndtr((grid_z[:, j][:, None] - z_atoms[None, :, j]) / h_z[j])
-    num = num_w @ masses
-    return num / np.maximum(denom, _DENOM_FLOOR * h_t * math.sqrt(2 * math.pi))
 
 
 def ratio_estimate(x, delta, z, bandwidths="auto", grid=None) -> RatioEstimate:
@@ -107,13 +132,10 @@ def ratio_estimate(x, delta, z, bandwidths="auto", grid=None) -> RatioEstimate:
         grid_z, grid_t = grid
         grid_z = np.atleast_2d(np.asarray(grid_z, dtype=float))
         grid_t = np.asarray(grid_t, dtype=float)
-    if isinstance(bandwidths, str) and bandwidths == "auto":
-        h_z, h_t = silverman_bandwidths(z_atoms, t_atoms)
-    else:
-        h_z, h_t = np.asarray(bandwidths[0], dtype=float), float(bandwidths[1])
-    if h_t <= 0 or np.any(h_z <= 0):
-        raise DegenerateBandwidth(f"bandwidths h_z={h_z}, h_t={h_t}")
-    values = _ratio_values(z_atoms, t_atoms, masses, grid_z, grid_t, h_z, h_t)
+    h_z, h_t = _bandwidths(bandwidths, z_atoms, t_atoms)
+    # the atoms are the uncensored records
+    atoms = _PopKernels(t_atoms, np.ones(t_atoms.shape[0]), z_atoms, grid_z, grid_t, h_z, h_t)
+    values = atoms.ratio(masses)
     return RatioEstimate(
         grid_z=grid_z, grid_t=grid_t, values=values, bandwidth_z=h_z, bandwidth_t=h_t
     )
@@ -128,6 +150,9 @@ class ShiftTestResult:
     K: int
     alpha: float
     seed: int | None
+    redraws: int
+    bandwidth_z: np.ndarray
+    bandwidth_t: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,43 +163,56 @@ class ShiftTestResult:
             "K": int(self.K),
             "alpha": float(self.alpha),
             "seed": self.seed,
+            "redraws": int(self.redraws),
+            "bandwidth_z": [float(h) for h in self.bandwidth_z],
+            "bandwidth_t": float(self.bandwidth_t),
         }
 
 
 class _PopKernels:
     """Per-population machinery reused across bootstrap replicates: kernels
     are evaluated once at the original record values, and a resample only
-    reweights the columns."""
+    reweights the columns.  Takes the arrays of ``_population``."""
 
     def __init__(self, x, delta, z, grid_z, grid_t, h_z, h_t):
-        self.x = np.asarray(x, dtype=float)
-        self.delta = np.asarray(delta)
-        self.z = np.atleast_2d(np.asarray(z, dtype=float))
-        self.n = self.x.shape[0]
-        kt = np.exp(-0.5 * ((grid_t[:, None] - self.x[None, :]) / h_t) ** 2)
-        num_w = kt.copy()
-        for j in range(self.z.shape[1]):
-            num_w *= special.ndtr((grid_z[:, j][:, None] - self.z[None, :, j]) / h_z[j])
-        self.kt = kt
-        self.num_w = num_w
+        self.x, self.delta, self.n = x, delta, x.shape[0]
+        self.redraws = 0
+        self.kt = kt = np.exp(-0.5 * ((grid_t[:, None] - x[None, :]) / h_t) ** 2)
+        self.num_w = num_w = kt.copy()
+        for j in range(z.shape[1]):
+            num_w *= special.ndtr((grid_z[:, j][:, None] - z[None, :, j]) / h_z[j])
         self.floor = _DENOM_FLOOR * h_t * math.sqrt(2 * math.pi)
 
     def ratio(self, record_masses) -> np.ndarray:
+        """Ratio estimates on the grid per column of an (n,) or (n, B) mass array."""
         denom = self.kt @ record_masses
         return (self.num_w @ record_masses) / np.maximum(denom, self.floor)
 
-    def original_masses(self) -> np.ndarray:
-        return stute_masses(self.x, self.delta)
-
-    def bootstrap_masses(self, rng) -> np.ndarray:
-        for _ in range(100):
+    def draw_counts(self, rng) -> np.ndarray:
+        """Copies per record of one resample with at least one event; each
+        resample with none is drawn again and counted in ``redraws``."""
+        for _ in range(_MAX_REDRAWS):
             idx = rng.integers(0, self.n, size=self.n)
             if np.any(self.delta[idx] == 1):
-                break
-        masses = stute_masses(self.x[idx], self.delta[idx])
-        agg = np.zeros(self.n)
-        np.add.at(agg, idx, masses)
-        return agg
+                return np.bincount(idx, minlength=self.n)
+            self.redraws += 1
+        raise NoEvents(f"{_MAX_REDRAWS} resamples in a row held no event")
+
+
+def _bootstrap(kp, kq, K, seed) -> np.ndarray:
+    """Bootstrap statistics of replicates 0..K-1.  Replicate k draws P, then
+    Q, from its own generator; replicates run in column blocks of the
+    likelihood's grid-block size, so memory does not grow with K."""
+    t_star = np.empty(K)
+    for block in grid_blocks(K, max(kp.n, kq.n)):
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, k))) for k in range(K)[block]]
+        counts = [[pop.draw_counts(rng) for pop in (kp, kq)] for rng in rngs]
+        rp, rq = (
+            pop.ratio(_product_limit_masses(pop.x, pop.delta, np.column_stack(cols)))
+            for pop, cols in zip((kp, kq), zip(*counts))
+        )
+        t_star[block] = np.mean((rp - rq) ** 2, axis=0)
+    return t_star
 
 
 def label_shift_test(
@@ -185,43 +223,25 @@ def label_shift_test(
     ``pop_p`` and ``pop_q`` are (x, delta, z) triples of censored samples.
     The critical value is the (1 - alpha) quantile of the recentred
     bootstrap statistics T*_n - T_n.  ``bandwidths`` overrides the pooled
-    rule-of-thumb choice with a fixed (h_z, h_t) pair.
+    rule-of-thumb choice with a fixed (h_z, h_t) pair.  A resample with no
+    event is drawn again; ``NoEvents`` after ``_MAX_REDRAWS`` such draws.
     """
     if K < 50:
         raise ValidationError("bootstrap needs K >= 50 replicates")
-    xp, dp, zp = (np.asarray(a) for a in pop_p)
-    xq, dq, zq = (np.asarray(a) for a in pop_q)
-    zp = np.atleast_2d(zp.astype(float))
-    zq = np.atleast_2d(zq.astype(float))
-    if zp.shape[0] != xp.shape[0]:
-        zp = zp.T
-    if zq.shape[0] != xq.shape[0]:
-        zq = zq.T
+    (xp, dp, zp), (xq, dq, zq) = (_population(*pop) for pop in (pop_p, pop_q))
     if zp.shape[1] != zq.shape[1]:
         raise ValidationError("populations disagree on covariate dimension")
 
-    za_p, ta_p, _ = stute_joint_cdf(xp, dp, zp)
-    za_q, ta_q, _ = stute_joint_cdf(xq, dq, zq)
-    grid_z = np.vstack([za_p, za_q])
-    grid_t = np.concatenate([ta_p, ta_q])
-    if bandwidths is None:
-        h_z, h_t = silverman_bandwidths(grid_z, grid_t)
-    else:
-        h_z, h_t = np.asarray(bandwidths[0], dtype=float), float(bandwidths[1])
-    if h_t <= 0 or np.any(h_z <= 0):
-        raise DegenerateBandwidth(f"bandwidths h_z={h_z}, h_t={h_t}")
-
+    mp, mq = stute_masses(xp, dp), stute_masses(xq, dq)
+    grid_z = np.vstack([zp[dp == 1], zq[dq == 1]])
+    grid_t = np.concatenate([xp[dp == 1], xq[dq == 1]])
+    h_z, h_t = _bandwidths(bandwidths, grid_z, grid_t)
     kp = _PopKernels(xp, dp, zp, grid_z, grid_t, h_z, h_t)
     kq = _PopKernels(xq, dq, zq, grid_z, grid_t, h_z, h_t)
-    t_n = float(np.mean((kp.ratio(kp.original_masses()) - kq.ratio(kq.original_masses())) ** 2))
+    t_n = float(np.mean((kp.ratio(mp) - kq.ratio(mq)) ** 2))
 
     seed_eff = seed if seed is not None else int(np.random.default_rng().integers(2**62))
-    t_star = np.empty(K)
-    for k in range(K):
-        rk = np.random.default_rng(np.random.SeedSequence((seed_eff, k)))
-        rp = kp.ratio(kp.bootstrap_masses(rk))
-        rq = kq.ratio(kq.bootstrap_masses(rk))
-        t_star[k] = np.mean((rp - rq) ** 2)
+    t_star = _bootstrap(kp, kq, K, seed_eff)
     recentred = t_star - t_n
     critical = float(np.quantile(recentred, 1.0 - alpha))
     p_value = float(np.mean(recentred >= t_n))
@@ -233,4 +253,7 @@ def label_shift_test(
         K=K,
         alpha=alpha,
         seed=seed if isinstance(seed, int) else None,
+        redraws=kp.redraws + kq.redraws,
+        bandwidth_z=h_z,
+        bandwidth_t=h_t,
     )
