@@ -5,9 +5,10 @@ the analytic score is mapped through the chain rule.  One BFGS run from the
 source-only start is followed, when its gradient is still above tolerance,
 by Newton steps on the score: each is the least-squares solution against
 the sandwich's own exact Hessian ``variance.a_matrix``, halved until the
-score's sup-norm strictly falls.  There is no restart.  Both use the one
-``LikelihoodContext`` built per fit, which the variance then reads at the
-maximizer.
+score's sup-norm strictly falls.  Convergence reads the score slot by slot,
+a positive slot below 1 in log coordinates.  There is no restart.  Both use
+the one ``LikelihoodContext`` built per fit, which the variance then reads
+at the maximizer.
 """
 
 from __future__ import annotations
@@ -136,15 +137,14 @@ def source_only_mle(model: SurvivalModel, dataset: Dataset, theta0=None) -> np.n
     """Censored maximum likelihood on the source sample alone.
 
     Consistent for theta when there is no shift; in general a starting
-    point close enough to the basin of the full objective.
+    point close enough to the basin of the full objective.  BFGS with a
+    finite-difference gradient, in the same log coordinates as ``fit``.
     """
     x, delta, z = dataset.x, dataset.delta, dataset.z_source
     if theta0 is None:
         theta0 = model.default_init(x, delta, z)
     to_eta, to_theta, _ = _transforms(model, dataset.d_z)
     unc = delta == 1
-
-    big = 1e18  # finite penalty keeps the simplex arithmetic warning-free
 
     def nll(eta):
         try:
@@ -153,14 +153,16 @@ def source_only_mle(model: SurvivalModel, dataset: Dataset, theta0=None) -> np.n
             ll = float(np.sum(model.log_density(theta, x[unc], z[unc])))
             s = model.survival(theta, x[~unc], z[~unc])
             if np.any(s <= 0):
-                return big
+                return np.inf
             ll += float(np.sum(np.log(s)))
         except (DomainError, DomainEscape, FloatingPointError):
-            return big
-        return -ll if np.isfinite(ll) else big
+            return np.inf
+        return -ll if np.isfinite(ll) else np.inf
 
-    res = optimize.minimize(nll, to_eta(theta0), method="Nelder-Mead",
-                            options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-8})
+    # a line-search or difference step far out may overflow the model's
+    # survival (nll is then inf) and difference inf against an inf f0
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = optimize.minimize(nll, to_eta(theta0), method="BFGS")
     try:
         theta = to_theta(res.x)
         model.check_theta(theta, dataset.d_z)
@@ -201,6 +203,12 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
             return np.inf, np.zeros_like(eta)
         return -ll, -sc * jac_diag(theta)
 
+    def stationarity(theta, sc):
+        """Sup-norm of the score with each positive slot below 1 scored in
+        log coordinates: at a rate near 0 the theta-space score has a
+        rounding floor of about n * eps / theta."""
+        return float(np.max(np.abs(sc) * np.minimum(1.0, jac_diag(theta))))
+
     def try_step(theta, sc, step):
         """Halve ``step`` until it strictly lowers the score's sup-norm."""
         scale = 1.0
@@ -232,7 +240,7 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
     # lstsq, not solve: with a rate near 1e-13 cond(A) reaches 1e27, and
     # lstsq's cutoff drops the singular directions a solve fills with rounding
     for _ in range(min(40, max(opts.max_iter - iterations, 0))):
-        if np.max(np.abs(sc)) <= opts.grad_tol:
+        if stationarity(theta, sc) <= opts.grad_tol:
             break
         step = np.linalg.lstsq(a_matrix(ctx, theta), -sc, rcond=None)[0]
         iterations += 1
@@ -240,7 +248,7 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
         if hit is None:
             break
         theta, ll, sc = hit
-    grad_norm = float(np.max(np.abs(sc)))
+    grad_norm = stationarity(theta, sc)
     converged = grad_norm <= opts.grad_tol
     if not converged:
         raise NonConvergence(

@@ -53,6 +53,10 @@ MC_SCHEMA = {
                 "n_reps": {"type": "integer"},
                 "n_failed": {"type": "integer"},
                 "failures": {"type": "array", "items": {"type": "string"}},
+                "failure_counts": {
+                    "type": "object",
+                    "additionalProperties": {"type": "integer", "minimum": 1},
+                },
                 "empty_tail_warnings": {"type": "integer"},
                 "mean_censoring": {"type": "number"},
             },

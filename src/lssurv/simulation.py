@@ -7,20 +7,21 @@ response distributions differ between populations while the conditional
 covariate law stays shared.  Target covariates come straight from q_Z.
 
 The conditional draw uses rejection sampling with an envelope over the
-linear predictor: all zoo models touch z only through ``u = z @ beta``, so
-the envelope maximizes the model's u-space log density over u directly,
-falling back to a short random-walk Metropolis-Hastings chain when the
-envelope cannot be used or acceptance stalls.
+linear predictor: all zoo models touch z only through ``u = z @ beta``, and
+each zoo log density is concave in u, so the envelope is the u-space log
+density at its mode, found for every time at once by bracketed Newton steps.
+A short random-walk Metropolis-Hastings chain takes the draws whose
+acceptance stalls.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .data import Dataset
 from .errors import EnvelopeFailure, LssurvError, TooManyFailures, ValidationError
@@ -135,23 +136,28 @@ def _rep_rng(seed: int, rep: int):
 
 def _envelope(model, theta, ts):
     """Per-time log-supremum of the conditional density over the linear
-    predictor, from the model's u-space log density."""
+    predictor.  The argmax of a coarse grid on [-60, 60] brackets each
+    (concave) u-space mode to one grid step; Newton steps on the kernel's
+    u-partials, clipped to the brackets, refine every time at once.  A time
+    whose ``d2l/du2`` is not negative (it underflows to 0 at a mode clamped
+    to the grid's edge) keeps its bracketed value."""
     _, base = model.split(theta)
-    grid = np.linspace(-60.0, 60.0, 1201)
-    vals = model.u_terms(np.asarray(ts)[:, None], grid, *base, order=0)[0]
+    ts = np.asarray(ts, dtype=float)
+    grid = np.linspace(-60.0, 60.0, 121)
+    vals = model.u_terms(ts[:, None], grid, *base, order=0)[0]
     best = np.argmax(vals, axis=1)
-    out = np.empty(len(ts))
-    for i, b in enumerate(best):
-        lo = grid[max(b - 1, 0)]
-        hi = grid[min(b + 1, grid.size - 1)]
-        res = optimize.minimize_scalar(
-            lambda u: -float(model.u_terms(ts[i], u, *base, order=0)[0]),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-8},
-        )
-        out[i] = -res.fun
-    return out + 1e-10
+    lo = grid[np.maximum(best - 1, 0)]
+    hi = grid[np.minimum(best + 1, grid.size - 1)]
+    u = grid[best]
+    for _ in range(50):
+        val, (g_u, _), (h_uu, _, _) = model.u_terms(ts, u, *base, order=2)
+        with np.errstate(over="ignore"):  # a flat curvature: to the bracket's edge
+            step = -g_u / np.where(h_uu < 0, h_uu, -np.inf)
+        nxt = np.clip(u + step, lo, hi)
+        if np.all(np.abs(nxt - u) <= 1e-12 * np.maximum(1.0, np.abs(u))):
+            break
+        u = nxt
+    return np.fmax(val, vals[np.arange(ts.size), best]) + 1e-10
 
 
 def _mh_conditional(model, theta, qz: QzSpec, ts, rng, steps=50, prop_sd=0.5, init=None):
@@ -237,6 +243,7 @@ class McReport:
     failures: list
     empty_tail_warnings: int
     mean_censoring: float
+    failure_counts: dict  # exception type name -> count
 
     def to_csv(self) -> str:
         lines = ["param,MSE,Bias,SE,SE_hat,CP"]
@@ -260,6 +267,7 @@ class McReport:
                 "n_reps": self.n_reps,
                 "n_failed": self.n_failed,
                 "failures": self.failures,
+                "failure_counts": self.failure_counts,
                 "empty_tail_warnings": self.empty_tail_warnings,
                 "mean_censoring": self.mean_censoring,
             },
@@ -281,7 +289,7 @@ def _run_one_rep(config: SimConfig, rep: int):
             "empty_tail": sum(1 for w in fr.warnings if "dropped" in w),
         }
     except LssurvError as exc:
-        return {"rep": rep, "error": f"{type(exc).__name__}: {exc}"}
+        return {"rep": rep, "error": f"{type(exc).__name__}: {exc}", "kind": type(exc).__name__}
 
 
 def run_mc_study(config: SimConfig, n_jobs: int = 1) -> McReport:
@@ -322,4 +330,5 @@ def run_mc_study(config: SimConfig, n_jobs: int = 1) -> McReport:
         failures=failures,
         empty_tail_warnings=int(sum(r["empty_tail"] for r in good)),
         mean_censoring=float(np.mean([r["censoring"] for r in good])),
+        failure_counts=dict(Counter(r["kind"] for r in results if "error" in r)),
     )

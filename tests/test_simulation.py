@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 import lssurv as ls
+from lssurv import simulation
 from lssurv.errors import TooManyFailures, ValidationError
 from lssurv.simulation import (
     QzSpec,
     SimConfig,
+    _envelope,
     _mh_conditional,
     generate_dataset,
     generate_source_latent,
@@ -178,6 +182,29 @@ def test_too_many_failures(monkeypatch):
         run_mc_study(SimConfig(n1=100, n2=100, n_reps=3, seed=13), n_jobs=1)
 
 
+def test_mc_report_counts_failures_by_type(monkeypatch):
+    import jsonschema
+
+    import lssurv.simulation as sim
+    from lssurv.schemas import MC_SCHEMA
+
+    real_fit = sim.fit
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ls.NonConvergence("forced")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "fit", first_fails)
+    rep = run_mc_study(SimConfig(n1=100, n2=100, n_reps=10, seed=13), n_jobs=1)
+    doc = rep.to_json_dict()
+    jsonschema.validate(doc, MC_SCHEMA)
+    assert doc["diagnostics"]["failure_counts"] == {"NonConvergence": 1}
+    assert doc["diagnostics"]["n_failed"] == 1
+
+
 def test_envelope_failure_on_zero_density():
     from lssurv.errors import EnvelopeFailure
     from lssurv.models import SurvivalModel
@@ -203,3 +230,60 @@ def test_envelope_failure_on_zero_density():
     with pytest.raises(EnvelopeFailure):
         _mh_conditional(_Zero(), np.zeros(1), QzSpec((("normal", 0.0, 1.0),)),
                         np.full(3, 1.0), np.random.default_rng(0))
+
+
+ZOO_THETA = {
+    "ph-weibull": (1.0, 1.0, 1.0, 1.5),
+    "po-loglogistic": (0.4, -0.6, -0.5, 0.7),
+    "aft-lognormal": (0.7, -0.2, 0.3, 0.9),
+    "aft-exponential": (0.5, -0.5, 1.4),
+    "ah-weibull": (0.4, -0.3, 1.1, 1.8),
+}
+
+
+def _scalar_envelope(model, theta, ts):
+    """Reference envelope: a 1201-point grid on [-60, 60], then one bounded
+    scalar search per time between the grid argmax's neighbours."""
+    _, base = model.split(theta)
+    grid = np.linspace(-60.0, 60.0, 1201)
+    vals = model.u_terms(np.asarray(ts)[:, None], grid, *base, order=0)[0]
+    out = np.empty(len(ts))
+    for i, b in enumerate(np.argmax(vals, axis=1)):
+        res = optimize.minimize_scalar(
+            lambda u: -float(model.u_terms(ts[i], u, *base, order=0)[0]),
+            bounds=(grid[max(b - 1, 0)], grid[min(b + 1, grid.size - 1)]),
+            method="bounded",
+            options={"xatol": 1e-8},
+        )
+        out[i] = -res.fun
+    return out + 1e-10
+
+
+@pytest.mark.parametrize("name", list(ZOO_THETA))
+def test_envelope_matches_scalar_search(name):
+    model = ls.get_model(name)
+    theta = np.array(ZOO_THETA[name])
+    ts = np.random.default_rng(0).exponential(1.0, 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _envelope(model, theta, ts)
+    np.testing.assert_allclose(got, _scalar_envelope(model, theta, ts), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(ZOO_THETA))
+def test_envelope_bounds_the_density_at_extreme_times(name):
+    # modes clamped to the edge of [-60, 60], where d2l/du2 underflows to 0
+    model = ls.get_model(name)
+    theta = np.array(ZOO_THETA[name])
+    _, base = model.split(theta)
+    ts = np.geomspace(1e-300, 1e300, 25)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _envelope(model, theta, ts)
+    # only the envelope's own arithmetic is checked here: aft-exponential's
+    # kernel overflows (to a log density of -inf) at t = 1e300 on the grid
+    assert not [w for w in caught if w.filename == simulation.__file__]
+    assert np.all(np.isfinite(got))
+    assert np.all(got >= _scalar_envelope(model, theta, ts))
+    dense = np.linspace(-60.0, 60.0, 24001)
+    assert np.all(got >= model.u_terms(ts[:, None], dense, *base, order=0)[0].max(axis=1))
