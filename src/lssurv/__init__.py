@@ -29,15 +29,7 @@ from .estimator import (
     conditional_functional,
     fit,
 )
-from .likelihood import (
-    LikelihoodContext,
-    SFunctionals,
-    approx_loglik,
-    qhat_T,
-    qhat_T_star,
-    s_functionals,
-    score,
-)
+from .likelihood import LikelihoodContext, approx_loglik, score
 from .models import (
     REGISTRY,
     REGISTRY_ORDER,
@@ -49,16 +41,7 @@ from .models import (
     sample_event_time,
     survival,
 )
-from .nonparam import (
-    InfluenceContext,
-    KmFit,
-    empirical_measure,
-    gamma0_hat,
-    influence_context,
-    influence_evaluator,
-    kaplan_meier,
-    km_influence,
-)
+from .nonparam import KmFit, kaplan_meier
 from .shift_test import (
     RatioEstimate,
     ShiftTestResult,
@@ -74,7 +57,6 @@ from .simulation import (
     run_mc_study,
     sample_z_given_t,
 )
-from .stepfun import DiscreteMeasure, StepFunction, jump_at, step_eval
-from .variance import VarianceParts, asymptotic_variance, eta_q_hat
+from .variance import VarianceParts, asymptotic_variance
 
 __version__ = "0.1.0"

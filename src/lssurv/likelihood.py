@@ -3,12 +3,12 @@
 For a parameter vector theta the objective is the source average of
 
 * ``log q(x_i, z_i)`` for events,
-* minus ``log qhat_T(x_i)``, the target-averaged density at the event time,
+* minus ``log qhat(x_i)``, the target-averaged density at the event time,
 * plus, for censored records, the log of the jump-weighted tail sum
-  ``sum_{t_k > x_i} w_k q(t_k, z_i) / qhat_T(t_k)``
+  ``sum_{t_k > x_i} w_k q(t_k, z_i) / qhat(t_k)``
 
 where ``w_k`` are the product-limit jumps of the source event-time CDF and
-``qhat_T(t) = mean_j q(t, z_j)`` over the target covariates.  Everything is
+``qhat(t) = mean_j q(t, z_j)`` over the target covariates.  Everything is
 evaluated in log space; ratios are formed through normalized weights so the
 gradient is exact and stable.
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,16 +55,6 @@ def grid_blocks(n_rows, n_cols):
 def _check(logs, what):
     if np.any(logs < _LOG_FLOOR) or not np.all(np.isfinite(logs)):
         raise NumericalUnderflow(f"{what} underflow")
-
-
-@dataclass
-class SFunctionals:
-    """Raw tail functionals at a query point: scalar s0 and the two
-    d_theta-vectors s1 (gradient numerator) and s2 (mixture correction)."""
-
-    s0: float
-    s1: np.ndarray
-    s2: np.ndarray
 
 
 def log_sum_weights(a, axis, mask=None):
@@ -137,7 +126,7 @@ class LikelihoodContext:
         self.dataset = dataset
         self.km = kaplan_meier(dataset.x, dataset.delta)
         self.tk = self.km.event_times                      # (K,) distinct event times
-        self.w = self.km.jumps.masses                      # (K,) product-limit jumps
+        self.w = self.km.jumps                             # (K,) product-limit jumps
         self.logw = np.log(self.w)
         self.K = self.tk.shape[0]
 
@@ -176,7 +165,7 @@ class LikelihoodContext:
         # target grid (K, n2) in blocks of event-time rows: each row's
         # log-sum over the target records is complete within its block
         lqhat, Wt = np.empty(K), np.empty((K, ds.n2))            # Wt rows sum to 1
-        qstar_ratio = np.empty((K, d))                            # qhat*_T / qhat_T
+        qstar_ratio = np.empty((K, d))                            # qhat* / qhat
         for k in grid_blocks(K, ds.n2):
             block = model.terms(theta, self.tk[k, None], ds.z_target, order)
             lse, Wt[k] = log_sum_weights(block[0], axis=1)
@@ -245,34 +234,3 @@ def approx_loglik(ctx: LikelihoodContext, theta) -> float:
 def score(ctx: LikelihoodContext, theta) -> np.ndarray:
     """Exact gradient of ``approx_loglik`` in theta."""
     return ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)["score"]
-
-
-def qhat_T(ctx: LikelihoodContext, theta, t):
-    """Target-averaged conditional density at time(s) t."""
-    theta = ctx.model.check_theta(np.asarray(theta, dtype=float), ctx.dataset.d_z)
-    t_arr = np.asarray(t, dtype=float)
-    logq = ctx.model.log_density(theta, t_arr[..., None], ctx.dataset.z_target)
-    out = np.exp(log_sum_weights(logq, axis=-1)[0]) / ctx.dataset.n2
-    return float(out) if np.isscalar(t) else out
-
-
-def qhat_T_star(ctx: LikelihoodContext, theta, t):
-    """Target-averaged density gradient at time(s) t (vector of length d)."""
-    theta = ctx.model.check_theta(np.asarray(theta, dtype=float), ctx.dataset.d_z)
-    t_col = np.asarray(t, dtype=float)[..., None]
-    lq, factors = ctx.model.terms(theta, t_col, ctx.dataset.z_target, 1)
-    return contract_records(factors, np.exp(lq)) / ctx.dataset.n2
-
-
-def s_functionals(ctx: LikelihoodContext, theta, x, z) -> SFunctionals:
-    """Raw tail functionals s0, s1, s2 at the query point (x, z); s0 may be
-    zero when no event time lies beyond x (callers guard)."""
-    theta = np.asarray(theta, dtype=float)
-    env = ctx._evaluate(theta, need_score=True)
-    mask = ctx.tk > float(x)
-    lz, factors = ctx.model.terms(theta, ctx.tk, np.asarray(z, dtype=float), 1)
-    r = np.where(mask, ctx.w * np.exp(lz - env["lqhat"]), 0.0)
-    s0 = float(r.sum())
-    s1 = r @ full_gradient(factors)
-    s2 = r @ env["qstar_ratio"]
-    return SFunctionals(s0=s0, s1=s1, s2=s2)

@@ -30,6 +30,7 @@ from scipy import special
 
 from .errors import DegenerateBandwidth, NoEvents, ValidationError
 from .likelihood import grid_blocks
+from .nonparam import product_limit
 
 _DENOM_FLOOR = 1e-10
 # draws per population and replicate before a resample with no event is an error
@@ -39,22 +40,10 @@ _MAX_REDRAWS = 100
 def _product_limit_masses(x, delta, counts) -> np.ndarray:
     """Product-limit jump mass per record for each column of ``counts``, the
     (n, B) copies of each record: each event time's jump is split equally
-    over its event copies, once per copy; censored records carry zero.  A
-    time a column does not hit multiplies its survival by exactly 1."""
-    x = np.asarray(x, dtype=float)
-    events = counts * (np.asarray(delta) == 1)[:, None]
-    if not np.all(events.sum(axis=0) > 0):
-        raise NoEvents("all observations are censored")
-    order = np.argsort(x, kind="stable")
-    _, start, time_of = np.unique(x[order], return_index=True, return_inverse=True)
-    d = np.add.reduceat(events[order], start)
-    removed = np.add.reduceat(counts[order], start)
-    at_risk = counts.sum(axis=0) - (np.cumsum(removed, axis=0) - removed)
-    surv = np.cumprod(np.where(d > 0, (at_risk - d) / np.maximum(at_risk, 1), 1.0), axis=0)
-    share = -np.diff(surv, axis=0, prepend=1.0) / np.maximum(d, 1)
-    masses = np.empty(events.shape)
-    masses[order] = share[time_of] * events[order]
-    return masses
+    over its event copies, once per copy; censored records carry zero."""
+    _, time_of, events, _, survival = product_limit(x, delta, counts)
+    share = -np.diff(survival, axis=0, prepend=1.0) / np.maximum(events, 1)
+    return share[time_of] * (counts * (np.asarray(delta) == 1)[:, None])
 
 
 def stute_masses(x, delta) -> np.ndarray:

@@ -33,8 +33,6 @@ from .errors import SingularA
 from .likelihood import (LikelihoodContext, contract_hessian, contract_records, contract_times,
                          grid_blocks)
 from .models import full_gradient
-# kaplan_meier stays bound here: the perfbench span test patches it in this module
-from .nonparam import influence_context, kaplan_meier  # noqa: F401
 
 
 @dataclass
@@ -55,31 +53,22 @@ def _psi_pt_rows(ctx: LikelihoodContext, phi, c_mat):
     n1, n_c = ds.n1, ctx.cens_idx.size
     if n_c == 0:
         return np.zeros((n1, c_mat.shape[1]))
-    tk = ctx.tk
-    infl = influence_context(km)
-    g0e = infl.g0_at_events
+    tk, g0e = ctx.tk, km.g0_at_events
     b = (km.event_counts * g0e)[:, None] * phi / n1
     suffix = np.vstack([np.cumsum(b[::-1], axis=0)[::-1], np.zeros((1, n_c))])
 
-    idx_after = np.searchsorted(tk, ds.x, side="right")
-    tail_at_x = suffix[idx_after]                                    # (n1, n_c)
+    tail_at_x = suffix[np.searchsorted(tk, ds.x, side="right")]       # (n1, n_c)
     # compensator: prefix over censored records v of dv * tail(v)
-    if km.censor_times.size:
-        tail_at_v = suffix[np.searchsorted(tk, km.censor_times, side="right")]
-        cp = np.vstack(
-            [np.zeros((1, n_c)), np.cumsum(infl.dv[:, None] * tail_at_v, axis=0)]
-        )
-        gamma2_at_x = cp[np.searchsorted(km.censor_times, ds.x, side="left")]
-    else:
-        gamma2_at_x = np.zeros((n1, n_c))
+    tail_at_v = suffix[np.searchsorted(tk, km.censor_times, side="right")]
+    cp = np.vstack([np.zeros((1, n_c)), np.cumsum(km.dv[:, None] * tail_at_v, axis=0)])
+    gamma2_at_x = cp[np.searchsorted(km.censor_times, ds.x, side="left")]
 
     eta0p = np.zeros((n1, n_c))
     if ctx.unc_idx.size:
         ku = ctx.k_of_unc
         eta0p[ctx.unc_idx] = phi[ku, :] * g0e[ku, None]
     cens_all = ctx.cens_idx_all
-    risk_at = np.atleast_1d(km.risk(ds.x[cens_all]))
-    eta0p[cens_all] = tail_at_x[cens_all] / risk_at[:, None]
+    eta0p[cens_all] = tail_at_x[cens_all] / km.at_risk[cens_all, None]
     eta0p -= gamma2_at_x
     return -(eta0p @ c_mat) / n1
 
@@ -108,36 +97,13 @@ def _psi_qz_rows(ctx: LikelihoodContext, env, phi, s0, c_mat):
     return rows / ds.n1
 
 
-def eta_q_hat(ctx: LikelihoodContext, theta, x, z):
-    """The three target-side influence integrals of the tail functionals at
-    the conditioning point ``(x, z)``, one value (or d-vector) per target
-    record.  Each sums to zero over the target sample by construction,
-    because the target average only enters through ratios against itself.
-    """
-    env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
-    theta, model, tk, ds = env["theta"], ctx.model, ctx.tk, ctx.dataset
-    rho_tgt = env["Wt"] * ds.n2
-    qstar = env["qstar_ratio"]
-    lz, factors = model.terms(theta, tk, np.asarray(z, dtype=float), 1)
-    gz = full_gradient(factors)
-    wr = ctx.w * np.where(tk > float(x), np.exp(lz - env["lqhat"]), 0.0)  # w_k q(t_k,z)/qhat(t_k)
-    centered = rho_tgt - 1.0                                 # (q(t_k,Z_j) - qhat)/qhat
-    eta0 = -centered.T @ wr                                  # (n2,)
-    eta1 = -centered.T @ (wr[:, None] * gz)
-    eta2 = -(wr @ qstar)[None, :] - 2.0 * centered.T @ (wr[:, None] * qstar)
-    for k in grid_blocks(ctx.K, ds.n2):
-        tgt = model.terms(theta, tk[k, None], ds.z_target, 1)[1]
-        eta2 += contract_times(tgt, wr[k, None] * rho_tgt[k])
-    return eta0, eta1, eta2
-
-
 def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
     """Exact Hessian of ``approx_loglik`` at theta, the Jacobian of the mean
     source score.
 
     With ``c_k`` the events at ``t_k`` plus the tail weight ``sum_m tau_km``
     of the censored records at ``t_k``, it is the own-record Hessians, minus
-    ``c_k`` times the Hessian of ``log qhat_T(t_k)``, plus the
+    ``c_k`` times the Hessian of ``log qhat(t_k)``, plus the
     ``tau``-weighted censored Hessians and outer products of
     ``grad l(t_k, Z_m) - qstar_ratio_k``, minus each censored score row's
     outer product.  The target and censored grids are contracted one block

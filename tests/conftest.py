@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import lssurv as ls
+from lssurv.nonparam import product_limit
+
+from oracles import StepFunction
 
 
 def make_dataset(seed=0, n1=20, n2=12, d_z=2, censor_rate=0.4):
@@ -27,6 +30,13 @@ def gen_censored_population(rng, n, t_rate=1.0, z_shift=0.0, c_rate=0.4):
     delta = (t <= c).astype(int)
     z = rng.normal(t + z_shift, 1.0, n)[:, None]
     return x, delta, z
+
+
+def km_survival(x, delta) -> StepFunction:
+    """The unit-count survival levels of ``nonparam.product_limit`` as a
+    right-continuous step function of time."""
+    times, _, _, _, survival = product_limit(x, delta, np.ones((len(x), 1), dtype=np.int64))
+    return StepFunction(times, survival[:, 0], pre=1.0)
 
 
 @pytest.fixture

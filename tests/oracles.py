@@ -1,0 +1,195 @@
+"""Scalar reference implementations that the tests compare ``src`` against.
+
+Each keeps its own arithmetic, apart from the array code it checks:
+
+* ``product_limit_levels`` is the product-limit survival as a loop over
+  the distinct times;
+* ``gamma0_hat`` is the exp-cumsum over the distinct censored times, read
+  through a left-continuous ``StepFunction``;
+* ``influence_evaluator`` is the per-integrand suffix-sum form of the
+  product-limit influence of a jump integral;
+* ``s_functionals``, ``qhat_T`` and ``qhat_T_star`` are the tail
+  functionals at one query point;
+* ``eta_q_hat`` is the three target-side influence integrals at one
+  conditioning point.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from lssurv.likelihood import contract_records, contract_times, grid_blocks, log_sum_weights
+from lssurv.models import full_gradient
+
+
+@dataclass(frozen=True)
+class StepFunction:
+    """A piecewise-constant function: ``values[k]`` on ``[knots[k],
+    knots[k+1])`` and ``pre`` before the first knot.  With ``side='left'``
+    it is left-continuous: a knot itself still takes the previous level."""
+
+    knots: np.ndarray
+    values: np.ndarray
+    pre: float = 0.0
+    side: str = "right"
+
+    def __post_init__(self):
+        if np.any(np.diff(self.knots) <= 0):
+            raise ValueError("knots must be strictly increasing")
+
+    def __call__(self, t):
+        levels = np.concatenate(([self.pre], self.values))
+        return levels[np.searchsorted(self.knots, t, side=self.side)]
+
+
+def product_limit_levels(x, delta):
+    """The distinct times and the survival level after each, one time at a
+    time: at-risk and event counts by comparison, events before censorings."""
+    times = np.unique(x)
+    at_risk = np.sum(x >= times[:, None], axis=1)
+    events = np.sum((x == times[:, None]) & (delta == 1), axis=1)
+    levels = []
+    s = 1.0
+    for y, d in zip(at_risk, events):
+        if d > 0:
+            s *= (y - d) / y
+        levels.append(s)
+    return times, np.asarray(levels)
+
+
+def _risk(x) -> StepFunction:
+    """The at-risk fraction ``w -> #{x_i >= w} / n``."""
+    times, removed = np.unique(x, return_counts=True)
+    return StepFunction(times, (x.size - np.cumsum(removed)) / x.size, pre=1.0, side="left")
+
+
+def gamma0_hat(x, delta) -> StepFunction:
+    """``exp{ sum_{censored v < t} (1/n1) / risk(v) }`` over the strict past:
+    identically 1 without censoring, and 1 at or before the first censoring."""
+    x, delta = np.asarray(x, dtype=float), np.asarray(delta)
+    vc, counts = np.unique(x[delta == 0], return_counts=True)
+    values = np.exp(np.cumsum(counts / x.size / _risk(x)(vc)))
+    return StepFunction(vc, values, pre=1.0, side="left")
+
+
+@dataclass(frozen=True)
+class InfluenceContext:
+    """The sample's pieces for jump-integral influences; ``dv`` holds
+    ``(1/n1) / risk(v)^2`` per censored record ``v`` (sorted)."""
+
+    n1: int
+    event_times: np.ndarray
+    event_counts: np.ndarray
+    censor_times: np.ndarray
+    risk: StepFunction
+    gamma0: StepFunction
+    g0_at_events: np.ndarray
+    dv: np.ndarray
+
+
+def influence_context(x, delta) -> InfluenceContext:
+    x, delta = np.asarray(x, dtype=float), np.asarray(delta)
+    event_times, event_counts = np.unique(x[delta == 1], return_counts=True)
+    censor_times = np.sort(x[delta == 0])
+    risk, gamma0 = _risk(x), gamma0_hat(x, delta)
+    return InfluenceContext(
+        n1=x.size, event_times=event_times, event_counts=event_counts,
+        censor_times=censor_times, risk=risk, gamma0=gamma0,
+        g0_at_events=gamma0(event_times), dv=(1.0 / x.size) / risk(censor_times) ** 2,
+    )
+
+
+def influence_evaluator(ctx: InfluenceContext, phi):
+    """Bind an integrand once; the result maps (x, delta) to its influence
+    ``phi(x) g0(x)`` for an event, the tail average ``g1(x)`` for a
+    censoring, minus the compensator ``g2(x)``.  Suffix sums of
+    ``phi * g0`` over the event records make each point one binary search."""
+    tk = ctx.event_times
+    try:
+        phi_at_events = np.asarray(phi(tk), dtype=float)
+        if phi_at_events.shape != tk.shape:
+            raise TypeError
+    except TypeError:
+        phi_at_events = np.array([phi(t) for t in tk], dtype=float)
+    b = ctx.event_counts * phi_at_events * ctx.g0_at_events / ctx.n1
+    # suffix[k] = sum over event times strictly beyond index k-1
+    suffix = np.concatenate((np.cumsum(b[::-1])[::-1], [0.0]))
+    # prefix over censored records of dv * tail-sum beyond v
+    tail_at_v = suffix[np.searchsorted(tk, ctx.censor_times, side="right")]
+    cens_prefix = np.concatenate(([0.0], np.cumsum(ctx.dv * tail_at_v)))
+
+    def evaluate(x, delta):
+        xs, ds = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(delta)
+        phi_x = np.array([phi(v) for v in xs], dtype=float)
+        gamma1 = suffix[np.searchsorted(tk, xs, side="right")] / ctx.risk(xs)
+        gamma2 = cens_prefix[np.searchsorted(ctx.censor_times, xs, side="left")]
+        out = (np.where(ds == 1, phi_x * ctx.gamma0(xs), 0.0)
+               + np.where(ds == 0, gamma1, 0.0) - gamma2)
+        return float(out[0]) if np.ndim(x) == 0 else out
+
+    return evaluate
+
+
+# -- tail functionals at one query point ----------------------------------------
+
+@dataclass
+class SFunctionals:
+    """Raw tail functionals at a query point: scalar s0 and the two
+    d_theta-vectors s1 (gradient numerator) and s2 (mixture correction)."""
+
+    s0: float
+    s1: np.ndarray
+    s2: np.ndarray
+
+
+def qhat_T(ctx, theta, t):
+    """Target-averaged conditional density at time(s) t."""
+    theta = ctx.model.check_theta(np.asarray(theta, dtype=float), ctx.dataset.d_z)
+    t_arr = np.asarray(t, dtype=float)
+    logq = ctx.model.log_density(theta, t_arr[..., None], ctx.dataset.z_target)
+    out = np.exp(log_sum_weights(logq, axis=-1)[0]) / ctx.dataset.n2
+    return float(out) if np.isscalar(t) else out
+
+
+def qhat_T_star(ctx, theta, t):
+    """Target-averaged density gradient at time(s) t (vector of length d)."""
+    theta = ctx.model.check_theta(np.asarray(theta, dtype=float), ctx.dataset.d_z)
+    t_col = np.asarray(t, dtype=float)[..., None]
+    lq, factors = ctx.model.terms(theta, t_col, ctx.dataset.z_target, 1)
+    return contract_records(factors, np.exp(lq)) / ctx.dataset.n2
+
+
+def s_functionals(ctx, theta, x, z) -> SFunctionals:
+    """Raw tail functionals s0, s1, s2 at the query point (x, z); s0 is zero
+    when no event time lies beyond x."""
+    theta = np.asarray(theta, dtype=float)
+    env = ctx._evaluate(theta, need_score=True)
+    mask = ctx.tk > float(x)
+    lz, factors = ctx.model.terms(theta, ctx.tk, np.asarray(z, dtype=float), 1)
+    r = np.where(mask, ctx.w * np.exp(lz - env["lqhat"]), 0.0)
+    return SFunctionals(s0=float(r.sum()), s1=r @ full_gradient(factors), s2=r @ env["qstar_ratio"])
+
+
+def eta_q_hat(ctx, theta, x, z):
+    """The three target-side influence integrals of the tail functionals at
+    the conditioning point ``(x, z)``, one value (or d-vector) per target
+    record.  Each sums to zero over the target sample by construction,
+    because the target average only enters through ratios against itself.
+    """
+    env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
+    theta, model, tk, ds = env["theta"], ctx.model, ctx.tk, ctx.dataset
+    rho_tgt = env["Wt"] * ds.n2
+    qstar = env["qstar_ratio"]
+    lz, factors = model.terms(theta, tk, np.asarray(z, dtype=float), 1)
+    gz = full_gradient(factors)
+    wr = ctx.w * np.where(tk > float(x), np.exp(lz - env["lqhat"]), 0.0)  # w_k q(t_k,z)/qhat(t_k)
+    centered = rho_tgt - 1.0                                 # (q(t_k,Z_j) - qhat)/qhat
+    eta0 = -centered.T @ wr                                  # (n2,)
+    eta1 = -centered.T @ (wr[:, None] * gz)
+    eta2 = -(wr @ qstar)[None, :] - 2.0 * centered.T @ (wr[:, None] * qstar)
+    for k in grid_blocks(ctx.K, ds.n2):
+        tgt = model.terms(theta, tk[k, None], ds.z_target, 1)[1]
+        eta2 += contract_times(tgt, wr[k, None] * rho_tgt[k])
+    return eta0, eta1, eta2

@@ -5,11 +5,12 @@ sandwich, checked against the dense ``einsum`` over the full
 import numpy as np
 import pytest
 
-from lssurv.likelihood import LikelihoodContext, contract_records, contract_times, qhat_T_star
+from lssurv.likelihood import LikelihoodContext, contract_records, contract_times
 from lssurv.models import REGISTRY_ORDER, get_model
-from lssurv.variance import _psi_qz_rows, eta_q_hat
+from lssurv.variance import _psi_qz_rows
 
 from conftest import make_dataset
+from oracles import eta_q_hat, qhat_T_star
 
 BASELINE = {
     "ph-weibull": [1.2, 0.8],

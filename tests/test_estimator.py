@@ -21,11 +21,12 @@ from lssurv.estimator import (
     fit,
     source_only_mle,
 )
-from lssurv.likelihood import LikelihoodContext, approx_loglik, s_functionals, score
+from lssurv.likelihood import LikelihoodContext, approx_loglik, score
 from lssurv.models import SurvivalModel, get_model
-from lssurv.variance import a_matrix, asymptotic_variance, eta_q_hat
+from lssurv.variance import a_matrix, asymptotic_variance
 
 from fixture_models import OneSlot, TwoPointLogNormal, two_point_dataset
+from oracles import eta_q_hat, influence_context, influence_evaluator, s_functionals
 
 
 def sim_dataset(seed=11, n1=160, n2=160):
@@ -175,7 +176,7 @@ def test_psi_pt_column_against_reference_influence(fitted):
     ctx = LikelihoodContext(model, ds)
     _, parts = asymptotic_variance(ctx, theta)
     lqhat = ctx._evaluate(theta, need_score=True)["lqhat"]
-    infl = ls.influence_context(ctx.km)
+    infl = influence_context(ds.x, ds.delta)
 
     got = np.zeros_like(parts.psi_pT_per_source)
     for m in ctx.cens_idx:
@@ -189,7 +190,7 @@ def test_psi_pt_column_against_reference_influence(fitted):
 
         sf = s_functionals(ctx, theta, x_m, z_m)
         c_m = (sf.s1 - sf.s2) / sf.s0**2
-        got -= np.outer(ls.influence_evaluator(infl, phi)(ds.x, ds.delta), c_m) / ds.n1
+        got -= np.outer(influence_evaluator(infl, phi)(ds.x, ds.delta), c_m) / ds.n1
     expect = parts.psi_pT_per_source
     np.testing.assert_allclose(got, expect, atol=1e-12)
 

@@ -5,31 +5,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lssurv as ls
-from lssurv.errors import EmptyTarget, NoEvents
-from lssurv.nonparam import (
-    empirical_measure,
-    gamma0_hat,
-    influence_context,
-    influence_evaluator,
-    kaplan_meier,
-    km_influence,
-)
+from lssurv.errors import NoEvents
+from lssurv.likelihood import LikelihoodContext, approx_loglik
+from lssurv.nonparam import kaplan_meier, product_limit
+from lssurv.shift_test import stute_masses
+
+from conftest import km_survival
+from oracles import gamma0_hat, influence_context, influence_evaluator, product_limit_levels
 
 
 def test_km_without_censoring_is_empirical():
-    km = kaplan_meier(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
-    assert km.survival(1.5) == pytest.approx(2 / 3)
-    assert km.survival(2.5) == pytest.approx(1 / 3)
-    assert km.survival(3.0) == 0.0
-    assert km.jumps.total_mass == pytest.approx(1.0)
+    x, delta = np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1])
+    surv = km_survival(x, delta)
+    assert surv(1.5) == pytest.approx(2 / 3)
+    assert surv(2.5) == pytest.approx(1 / 3)
+    assert surv(3.0) == 0.0
+    assert kaplan_meier(x, delta).jumps.sum() == pytest.approx(1.0)
 
 
 def test_km_with_censoring_by_hand():
     # risk set at t=3 is {3} alone after the censored 2
-    km = kaplan_meier(np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]))
-    assert km.survival(1.0) == pytest.approx(2 / 3)
-    assert km.survival(2.9) == pytest.approx(2 / 3)
-    assert km.survival(3.0) == 0.0
+    surv = km_survival(np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]))
+    assert surv(1.0) == pytest.approx(2 / 3)
+    assert surv(2.9) == pytest.approx(2 / 3)
+    assert surv(3.0) == 0.0
 
 
 def test_km_all_censored_raises():
@@ -37,21 +36,19 @@ def test_km_all_censored_raises():
         kaplan_meier(np.array([1.0, 2.0]), np.array([0, 0]))
 
 
+def test_empty_sample_raises_no_events():
+    # both the fit and the shift test's masses go through the one pass
+    with pytest.raises(NoEvents):
+        kaplan_meier(np.empty(0), np.empty(0, dtype=int))
+    with pytest.raises(NoEvents):
+        stute_masses(np.empty(0), np.empty(0, dtype=int))
+
+
 def test_km_tie_convention_events_first():
     # censored record at the same time stays in the risk set of the event
-    km = kaplan_meier(np.array([1.0, 1.0, 2.0]), np.array([1, 0, 1]))
-    assert km.survival(1.0) == pytest.approx(2 / 3)
-    assert km.risk(1.0) == pytest.approx(1.0)
-
-
-def test_h0_h1_partition():
-    x = np.array([0.5, 1.0, 1.5, 2.5])
-    delta = np.array([1, 0, 1, 0])
-    km = kaplan_meier(x, delta)
-    assert km.h0(np.inf) + km.h1(np.inf) == pytest.approx(1.0)
-    for t in (0.4, 0.5, 1.2, 3.0):
-        ecdf = np.mean(x <= t)
-        assert km.h0(t) + km.h1(t) == pytest.approx(ecdf, abs=1e-15)
+    x, delta = np.array([1.0, 1.0, 2.0]), np.array([1, 0, 1])
+    assert km_survival(x, delta)(1.0) == pytest.approx(2 / 3)
+    assert kaplan_meier(x, delta).at_risk[0] == pytest.approx(1.0)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(5, 60))
@@ -61,35 +58,18 @@ def test_km_properties_random(seed, n):
     x = rng.exponential(1.0, n).round(3) + 1e-3   # provoke occasional ties
     delta = rng.integers(0, 2, n)
     delta[rng.integers(0, n)] = 1
-    km = kaplan_meier(x, delta)
+    km, surv = kaplan_meier(x, delta), km_survival(x, delta)
     qs = np.sort(rng.uniform(0, x.max() * 1.2, 25))
-    s = km.survival(qs)
+    s = surv(qs)
     assert np.all((s >= -1e-15) & (s <= 1 + 1e-15))
     assert np.all(np.diff(s) <= 1e-15)
-    assert km.jumps.total_mass == pytest.approx(km.cdf(x.max()), abs=1e-12)
+    assert km.jumps.sum() == pytest.approx(1.0 - surv(x.max()), abs=1e-12)
     largest_uncensored = delta[np.argmax(x)] == 1 and np.sum(x == x.max()) == np.sum(
         (x == x.max()) & (delta == 1)
     )
     if largest_uncensored:
-        assert km.survival(x.max()) == pytest.approx(0.0, abs=1e-15)
-        assert km.jumps.total_mass == pytest.approx(1.0, abs=1e-12)
-    # h0 + h1 is the empirical CDF everywhere
-    for t in qs[:10]:
-        assert km.h0(t) + km.h1(t) == pytest.approx(np.mean(x <= t), abs=1e-12)
-
-
-def _product_limit_loop(x, delta):
-    """Scalar product-limit oracle: survival level after each distinct time."""
-    times = np.unique(x)
-    levels = []
-    s = 1.0
-    for t in times:
-        y = np.sum(x >= t)
-        d = np.sum((x == t) & (delta == 1))
-        if d > 0:
-            s *= (y - d) / y
-        levels.append(s)
-    return times, np.asarray(levels)
+        assert surv(x.max()) == pytest.approx(0.0, abs=1e-15)
+        assert km.jumps.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @given(
@@ -102,35 +82,101 @@ def test_km_levels_match_scalar_loop_on_ties(records, event_at):
     x = np.array([float(t) for t, _ in records])
     delta = np.array([int(e) for _, e in records])
     delta[event_at % len(records)] = 1
-    km = kaplan_meier(x, delta)
-    times, levels = _product_limit_loop(x, delta)
-    np.testing.assert_array_equal(km.survival.knots, times)
-    np.testing.assert_array_equal(km.survival.values, levels)
-    np.testing.assert_array_equal(km.cdf.values, 1.0 - levels)
+    times, levels = product_limit_levels(x, delta)
+    surv = km_survival(x, delta)
+    np.testing.assert_array_equal(surv.knots, times)
+    np.testing.assert_array_equal(surv.values, levels)
+    is_event = np.isin(times, x[delta == 1])
+    np.testing.assert_array_equal(kaplan_meier(x, delta).jumps,
+                                  -np.diff(levels, prepend=1.0)[is_event])
 
 
-def test_empirical_measure_masses():
-    m = empirical_measure(np.array([[1.0, 2.0]]))
-    assert m.total_mass == pytest.approx(1.0) and len(m) == 1
-    m2 = empirical_measure(np.array([[1.0], [1.0]]))
-    assert len(m2) == 2
-    np.testing.assert_allclose(m2.masses, [0.5, 0.5])
-    m4 = empirical_measure(np.arange(4.0)[:, None])
-    np.testing.assert_allclose(m4.masses, 0.25)
-    with pytest.raises(EmptyTarget):
-        empirical_measure(np.empty((0, 1)))
+def _tied_sample(rng, n, censored):
+    """Times on a 0.1 grid (ties between events and censorings), each record
+    censored with probability ``censored``, at least one event."""
+    x = rng.integers(1, 40, n) / 10.0
+    delta = (rng.random(n) >= censored).astype(int)
+    delta[rng.integers(n)] = 1
+    return x, delta
 
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from([0.0, 0.5, 0.85, 0.97]))
+@settings(max_examples=60, deadline=None)
+def test_gamma0_dv_and_risk_equal_the_scalar_oracle_bit_for_bit(seed, n, censored):
+    x, delta = _tied_sample(np.random.default_rng(seed), n, censored)
+    km, ref = kaplan_meier(x, delta), influence_context(x, delta)
+    np.testing.assert_array_equal(km.event_times, ref.event_times)
+    np.testing.assert_array_equal(km.event_counts, ref.event_counts)
+    np.testing.assert_array_equal(km.censor_times, ref.censor_times)
+    np.testing.assert_array_equal(km.g0_at_events, ref.g0_at_events)
+    np.testing.assert_array_equal(km.g0_at_events, gamma0_hat(x, delta)(km.event_times))
+    np.testing.assert_array_equal(km.dv, ref.dv)
+    np.testing.assert_array_equal(km.at_risk, ref.risk(x))
+
+
+# -- invariances of the source-sample definition ----------------------------------
+
+def _tied_dataset(seed, n1):
+    rng = np.random.default_rng(seed)
+    x, delta = _tied_sample(rng, n1, 0.4)
+    return ls.Dataset(x, delta, rng.normal(size=(n1, 2)), rng.normal(0.3, 1.0, (30, 2)))
+
+
+THETA = np.array([0.4, -0.3, 1.0, 1.3])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 400))
+@settings(max_examples=25, deadline=None)
+def test_source_permutation_is_bit_identical(seed, n1):
+    ds = _tied_dataset(seed, n1)
+    perm = np.random.default_rng(seed + 1).permutation(n1)
+    ds_p = ls.Dataset(ds.x[perm], ds.delta[perm], ds.z_source[perm], ds.z_target)
+    km, km_p = kaplan_meier(ds.x, ds.delta), kaplan_meier(ds_p.x, ds_p.delta)
+    for name in ("event_times", "event_counts", "jumps", "censor_times", "g0_at_events", "dv"):
+        np.testing.assert_array_equal(getattr(km_p, name), getattr(km, name))
+    np.testing.assert_array_equal(km_p.at_risk, km.at_risk[perm])
+    model = ls.get_model("ph-weibull")
+    assert (approx_loglik(LikelihoodContext(model, ds_p), THETA)
+            == approx_loglik(LikelihoodContext(model, ds), THETA))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 400))
+@settings(max_examples=25, deadline=None)
+def test_source_duplication_leaves_fit_and_loglik_unchanged(seed, n1):
+    ds = _tied_dataset(seed, n1)
+    ds_2 = ls.Dataset(np.tile(ds.x, 2), np.tile(ds.delta, 2), np.tile(ds.z_source, (2, 1)),
+                      ds.z_target)
+    km, km_2 = kaplan_meier(ds.x, ds.delta), kaplan_meier(ds_2.x, ds_2.delta)
+    np.testing.assert_allclose(km_2.jumps, km.jumps, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(km_2.g0_at_events, km.g0_at_events, rtol=1e-13, atol=0)
+    model = ls.get_model("ph-weibull")
+    assert approx_loglik(LikelihoodContext(model, ds_2), THETA) == pytest.approx(
+        approx_loglik(LikelihoodContext(model, ds), THETA), rel=1e-13, abs=0)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(2, 50))
+@settings(max_examples=50, deadline=None)
+def test_constant_counts_give_the_unit_count_levels(seed, n, c):
+    x, delta = _tied_sample(np.random.default_rng(seed), n, 0.5)
+    unit = product_limit(x, delta, np.ones((n, 1), dtype=np.int64))
+    scaled = product_limit(x, delta, np.full((n, 1), c, dtype=np.int64))
+    np.testing.assert_array_equal(scaled[0], unit[0])
+    np.testing.assert_array_equal(scaled[1], unit[1])
+    np.testing.assert_array_equal(scaled[2], c * unit[2])
+    np.testing.assert_array_equal(scaled[3], c * unit[3])
+    np.testing.assert_array_equal(scaled[4], unit[4])
+
+
+# -- the scalar gamma0 and influence oracles --------------------------------------
 
 def test_gamma0_no_censoring_is_one():
-    km = kaplan_meier(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
-    g0 = gamma0_hat(km)
+    g0 = gamma0_hat(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
     for t in (0.1, 1.0, 2.5, 10.0):
         assert g0(t) == 1.0
 
 
 def test_gamma0_hand_example():
-    km = kaplan_meier(np.array([1.0, 2.0]), np.array([0, 1]))
-    g0 = gamma0_hat(km)
+    g0 = gamma0_hat(np.array([1.0, 2.0]), np.array([0, 1]))
     assert g0(0.5) == 1.0
     assert g0(1.0) == 1.0          # strict past: the censored point itself excluded
     assert g0(2.0) == pytest.approx(math.exp(0.5))
@@ -141,8 +187,7 @@ def test_gamma0_monotone_steps_at_censored_times():
     x = rng.exponential(1.0, 80)
     delta = rng.integers(0, 2, 80)
     delta[0] = 1
-    km = kaplan_meier(x, delta)
-    g0 = gamma0_hat(km)
+    g0 = gamma0_hat(x, delta)
     qs = np.sort(np.concatenate([x, x + 1e-9, [0.0, x.max() + 1]]))
     vals = np.atleast_1d(g0(qs))
     assert np.all(np.diff(vals) >= -1e-15)
@@ -161,21 +206,19 @@ def test_influence_no_censoring_reduces_to_phi():
     rng = np.random.default_rng(1)
     x = rng.exponential(1.0, 40)
     delta = np.ones(40, dtype=int)
-    ctx = influence_context(kaplan_meier(x, delta))
     phi = lambda w: np.cos(w) + 2.0
-    ev = influence_evaluator(ctx, phi)
+    ev = influence_evaluator(influence_context(x, delta), phi)
     np.testing.assert_array_equal(ev(x, delta), phi(x))
     # sample mean equals the jump-weighted integral exactly
-    km = ctx.km
-    exact = float(np.sum(km.jumps.masses * phi(km.event_times)))
+    km = kaplan_meier(x, delta)
+    exact = float(np.sum(km.jumps * phi(km.event_times)))
     assert np.mean(ev(x, delta)) == pytest.approx(exact, abs=1e-14)
 
 
 def test_influence_constant_phi_no_censoring():
     x = np.array([0.3, 1.1, 2.2, 0.9])
     delta = np.ones(4, dtype=int)
-    ctx = influence_context(kaplan_meier(x, delta))
-    assert km_influence(ctx, lambda w: 3.5, 1.1, 1) == pytest.approx(3.5)
+    assert influence_evaluator(influence_context(x, delta), lambda w: 3.5)(1.1, 1) == pytest.approx(3.5)
 
 
 def test_influence_mean_approximates_km_integral():
@@ -188,10 +231,9 @@ def test_influence_mean_approximates_km_integral():
         x = np.minimum(t, c)
         delta = (t <= c).astype(int)
         km = kaplan_meier(x, delta)
-        ctx = influence_context(km)
         phi = lambda w: np.sin(w) + 1.5
-        ev = influence_evaluator(ctx, phi)
-        exact = float(np.sum(km.jumps.masses * phi(km.event_times)))
+        ev = influence_evaluator(influence_context(x, delta), phi)
+        exact = float(np.sum(km.jumps * phi(km.event_times)))
         diffs[n] = abs(np.mean(ev(x, delta)) - exact)
     assert diffs[500] < 0.03
     assert diffs[500] < diffs[100]
@@ -204,9 +246,8 @@ def test_influence_scalar_and_vector_agree():
     x = np.minimum(t, c)
     delta = (t <= c).astype(int)
     delta[0] = 1
-    ctx = influence_context(kaplan_meier(x, delta))
     phi = lambda w: np.exp(-np.asarray(w))
-    ev = influence_evaluator(ctx, phi)
+    ev = influence_evaluator(influence_context(x, delta), phi)
     vec = ev(x, delta)
     for i in (0, 5, 11):
-        assert km_influence(ctx, phi, x[i], delta[i]) == pytest.approx(vec[i], abs=1e-14)
+        assert ev(x[i], delta[i]) == pytest.approx(vec[i], abs=1e-14)

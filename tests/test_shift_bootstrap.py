@@ -1,7 +1,7 @@
 """The batched shift-test bootstrap against the per-replicate loop it replaced.
 
-The oracle draws every replicate as the batched path does, fits the
-product-limit estimate of each resample with ``kaplan_meier``, spreads each
+The oracle draws every replicate as the batched path does, takes the
+product-limit levels of each resample from the scalar loop, spreads each
 copy's jump share back onto its record with ``np.add.at`` and reweights the
 kernels one mass vector at a time.
 """
@@ -12,23 +12,25 @@ import pytest
 
 from lssurv import likelihood, shift_test
 from lssurv.errors import NoEvents
-from lssurv.nonparam import kaplan_meier
 from lssurv.schemas import RESULT_SCHEMAS
 
 from conftest import gen_censored_population
+from oracles import product_limit_levels
 
 RTOL = 1e-12
 
 
 def scalar_stute_masses(x, delta):
-    """Per-record jump share read off one ``kaplan_meier`` fit."""
+    """Per-record jump share: each event time's drop in the scalar
+    product-limit levels, split over its tied events."""
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta)
-    km = kaplan_meier(x, delta)
+    times, levels = product_limit_levels(x, delta)
+    jumps = -np.diff(levels, prepend=1.0)
     masses = np.zeros(x.shape[0])
     unc = delta == 1
-    k = np.searchsorted(km.event_times, x[unc])
-    masses[unc] = km.jumps.masses[k] / km.event_counts[k]
+    k = np.searchsorted(times, x[unc])
+    masses[unc] = jumps[k] / np.bincount(k, minlength=times.size)[k]
     return masses
 
 

@@ -1,65 +1,41 @@
-import math
+"""The step functions the scalar oracles are read through, and the
+product-limit CDF read as one."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lssurv.stepfun import DiscreteMeasure, StepFunction, jump_at, step_eval
-from lssurv.nonparam import kaplan_meier
+from conftest import km_survival
+from oracles import StepFunction
 
 
 def test_eval_before_first_knot():
     f = StepFunction(np.array([1.0]), np.array([0.5]), pre=0.0)
-    assert step_eval(f, 0.9) == 0.0
+    assert f(0.9) == 0.0
 
 
 def test_right_continuity_at_knot():
     f = StepFunction(np.array([1.0]), np.array([0.5]), pre=0.0)
-    assert step_eval(f, 1.0) == 0.5
+    assert f(1.0) == 0.5
 
 
 def test_km_cdf_between_jumps():
-    km = kaplan_meier(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
+    surv = km_survival(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
     # product-limit by hand: P(2.5) = 2/3
-    assert step_eval(km.cdf, 2.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-
-def test_jump_at_km_event():
-    km = kaplan_meier(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
-    assert jump_at(km.cdf, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert jump_at(km.cdf, 1.5) == 0.0
-
-
-def test_jump_of_constant_function():
-    f = StepFunction(np.empty(0), np.empty(0), pre=0.7)
-    for t in (-1.0, 0.0, 3.5):
-        assert jump_at(f, t) == 0.0
+    assert 1.0 - surv(2.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_left_continuous_side():
     f = StepFunction(np.array([1.0, 2.0]), np.array([10.0, 20.0]), pre=0.0, side="left")
-    assert step_eval(f, 1.0) == 0.0       # knot keeps the previous level
-    assert step_eval(f, 1.5) == 10.0
-    assert step_eval(f, 2.0) == 10.0
-    assert step_eval(f, 2.5) == 20.0
+    assert f(1.0) == 0.0       # knot keeps the previous level
+    assert f(1.5) == 10.0
+    assert f(2.0) == 10.0
+    assert f(2.5) == 20.0
 
 
 def test_strictly_increasing_knots_required():
     with pytest.raises(ValueError):
         StepFunction(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
-
-
-@given(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=30, unique=True),
-       st.integers(0, 2**32 - 1))
-def test_jump_sum_telescopes(times, seed):
-    rng = np.random.default_rng(seed)
-    x = np.array(sorted(times))
-    delta = rng.integers(0, 2, x.size)
-    delta[rng.integers(0, x.size)] = 1
-    km = kaplan_meier(x, delta)
-    total = math.fsum(jump_at(km.cdf, t) for t in km.cdf.knots)
-    final = step_eval(km.cdf, km.cdf.knots[-1])
-    assert total == pytest.approx(final - km.cdf.pre, abs=2e-14)
 
 
 @given(st.lists(st.floats(0.01, 50.0), min_size=2, max_size=40, unique=True),
@@ -70,24 +46,7 @@ def test_cdf_eval_is_monotone(times, queries, seed):
     x = np.array(sorted(times))
     delta = rng.integers(0, 2, x.size)
     delta[0] = 1
-    km = kaplan_meier(x, delta)
     qs = np.sort(np.asarray(queries))
-    vals = step_eval(km.cdf, qs)
+    vals = 1.0 - km_survival(x, delta)(qs)
     assert np.all(np.diff(vals) >= 0)
     assert np.all((vals >= 0) & (vals <= 1))
-
-
-def test_discrete_measure_rejects_negative_mass():
-    with pytest.raises(ValueError):
-        DiscreteMeasure(np.array([1.0]), np.array([-0.1]))
-
-
-def test_discrete_measure_rejects_excess_mass():
-    with pytest.raises(ValueError):
-        DiscreteMeasure(np.array([1.0, 2.0]), np.array([0.7, 0.7]))
-
-
-def test_discrete_measure_total():
-    m = DiscreteMeasure(np.array([1.0, 2.0]), np.array([0.25, 0.5]))
-    assert m.total_mass == pytest.approx(0.75)
-    assert len(m) == 2
