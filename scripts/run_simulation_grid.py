@@ -11,9 +11,9 @@ Example:
 """
 
 import argparse
-import os
 import sys
 
+from lssurv.likelihood import usable_cores
 from lssurv.simulation import QzSpec, SimConfig, run_mc_study
 
 GRID = [(250, 500), (500, 250), (500, 500), (500, 750),
@@ -27,7 +27,7 @@ def main():
     ap.add_argument("--qz", default="n:0,n:1")
     ap.add_argument("--reps", type=int, default=500)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    ap.add_argument("--threads", type=int, default=usable_cores())
     ap.add_argument("--pc-rate", type=float, default=0.4)
     ap.add_argument("--cells", default=None,
                     help="comma list like 500x500,1000x500 (default: full grid)")

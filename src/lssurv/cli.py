@@ -19,6 +19,7 @@ import numpy as np
 from .data import Dataset
 from .errors import LssurvError, ParseError, SchemaError, ValidationError
 from .estimator import FitOptions, FitResult, bic_select, conditional_functional, fit
+from .likelihood import usable_cores
 from .models import REGISTRY_ORDER, get_model
 from .shift_test import label_shift_test
 from .simulation import QzSpec, SimConfig, generate_dataset, run_mc_study
@@ -153,7 +154,7 @@ def _default_threads():
             return max(int(env), 1)
         except ValueError:
             pass
-    return os.cpu_count() or 1
+    return usable_cores()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="machine-readable stdout")
         sp.add_argument("--out", help="write the report to this path")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("simulate", help="generate a synthetic two-population dataset")
     common(sp)
@@ -217,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--qz", default="n:0,n:1")
     sp.add_argument("--pt-rate", type=float, default=1.0)
     sp.add_argument("--pc-rate", type=float, default=0.4)
+    sp.add_argument("--threads", type=int, default=None, help="worker processes")
     return p
 
 

@@ -19,6 +19,15 @@ over records, and the censored grid in blocks of record columns, since its
 tail log-sums run over event times.  So every block's log-sum is complete
 and the block size changes no formula.
 
+A pass hands its blocks to ``map_blocks``, which splits them into contiguous
+chunks, one per thread, when every chunk gets at least two blocks: the
+calling thread runs chunk 0 and a pool of ``threads - 1`` workers, created
+on first use, runs the rest.  ``threads`` is the number of CPUs the process
+may run on (``usable_cores``); a Monte Carlo worker process gets its share.
+Each block writes only its own rows or columns and returns its partials in
+block order, so the results do not depend on the thread count.  Smaller
+passes, and passes started from a pool thread, run as a plain loop.
+
 Censored records with no event time beyond them have an undefined tail term
 and are dropped with a warning count (the product-limit tail carries no
 mass there).
@@ -26,8 +35,12 @@ mass there).
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,6 +63,88 @@ def grid_blocks(n_rows, n_cols):
     the rows of an (n_rows, n_cols) grid."""
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
     return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def usable_cores():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_threads = None          # threads per grid pass, the caller included; None: usable_cores()
+_pool = None             # the grid pool, created and sized on first use
+_pool_lock = threading.Lock()
+_in_pool = threading.local()
+
+
+def _set_threads(n):
+    """Threads per grid pass from now on in this process (a Monte Carlo
+    worker's share of the cores)."""
+    global _threads
+    _threads = n
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _mark_pool_thread():
+    _in_pool.active = True
+
+
+def _grid_pool(workers):
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="lssurv-grid",
+                                       initializer=_mark_pool_thread)
+            logger.debug("grid pool: %d worker thread(s) beside the caller", workers)
+        return _pool
+
+
+def _run_chunk(fn, chunk):
+    return [fn(b) for b in chunk]
+
+
+def map_blocks(fn, blocks):
+    """``[fn(b) for b in blocks]``, in block order.
+
+    When every chunk gets at least two blocks, the blocks are split into
+    contiguous chunks, one per thread: the calling thread runs chunk 0 and
+    the grid pool the others, each in a copy of the caller's context, so a
+    caller's ``np.errstate`` holds in every chunk.  Every chunk runs to its
+    end before the first exception, in chunk order, is raised as it is.
+    Otherwise, and when called from a pool thread, this is the plain loop."""
+    threads = _threads or usable_cores()
+    n_chunks = min(threads, len(blocks) // 2)
+    if n_chunks < 2 or getattr(_in_pool, "active", False):
+        return _run_chunk(fn, blocks)
+    cuts = [len(blocks) * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+    pool = _grid_pool(threads - 1)
+    futures = [pool.submit(contextvars.copy_context().run, _run_chunk, fn, chunk)
+               for chunk in chunks[1:]]
+    results, errors = [], []
+    try:
+        results += _run_chunk(fn, chunks[0])
+    except Exception as exc:
+        errors.append(exc)
+    for future in futures:
+        exc = future.exception()
+        if exc is None:
+            results += future.result()
+        else:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _check(logs, what):
@@ -162,17 +257,26 @@ class LikelihoodContext:
         theta = model.check_theta(theta, ds.d_z)
         order, d, K, n_c = int(need_score), theta.shape[0], self.K, self.cens_idx.size
 
+        # each block's terms stay referenced until the next block's replace
+        # them, as a loop variable's would: freeing them on return lets glibc
+        # trim the heap, and the next block faults the pages back in
+        held = [None]
+
         # target grid (K, n2) in blocks of event-time rows: each row's
         # log-sum over the target records is complete within its block
         lqhat, Wt = np.empty(K), np.empty((K, ds.n2))            # Wt rows sum to 1
         qstar_ratio = np.empty((K, d))                            # qhat* / qhat
-        for k in grid_blocks(K, ds.n2):
+
+        def target_rows(k):
             block = model.terms(theta, self.tk[k, None], ds.z_target, order)
             lse, Wt[k] = log_sum_weights(block[0], axis=1)
             lqhat[k] = lse - math.log(ds.n2)
             _check(lqhat[k], "target-averaged density")
             if need_score:
                 qstar_ratio[k] = contract_records(block[1], Wt[k])
+            held[0] = block
+
+        map_blocks(target_rows, grid_blocks(K, ds.n2))
 
         own = model.terms(theta, ds.x[self.unc_idx], ds.z_source[self.unc_idx], order)
         own_logq = own[0]
@@ -183,7 +287,8 @@ class LikelihoodContext:
         z_cens = ds.z_source[self.cens_idx]
         Lcen, tail_w = np.empty((K, n_c)), np.empty((K, n_c))
         cens_logsum, psi3 = np.empty(n_c), np.zeros((n_c, d))
-        for m in grid_blocks(n_c, K):
+
+        def censored_columns(m):
             block = model.terms(theta, self.tk[:, None], z_cens[m], order)
             Lcen[:, m] = block[0]
             cens_logsum[m], tw = log_sum_weights(
@@ -193,6 +298,9 @@ class LikelihoodContext:
             tail_w[:, m] = tw
             if need_score:
                 psi3[m] = contract_times(block[1], tw) - tw.T @ qstar_ratio
+            held[0] = block, tw
+
+        map_blocks(censored_columns, grid_blocks(n_c, K))
 
         contrib = np.zeros(ds.n1)
         contrib[self.unc_idx] = own_logq - lqhat[self.k_of_unc]

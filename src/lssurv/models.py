@@ -256,7 +256,8 @@ class AFTExponential(SurvivalModel):
     positive = ("lambda",)
 
     def u_terms(self, t, u, lam, order=0):
-        E = _exp_clip(-u)
+        # exp(-u), capped so that t exp(-u) stays finite as well
+        E = _exp_clip(np.minimum(-u, 600.0 - np.log(t)))
         out = [math.log(lam) - u - lam * t * E]
         if order >= 1:
             te = t * E

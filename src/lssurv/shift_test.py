@@ -17,7 +17,12 @@ A bootstrap resample changes only how many copies of each record it holds,
 so replicate k is column k of an (n x K) count matrix: one count-weighted
 product-limit pass gives every column's jump masses, and the kernels, built
 once at the original records, turn a block of mass columns into ratio
-estimates with two matrix products per population.
+estimates with two matrix products per population.  The kernels are built in
+blocks of grid rows and the replicates run in blocks of columns, both
+through ``likelihood.map_blocks``: contiguous chunks of blocks on every
+usable core once each chunk gets two blocks.  Every replicate keeps its own
+generator and block results are joined in block order, so the statistics do
+not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateBandwidth, NoEvents, ValidationError
-from .likelihood import grid_blocks
+from .likelihood import grid_blocks, map_blocks
 from .nonparam import product_limit
 
 _DENOM_FLOOR = 1e-10
@@ -166,10 +171,16 @@ class _PopKernels:
     def __init__(self, x, delta, z, grid_z, grid_t, h_z, h_t):
         self.x, self.delta, self.n = x, delta, x.shape[0]
         self.redraws = 0
-        self.kt = kt = np.exp(-0.5 * ((grid_t[:, None] - x[None, :]) / h_t) ** 2)
-        self.num_w = num_w = kt.copy()
-        for j in range(z.shape[1]):
-            num_w *= special.ndtr((grid_z[:, j][:, None] - z[None, :, j]) / h_z[j])
+        self.kt = kt = np.empty((grid_t.shape[0], self.n))
+        self.num_w = num_w = np.empty_like(kt)
+
+        def rows(g):
+            kt[g] = np.exp(-0.5 * ((grid_t[g, None] - x[None, :]) / h_t) ** 2)
+            num_w[g] = kt[g]
+            for j in range(z.shape[1]):
+                num_w[g] *= special.ndtr((grid_z[g, j][:, None] - z[None, :, j]) / h_z[j])
+
+        map_blocks(rows, grid_blocks(grid_t.shape[0], self.n))
         self.floor = _DENOM_FLOOR * h_t * math.sqrt(2 * math.pi)
 
     def ratio(self, record_masses) -> np.ndarray:
@@ -177,31 +188,37 @@ class _PopKernels:
         denom = self.kt @ record_masses
         return (self.num_w @ record_masses) / np.maximum(denom, self.floor)
 
-    def draw_counts(self, rng) -> np.ndarray:
-        """Copies per record of one resample with at least one event; each
-        resample with none is drawn again and counted in ``redraws``."""
-        for _ in range(_MAX_REDRAWS):
+    def draw_counts(self, rng):
+        """Copies per record of one resample with at least one event, and
+        the number of resamples with none drawn (and drawn again) before it."""
+        for redraws in range(_MAX_REDRAWS):
             idx = rng.integers(0, self.n, size=self.n)
             if np.any(self.delta[idx] == 1):
-                return np.bincount(idx, minlength=self.n)
-            self.redraws += 1
+                return np.bincount(idx, minlength=self.n), redraws
         raise NoEvents(f"{_MAX_REDRAWS} resamples in a row held no event")
 
 
 def _bootstrap(kp, kq, K, seed) -> np.ndarray:
-    """Bootstrap statistics of replicates 0..K-1.  Replicate k draws P, then
-    Q, from its own generator; replicates run in column blocks of the
+    """Bootstrap statistics of replicates 0..K-1; the no-event redraws are
+    added to each population's ``redraws``.  Replicate k draws P, then Q,
+    from its own generator; replicates run in column blocks of the
     likelihood's grid-block size, so memory does not grow with K."""
-    t_star = np.empty(K)
-    for block in grid_blocks(K, max(kp.n, kq.n)):
+    pops = (kp, kq)
+
+    def replicates(block):
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, k))) for k in range(K)[block]]
-        counts = [[pop.draw_counts(rng) for pop in (kp, kq)] for rng in rngs]
-        rp, rq = (
-            pop.ratio(_product_limit_masses(pop.x, pop.delta, np.column_stack(cols)))
-            for pop, cols in zip((kp, kq), zip(*counts))
-        )
-        t_star[block] = np.mean((rp - rq) ** 2, axis=0)
-    return t_star
+        draws = [[pop.draw_counts(rng) for pop in pops] for rng in rngs]
+        ratios, redraws = [], []
+        for pop, pop_draws in zip(pops, zip(*draws)):
+            counts, n_redrawn = zip(*pop_draws)
+            ratios.append(pop.ratio(_product_limit_masses(pop.x, pop.delta, np.column_stack(counts))))
+            redraws.append(sum(n_redrawn))
+        return np.mean((ratios[0] - ratios[1]) ** 2, axis=0), redraws
+
+    parts = map_blocks(replicates, grid_blocks(K, max(kp.n, kq.n)))
+    for i, pop in enumerate(pops):
+        pop.redraws += sum(redraws[i] for _, redraws in parts)
+    return np.concatenate([t for t, _ in parts])
 
 
 def label_shift_test(

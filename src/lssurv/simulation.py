@@ -26,6 +26,7 @@ import numpy as np
 from .data import Dataset
 from .errors import EnvelopeFailure, LssurvError, TooManyFailures, ValidationError
 from .estimator import FitOptions, fit
+from .likelihood import _set_threads, usable_cores
 from .models import SurvivalModel, get_model
 
 _LOG_HALF = math.log(0.5)
@@ -305,7 +306,10 @@ def run_mc_study(config: SimConfig, n_jobs: int = 1) -> McReport:
     model.check_theta(theta0, config.qz.d)
     reps = range(config.n_reps)
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as ex:
+        # each worker's grid passes get its share of the cores
+        share = max(1, usable_cores() // n_jobs)
+        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_set_threads,
+                                 initargs=(share,)) as ex:
             results = list(ex.map(_run_one_rep, [config] * config.n_reps, reps, chunksize=1))
     else:
         results = [_run_one_rep(config, r) for r in reps]

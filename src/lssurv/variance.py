@@ -20,7 +20,11 @@ per-record score rows; ``A`` needs no further evaluation of the likelihood.
 The target and censored-record density partials are recomputed from the
 model's ``terms``, one call per block of event-time rows
 (``likelihood.grid_blocks``), and contracted at once, so no (K, n, d) or
-(K, n, d, d) tensor and no whole-grid array of partials is formed.
+(K, n, d, d) tensor and no whole-grid array of partials is formed.  The
+blocks run through ``likelihood.map_blocks``, in contiguous chunks on every
+usable core once each chunk gets two blocks; each block returns its partial
+sums and the caller adds them in block order, so ``A`` and ``psi_qz`` do not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import SingularA
 from .likelihood import (LikelihoodContext, contract_hessian, contract_records, contract_times,
-                         grid_blocks)
+                         grid_blocks, map_blocks)
 from .models import full_gradient
 
 
@@ -83,17 +87,21 @@ def _psi_qz_rows(ctx: LikelihoodContext, env, phi, s0, c_mat):
     inv_s0 = 1.0 / s0
     a0 = ctx.w * (phi @ inv_s0)                                       # (K,)
     rows = np.tile(a0 @ qstar, (ds.n2, 1))
-    for k in grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size)):
+
+    def block_rows(k):
         t, rho_tgt = ctx.tk[k, None], env["Wt"][k] * ds.n2
         # w_k (A2 - A1): A1 the phi/s0-weighted censored gradients, A2 = phi @ c
         cen = model.terms(theta, t, z_cens, 1)[1]
         a21 = ctx.w[k, None] * (phi[k] @ c_mat - contract_records(cen, phi[k] * inv_s0))
         tgt = model.terms(theta, t, ds.z_target, 1)[1]
-        rows += (
+        return (
             -contract_times(tgt, (ck[k] + a0[k])[:, None] * rho_tgt)
             + rho_tgt.T @ (ck[k, None] * qstar[k])
             + (rho_tgt - 1.0).T @ (a21 + 2.0 * a0[k, None] * qstar[k])
         )
+
+    for part in map_blocks(block_rows, grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size))):
+        rows += part
     return rows / ds.n1
 
 
@@ -120,13 +128,18 @@ def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
     g_own = full_gradient(own)
     A = contract_hessian(own, own2, np.ones(ctx.unc_idx.shape)) - g_own.T @ g_own
     R = np.zeros_like(q)                      # R_k = sum_m tau_km grad l(t_k, Z_m)
-    for k in grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size)):
+
+    def block_parts(k):
         t = ctx.tk[k, None]
         _, tgt, tgt2 = model.terms(theta, t, ds.z_target, 2)
-        A -= contract_hessian(tgt, tgt2, c[k, None] * Wt[k])
         _, cen, cen2 = model.terms(theta, t, z_cens, 2)
-        A += contract_hessian(cen, cen2, tau[k])
         R[k] = contract_records(cen, tau[k])
+        return contract_hessian(tgt, tgt2, c[k, None] * Wt[k]), contract_hessian(cen, cen2, tau[k])
+
+    blocks = grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size))
+    for tgt_part, cen_part in map_blocks(block_parts, blocks):
+        A -= tgt_part
+        A += cen_part
     A += ((c + tau_k)[:, None] * q).T @ q - R.T @ q - q.T @ R - psi3.T @ psi3
     A /= ds.n1
     return 0.5 * (A + A.T)

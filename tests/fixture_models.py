@@ -1,6 +1,7 @@
 """Test-only model families that sit outside the production zoo."""
 
 import math
+import threading
 
 import numpy as np
 from scipy import integrate, special
@@ -167,3 +168,22 @@ class OneSlot(SurvivalModel):
 
     def default_init(self, x, delta, z):
         return np.array([1.0])
+
+
+class RecordingPHWeibull(PHWeibull):
+    """ph-weibull that records, per ``terms`` call, the calling thread's name,
+    numpy's error state and whether the call reached a time beyond ``late``,
+    where it lowers the log density by ``drop``."""
+
+    name = "recording-ph-weibull"
+
+    def __init__(self, late=np.inf, drop=0.0):
+        self.late, self.drop = late, drop
+        self.calls = []
+
+    def terms(self, theta, t, z, order=0):
+        is_late = np.asarray(t) > self.late
+        self.calls.append((threading.current_thread().name, np.geterr(), bool(np.any(is_late))))
+        out = super().terms(theta, t, z, order)
+        out[0] = np.where(is_late, out[0] - self.drop, out[0])
+        return out

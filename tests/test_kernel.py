@@ -4,18 +4,24 @@
 order must repeat the lower orders' entries exactly and stay finite where
 the capped exponent binds.  The grid passes walk the (event time x record)
 grids in blocks of ``likelihood._BLOCK_CELLS`` cells; shrinking the budget
-down to single rows and single columns must not move any output."""
+down to single rows and single columns must not move any output, and
+running the blocks on two threads must not move any bit of it."""
+
+import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import lssurv.likelihood as lik
+from lssurv.errors import NumericalUnderflow
 from lssurv.likelihood import LikelihoodContext
 from lssurv.models import REGISTRY_ORDER, get_model
 from lssurv.variance import _psi_qz_rows, a_matrix
 
 from conftest import make_dataset
-from fixture_models import OneSlot, TwoPointLogNormal, two_point_dataset
+from fixture_models import OneSlot, RecordingPHWeibull, TwoPointLogNormal, two_point_dataset
 from test_contractions import BASELINE
 from test_hessian import assert_rel
 
@@ -93,6 +99,91 @@ def test_block_budget_moves_no_output(case, monkeypatch):
     for cells in (1, 7, 64):
         monkeypatch.setattr(lik, "_BLOCK_CELLS", cells)
         assert len(lik.grid_blocks(ctx.K, ctx.cens_idx.size)) > 1
-        got = grid_outputs(model, ds, theta)
+        monkeypatch.setattr(lik, "_threads", 1)
+        serial = grid_outputs(model, ds, theta)
         for key, ref in want.items():
-            assert_rel(got[key], ref, 1e-13)
+            assert_rel(serial[key], ref, 1e-13)
+        # two threads: the same bits
+        monkeypatch.setattr(lik, "_threads", 2)
+        threaded = grid_outputs(model, ds, theta)
+        for key, ref in serial.items():
+            np.testing.assert_array_equal(threaded[key], ref)
+
+
+def _threaded_context(model, monkeypatch):
+    # two threads and 8-cell blocks: every pass has chunks of at least two blocks
+    monkeypatch.setattr(lik, "_threads", 2)
+    monkeypatch.setattr(lik, "_BLOCK_CELLS", 8)
+    return LikelihoodContext(model, make_dataset(seed=3, n1=40, n2=8))
+
+
+def test_underflow_in_a_later_chunk_keeps_its_type(monkeypatch):
+    model = RecordingPHWeibull()
+    ctx = _threaded_context(model, monkeypatch)
+    # only the last event-time row underflows, so only the last chunk raises
+    model.late, model.drop = ctx.tk[-2], 1e4
+    with pytest.raises(NumericalUnderflow, match="target-averaged density"):
+        ctx.value_and_score(np.array([0.4, -0.3, 1.0, 1.5]))
+    late_threads = {name for name, _, late in model.calls if late}
+    assert late_threads and all(name.startswith("lssurv-grid") for name in late_threads)
+
+
+def test_callers_error_state_holds_in_every_block(monkeypatch):
+    model = RecordingPHWeibull()
+    ctx = _threaded_context(model, monkeypatch)
+    theta = np.array([0.4, -0.3, 1.0, 1.5])
+    with np.errstate(over="raise"):
+        ctx.value_and_score(theta)
+        a_matrix(ctx, theta)
+    assert len(model.calls) > 10
+    assert all(err["over"] == "raise" for _, err, _ in model.calls)
+    assert any(name.startswith("lssurv-grid") for name, _, _ in model.calls)
+
+
+def test_map_blocks_from_a_pool_thread_runs_serially(monkeypatch):
+    # a pool thread that waited on its own pool would never return
+    monkeypatch.setattr(lik, "_threads", 2)
+    inner, got = list(range(4)), []
+    caller = threading.Thread(target=lambda: got.append(lik.map_blocks(
+        lambda b: (b, lik.map_blocks(lambda c: c * b, inner)), list(range(6)))), daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert got == [[(b, [c * b for c in inner]) for b in range(6)]]
+
+
+def test_pool_size_is_logged_once_on_creation(monkeypatch, caplog):
+    monkeypatch.setattr(lik, "_pool", None)
+    monkeypatch.setattr(lik, "_threads", 3)
+    with caplog.at_level(logging.DEBUG, logger="lssurv"):
+        for _ in range(2):
+            assert lik.map_blocks(abs, list(range(-6, 0))) == [6, 5, 4, 3, 2, 1]
+    lik._pool.shutdown()
+    assert [r.getMessage() for r in caplog.records if "grid pool" in r.getMessage()] == [
+        "grid pool: 2 worker thread(s) beside the caller"]
+
+
+def test_map_blocks_keeps_block_order_under_switch_stress(monkeypatch):
+    # more threads than cores, switching every microsecond: each block adds
+    # to its own slice once and the results keep block order
+    monkeypatch.setattr(lik, "_pool", None)
+    monkeypatch.setattr(lik, "_threads", 4)
+    out = np.zeros(400)
+    blocks = [slice(i, i + 5) for i in range(0, 400, 5)]
+
+    def fill(b):
+        out[b] += np.arange(b.start, b.stop)
+        return b.start
+
+    got, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: got.append(lik.map_blocks(fill, blocks)), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    lik._pool.shutdown()
+    assert got == [[b.start for b in blocks]]
+    np.testing.assert_array_equal(out, np.arange(400.0))

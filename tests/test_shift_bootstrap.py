@@ -103,12 +103,20 @@ def test_batched_t_star_matches_per_replicate_loop(case, block_cols, seen, monke
     if block_cols is not None:
         # blocks of 7 replicates, so K leaves a partial last block
         monkeypatch.setattr(likelihood, "_BLOCK_CELLS", block_cols * max(len(pp[0]), len(pq[0])))
+    monkeypatch.setattr(likelihood, "_threads", 1)
     res = shift_test.label_shift_test(pp, pq, K=K, seed=5)
+    serial = seen["t_star"]
     t_star, redraws = oracle_bootstrap(seen["kp"], seen["kq"], K, seen["seed"])
-    np.testing.assert_allclose(seen["t_star"], t_star, rtol=RTOL, atol=0)
+    np.testing.assert_allclose(serial, t_star, rtol=RTOL, atol=0)
     assert res.redraws == redraws
     if case == "one-event":
         assert redraws > 0
+    # two threads: the same bits
+    monkeypatch.setattr(likelihood, "_threads", 2)
+    threaded = shift_test.label_shift_test(pp, pq, K=K, seed=5)
+    np.testing.assert_array_equal(seen["t_star"], serial)
+    assert (threaded.t_n, threaded.critical_value, threaded.p_value, threaded.redraws) == (
+        res.t_n, res.critical_value, res.p_value, res.redraws)
 
 
 @pytest.mark.parametrize("s", range(5))
