@@ -30,7 +30,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .likelihood import LikelihoodContext
+from .likelihood import LikelihoodContext, contract_records
 from .models import REGISTRY_ORDER, SurvivalModel, get_model
 from .variance import VarianceParts, a_matrix, asymptotic_variance
 
@@ -133,36 +133,49 @@ def _transforms(model: SurvivalModel, d_z: int):
     return to_eta, to_theta, jac_diag
 
 
-def source_only_mle(model: SurvivalModel, dataset: Dataset, theta0=None) -> np.ndarray:
-    """Censored maximum likelihood on the source sample alone.
-
-    Consistent for theta when there is no shift; in general a starting
-    point close enough to the basin of the full objective.  BFGS with a
-    finite-difference gradient, in the same log coordinates as ``fit``.
-    """
+def _source_objective(model: SurvivalModel, dataset: Dataset):
+    """The censored source-only negative log-likelihood and its exact
+    gradient as a function of ``fit``'s log coordinates: the model's
+    ``terms`` at the events and ``log_survival_terms`` at the censorings.
+    ``(inf, 0)`` where it cannot be evaluated, as in ``fit``."""
     x, delta, z = dataset.x, dataset.delta, dataset.z_source
-    if theta0 is None:
-        theta0 = model.default_init(x, delta, z)
-    to_eta, to_theta, _ = _transforms(model, dataset.d_z)
+    _, to_theta, jac_diag = _transforms(model, dataset.d_z)
     unc = delta == 1
+    parts = ((model.terms, x[unc], z[unc]), (model.log_survival_terms, x[~unc], z[~unc]))
 
     def nll(eta):
         try:
             theta = to_theta(eta)
             model.check_theta(theta, dataset.d_z)
-            ll = float(np.sum(model.log_density(theta, x[unc], z[unc])))
-            s = model.survival(theta, x[~unc], z[~unc])
-            if np.any(s <= 0):
-                return np.inf
-            ll += float(np.sum(np.log(s)))
-        except (DomainError, DomainEscape, FloatingPointError):
-            return np.inf
-        return -ll if np.isfinite(ll) else np.inf
+            ll, grad = 0.0, 0.0
+            for kernel, t, zr in parts:
+                val, factors = kernel(theta, t, zr, 1)
+                ll += float(np.sum(val))
+                grad = grad + contract_records(factors, np.ones(t.shape))
+        except _UNEVALUABLE:
+            return np.inf, np.zeros_like(eta)
+        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+            return np.inf, np.zeros_like(eta)
+        return -ll, -grad * jac_diag(theta)
 
-    # a line-search or difference step far out may overflow the model's
-    # survival (nll is then inf) and difference inf against an inf f0
+    return nll
+
+
+def source_only_mle(model: SurvivalModel, dataset: Dataset, theta0=None) -> np.ndarray:
+    """Censored maximum likelihood on the source sample alone.
+
+    Consistent for theta when there is no shift; in general a starting
+    point close enough to the basin of the full objective.  BFGS on the
+    exact gradient (``_source_objective``), in the same log coordinates as
+    ``fit``.
+    """
+    if theta0 is None:
+        theta0 = model.default_init(dataset.x, dataset.delta, dataset.z_source)
+    to_eta, to_theta, _ = _transforms(model, dataset.d_z)
+    nll = _source_objective(model, dataset)
+    # a line-search step far out may overflow a kernel; nll is then inf
     with np.errstate(invalid="ignore", over="ignore"):
-        res = optimize.minimize(nll, to_eta(theta0), method="BFGS")
+        res = optimize.minimize(nll, to_eta(theta0), jac=True, method="BFGS")
     try:
         theta = to_theta(res.x)
         model.check_theta(theta, dataset.d_z)

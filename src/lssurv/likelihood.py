@@ -60,9 +60,11 @@ _BLOCK_CELLS = 1 << 16
 
 def grid_blocks(n_rows, n_cols):
     """Slices of at most ``_BLOCK_CELLS`` cells, and at least one row, over
-    the rows of an (n_rows, n_cols) grid."""
+    the rows of an (n_rows, n_cols) grid: as few blocks as that budget
+    allows, their row counts differing by at most one."""
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+    n_blocks = -(-n_rows // step)
+    return [slice(n_rows * i // n_blocks, n_rows * (i + 1) // n_blocks) for i in range(n_blocks)]
 
 
 def usable_cores():

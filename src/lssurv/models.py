@@ -13,22 +13,28 @@ constrained to (0, inf) (``positive``), and supplies three functions of
   dbase_r, ...), ...))``, the last a full symmetric table.  Its preamble
   (``log t`` and the one capped ``exp``) runs once per call, and each order
   adds its entries without changing the lower ones;
-* ``u_survival`` and ``u_inverse_survival``: the survival function and its
-  inverse in ``t`` at level ``v``.
+* ``u_log_survival(t, u, *base, order)``, the log survival function in
+  the same layout up to ``order=1``: ``[log S]``, then ``(dlogS/du,
+  (dlogS/dbase_1, ...))``, from the same preamble and capped ``exp`` as
+  ``u_terms``, so it stays finite wherever ``u_terms`` does;
+* ``u_inverse_survival``: the inverse of the survival function in ``t`` at
+  level ``v``.
 
 ``SurvivalModel`` derives the rest: the parameter layout (``beta_1 ..
 beta_{d_z}`` followed by the baseline block), and from theta and z (split
 and ``u`` formed once per call) ``terms``, the one theta-space entry point
 through which the likelihood and the sandwich contract (event time x record)
-grids without a (K, n, d) or (K, n, d, d) tensor, plus ``log_density``,
-``log_density_grad`` (regression block ``(dl/du) * z``), ``survival`` and
-``inverse_survival``.
+grids without a (K, n, d) or (K, n, d, d) tensor, ``log_survival_terms``,
+its log-survival counterpart, which gives the source-only start its exact
+gradient, plus ``log_density``, ``log_density_grad`` (regression block
+``(dl/du) * z``), ``survival`` (``exp(log S)``) and ``inverse_survival``.
 
 A model without a linear predictor declares no baseline slots and overrides
 ``d_theta``, ``param_names``, ``positive_mask``, ``log_density``,
 ``log_density_grad``, ``log_density_hess`` and ``survival``; its ``terms``
 factors are a zero-width regression block followed by its own full gradient
-and Hessian, so the contractions run unchanged.
+and Hessian, so the contractions run unchanged.  To take the ``"auto"``
+(source-only) start it also overrides ``log_survival_terms``.
 """
 
 from __future__ import annotations
@@ -101,6 +107,14 @@ class SurvivalModel:
         beta, base = self.split(theta)
         return (np.asarray(t, dtype=float), np.asarray(z, dtype=float) @ beta, *base)
 
+    def _u_kernel(self, kernel, theta, t, z, order):
+        """A u-space kernel's output with ``z`` appended to its first-order
+        factors, the regression block's rows."""
+        out = kernel(*self._u_args(theta, t, z), order=order)
+        if order >= 1:
+            out[1] = (*out[1], np.asarray(z, dtype=float))
+        return out
+
     def terms(self, theta, t, z, order=0):
         """The log density at theta and, up to ``order``, its factored
         partials: ``[l]``, then ``(g_u, g_base, zr)``, the gradient being
@@ -119,10 +133,17 @@ class SurvivalModel:
                 h = np.moveaxis(self.log_density_hess(theta, t, z), (-2, -1), (0, 1))
                 out.append((0.0, (0.0,) * h.shape[0], h))
             return out
-        out = self.u_terms(*self._u_args(theta, t, z), order=order)
-        if order >= 1:
-            out[1] = (*out[1], np.asarray(z, dtype=float))
-        return out
+        return self._u_kernel(self.u_terms, theta, t, z, order)
+
+    def log_survival_terms(self, theta, t, z, order=0):
+        """The log survival function at theta and, at ``order=1``, its
+        factored gradient ``(g_u, g_base, zr)`` in the layout of ``terms``."""
+        if not self.baseline:
+            raise NotImplementedError(
+                f"{self.name}: a model without a linear predictor overrides "
+                "log_survival_terms to take the source-only start"
+            )
+        return self._u_kernel(self.u_log_survival, theta, t, z, order)
 
     def log_density(self, theta, t, z):
         return self.terms(theta, t, z)[0]
@@ -131,7 +152,7 @@ class SurvivalModel:
         return full_gradient(self.terms(theta, t, z, 1)[1])
 
     def survival(self, theta, t, z):
-        return self.u_survival(*self._u_args(theta, t, z))
+        return np.exp(self.log_survival_terms(theta, t, z)[0])
 
     def inverse_survival(self, theta, v, z):
         return float(self.u_inverse_survival(*self._u_args(theta, v, z)))
@@ -163,8 +184,13 @@ class PHWeibull(SurvivalModel):
             )))
         return out
 
-    def u_survival(self, t, u, lam, gam):
-        return np.exp(-lam * np.power(t, gam) * np.exp(u))
+    def u_log_survival(self, t, u, lam, gam, order=0):
+        logt = np.log(t)
+        He = lam * _exp_clip(gam * logt + u)
+        out = [-He]
+        if order >= 1:
+            out.append((-He, (-He / lam, -He * logt)))
+        return out
 
     def u_inverse_survival(self, v, u, lam, gam):
         return (-np.log(v) / (lam * np.exp(u))) ** (1.0 / gam)
@@ -201,8 +227,14 @@ class POLogLogistic(SurvivalModel):
             out.append((-D2, (D2 / sigma, -D2 * r / sigma**2), ((-D2 / sigma**2, l_ms), (l_ms, l_ss))))
         return out
 
-    def u_survival(self, t, u, mu, sigma):
-        return special.expit(-((np.log(t) - mu) / sigma + u))
+    def u_log_survival(self, t, u, mu, sigma, order=0):
+        logt = np.log(t)
+        logH = (logt - mu) / sigma
+        out = [-np.logaddexp(0.0, logH + u)]
+        if order >= 1:
+            G = special.expit(logH + u)
+            out.append((-G, (G / sigma, G * (logt - mu) / sigma**2)))
+        return out
 
     def u_inverse_survival(self, v, u, mu, sigma):
         return np.exp(mu + sigma * (np.log1p(-v) - np.log(v) - u))
@@ -234,8 +266,17 @@ class AFTLogNormal(SurvivalModel):
             out.append((h, (h, l_ms), ((h, l_ms), (l_ms, (1.0 - 3.0 * s2) / sigma**2))))
         return out
 
-    def u_survival(self, t, u, mu, sigma):
-        return special.ndtr(-(np.log(t) - mu - u) / sigma)
+    def u_log_survival(self, t, u, mu, sigma, order=0):
+        logt = np.log(t)
+        s = (logt - mu - u) / sigma
+        log_tail = special.log_ndtr(-s)
+        out = [log_tail]
+        if order >= 1:
+            # the inverse Mills ratio phi(s) / Phi(-s), from logs so that it
+            # stays finite far in the upper tail
+            mills = np.exp(-0.5 * s**2 - 0.5 * _LOG_2PI - log_tail)
+            out.append((mills / sigma, (mills / sigma, mills * s / sigma)))
+        return out
 
     def u_inverse_survival(self, v, u, mu, sigma):
         return np.exp(mu + u - sigma * special.ndtri(v))
@@ -266,8 +307,12 @@ class AFTExponential(SurvivalModel):
             out.append((-lam * te, (te,), ((-1.0 / lam**2,),)))
         return out
 
-    def u_survival(self, t, u, lam):
-        return np.exp(-lam * t * np.exp(-u))
+    def u_log_survival(self, t, u, lam, order=0):
+        te = t * _exp_clip(np.minimum(-u, 600.0 - np.log(t)))  # t exp(-u), capped as in u_terms
+        out = [-lam * te]
+        if order >= 1:
+            out.append((lam * te, (-te,)))
+        return out
 
     def u_inverse_survival(self, v, u, lam):
         return -np.log(v) * np.exp(u) / lam
@@ -311,8 +356,13 @@ class AHWeibull(SurvivalModel):
             )))
         return out
 
-    def u_survival(self, t, u, lam, gam):
-        return np.exp(-lam * np.power(t, gam) * np.exp((gam - 1.0) * u))
+    def u_log_survival(self, t, u, lam, gam, order=0):
+        logt = np.log(t)
+        H = lam * _exp_clip(gam * logt + (gam - 1.0) * u)
+        out = [-H]
+        if order >= 1:
+            out.append((-(gam - 1.0) * H, (-H / lam, -H * (logt + u))))
+        return out
 
     def u_inverse_survival(self, v, u, lam, gam):
         return (-np.log(v) / (lam * np.exp((gam - 1.0) * u))) ** (1.0 / gam)

@@ -16,7 +16,8 @@ points, which keeps the statistic well-defined for multivariate z.
 A bootstrap resample changes only how many copies of each record it holds,
 so replicate k is column k of an (n x K) count matrix: one count-weighted
 product-limit pass gives every column's jump masses, and the kernels, built
-once at the original records, turn a block of mass columns into ratio
+once at the original event records (a censored record carries no mass in
+any resample), turn the event rows of a block of mass columns into ratio
 estimates with two matrix products per population.  The kernels are built in
 blocks of grid rows and the replicates run in blocks of columns, both
 through ``likelihood.map_blocks``: contiguous chunks of blocks on every
@@ -171,22 +172,26 @@ class _PopKernels:
     def __init__(self, x, delta, z, grid_z, grid_t, h_z, h_t):
         self.x, self.delta, self.n = x, delta, x.shape[0]
         self.redraws = 0
-        self.kt = kt = np.empty((grid_t.shape[0], self.n))
+        self.events = np.flatnonzero(delta == 1)
+        x_ev, z_ev = x[self.events], z[self.events]
+        self.kt = kt = np.empty((grid_t.shape[0], self.events.size))
         self.num_w = num_w = np.empty_like(kt)
 
         def rows(g):
-            kt[g] = np.exp(-0.5 * ((grid_t[g, None] - x[None, :]) / h_t) ** 2)
+            kt[g] = np.exp(-0.5 * ((grid_t[g, None] - x_ev[None, :]) / h_t) ** 2)
             num_w[g] = kt[g]
             for j in range(z.shape[1]):
-                num_w[g] *= special.ndtr((grid_z[g, j][:, None] - z[None, :, j]) / h_z[j])
+                num_w[g] *= special.ndtr((grid_z[g, j][:, None] - z_ev[None, :, j]) / h_z[j])
 
-        map_blocks(rows, grid_blocks(grid_t.shape[0], self.n))
+        map_blocks(rows, grid_blocks(grid_t.shape[0], self.events.size))
         self.floor = _DENOM_FLOOR * h_t * math.sqrt(2 * math.pi)
 
     def ratio(self, record_masses) -> np.ndarray:
-        """Ratio estimates on the grid per column of an (n,) or (n, B) mass array."""
-        denom = self.kt @ record_masses
-        return (self.num_w @ record_masses) / np.maximum(denom, self.floor)
+        """Ratio estimates on the grid per column of an (n,) or (n, B) mass
+        array over the records; only the event records' rows are read."""
+        masses = record_masses[self.events]
+        denom = self.kt @ masses
+        return (self.num_w @ masses) / np.maximum(denom, self.floor)
 
     def draw_counts(self, rng):
         """Copies per record of one resample with at least one event, and

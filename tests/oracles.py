@@ -11,7 +11,9 @@ Each keeps its own arithmetic, apart from the array code it checks:
 * ``s_functionals``, ``qhat_T`` and ``qhat_T_star`` are the tail
   functionals at one query point;
 * ``eta_q_hat`` is the three target-side influence integrals at one
-  conditioning point.
+  conditioning point;
+* ``SURVIVAL`` holds each zoo model's survival function in closed form, in
+  u-space, for the log-survival kernels.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from lssurv.likelihood import contract_records, contract_times, grid_blocks, log_sum_weights
 from lssurv.models import full_gradient
@@ -193,3 +196,14 @@ def eta_q_hat(ctx, theta, x, z):
         tgt = model.terms(theta, tk[k, None], ds.z_target, 1)[1]
         eta2 += contract_times(tgt, wr[k, None] * rho_tgt[k])
     return eta0, eta1, eta2
+
+
+# -- closed-form survival functions in u-space --------------------------------
+
+SURVIVAL = {
+    "ph-weibull": lambda t, u, lam, gam: np.exp(-lam * np.power(t, gam) * np.exp(u)),
+    "po-loglogistic": lambda t, u, mu, sigma: special.expit(-((np.log(t) - mu) / sigma + u)),
+    "aft-lognormal": lambda t, u, mu, sigma: special.ndtr(-(np.log(t) - mu - u) / sigma),
+    "aft-exponential": lambda t, u, lam: np.exp(-lam * t * np.exp(-u)),
+    "ah-weibull": lambda t, u, lam, gam: np.exp(-lam * np.power(t, gam) * np.exp((gam - 1.0) * u)),
+}

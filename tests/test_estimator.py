@@ -481,3 +481,35 @@ def test_source_only_start_matches_simplex_search(name):
     np.testing.assert_allclose(got, want, rtol=1e-5)
     nll, to_eta, _ = _source_nll(model, ds)
     assert nll(to_eta(got)) <= nll(to_eta(want)) + 1e-10
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_TRUTH))
+def test_source_start_gradient_matches_central_differences(name):
+    from lssurv.estimator import _source_objective
+
+    cfg = ls.SimConfig(model=name, theta_true=GOLDEN_TRUTH[name], n1=120, n2=120)
+    ds = ls.generate_dataset(cfg, np.random.default_rng(20250627))
+    model = get_model(name)
+    objective = _source_objective(model, ds)
+    oracle, to_eta, _ = _source_nll(model, ds)
+    rng = np.random.default_rng(7)
+    for shift in (0.0, 0.15, -0.3):
+        eta = to_eta(GOLDEN_TRUTH[name]) + shift * rng.uniform(0.5, 1.0, len(GOLDEN_TRUTH[name]))
+        value, grad = objective(eta)
+        assert value == pytest.approx(oracle(eta), rel=1e-12)
+        fd = np.empty_like(eta)
+        for j in range(eta.size):
+            step = np.zeros_like(eta)
+            step[j] = 1e-6
+            fd[j] = (objective(eta + step)[0] - objective(eta - step)[0]) / 2e-6
+        # the differences' rounding is about eps * value / step = 2e-8
+        np.testing.assert_allclose(grad, fd, rtol=1e-7, atol=1e-6)
+
+
+def test_source_start_is_inf_where_nothing_evaluates():
+    from lssurv.estimator import _source_objective
+
+    objective = _source_objective(_AlwaysFails(), sim_dataset(seed=31, n1=60, n2=60))
+    value, grad = objective(np.array([0.3]))
+    assert value == np.inf
+    np.testing.assert_array_equal(grad, [0.0])

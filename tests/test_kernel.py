@@ -1,11 +1,13 @@
-"""The one u-space kernel per zoo model and the blocked grid passes.
+"""The u-space kernels per zoo model and the blocked grid passes.
 
-``u_terms`` gives the log density and its partials from one preamble; each
-order must repeat the lower orders' entries exactly and stay finite where
-the capped exponent binds.  The grid passes walk the (event time x record)
-grids in blocks of ``likelihood._BLOCK_CELLS`` cells; shrinking the budget
-down to single rows and single columns must not move any output, and
-running the blocks on two threads must not move any bit of it."""
+``u_terms`` gives the log density and its partials from one preamble, and
+``u_log_survival`` the log survival function and its partials from the same
+preamble; each order must repeat the lower orders' entries exactly and stay
+finite where the capped exponent binds.  The grid passes walk the (event
+time x record) grids in balanced blocks of at most ``likelihood._BLOCK_CELLS``
+cells; shrinking the budget down to single rows and single columns must not
+move any output, and running the blocks on two threads must not move any
+bit of it."""
 
 import logging
 import sys
@@ -22,6 +24,7 @@ from lssurv.variance import _psi_qz_rows, a_matrix
 
 from conftest import make_dataset
 from fixture_models import OneSlot, RecordingPHWeibull, TwoPointLogNormal, two_point_dataset
+from oracles import SURVIVAL
 from test_contractions import BASELINE
 from test_hessian import assert_rel
 
@@ -60,6 +63,50 @@ def test_capped_exponent_keeps_value_and_partials_finite(name):
         out = model.u_terms(t, u, *BASELINE[name], order=2)
     for leaf in leaves(out):
         assert np.all(np.isfinite(leaf))
+
+
+@pytest.mark.parametrize("name", REGISTRY_ORDER)
+def test_log_survival_matches_the_closed_form(name):
+    model = get_model(name)
+    rng = np.random.default_rng(12)
+    t = (rng.exponential(1.5, 30) + 0.05)[:, None]
+    u = rng.normal(0.0, 0.7, 20)
+    got = model.u_log_survival(t, u, *BASELINE[name], order=0)
+    assert len(got) == 1
+    # compared as survival probabilities: the log of a closed form near 1
+    # keeps only its absolute rounding
+    np.testing.assert_allclose(np.exp(got[0]), SURVIVAL[name](t, u, *BASELINE[name]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", REGISTRY_ORDER)
+def test_log_survival_order_one_repeats_order_zero_and_stays_finite(name):
+    # t = 1e-300 and 1e300 push log t to -+690, past the capped exponent
+    model = get_model(name)
+    t = np.array([1e-300, 0.3, 2.0, 1e300])[:, None]
+    u = np.array([-3.0, 0.0, 3.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        value = model.u_log_survival(t, u, *BASELINE[name], order=0)
+        full = model.u_log_survival(t, u, *BASELINE[name], order=1)
+    assert len(full) == 2
+    np.testing.assert_array_equal(full[0], value[0])
+    for leaf in leaves(full):
+        assert leaf.shape == (4, 3) and np.all(np.isfinite(leaf))
+
+
+def test_grid_blocks_are_balanced():
+    budget = lik._BLOCK_CELLS
+    for n_rows, n_cols in [(200, 1000), (721, 500), (1428, 2000), (5, 1), (3, budget * 2), (0, 10)]:
+        blocks = lik.grid_blocks(n_rows, n_cols)
+        sizes = [b.stop - b.start for b in blocks]
+        step = max(1, budget // n_cols)
+        assert len(blocks) == -(-n_rows // step)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert sum(sizes) == n_rows
+        if sizes:
+            assert blocks[0].start == 0
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= step
+    # the shift test's 200 replicates at n = 1000: four blocks of 50
+    assert [b.stop - b.start for b in lik.grid_blocks(200, 1000)] == [50] * 4
 
 
 def grid_outputs(model, ds, theta):
