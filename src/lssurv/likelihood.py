@@ -214,8 +214,10 @@ class LikelihoodContext:
     of the last evaluated theta.
 
     The evaluation at the maximizer is also the state the sandwich variance
-    reads: the product-limit fit, the kept censored records, the densities
-    and the per-record score rows ``psi``.
+    reads: beside the product-limit fit and the kept censored records, it
+    keeps ``lqhat``, the normalized target and tail weights ``Wt`` (K x n2)
+    and ``tail_w`` (K x n_c), the tail log-sums and, with the score,
+    ``qstar_ratio`` and the score rows ``psi`` (``psi3_cens`` censored).
     """
 
     def __init__(self, model: SurvivalModel, dataset: Dataset):
@@ -281,18 +283,16 @@ class LikelihoodContext:
         map_blocks(target_rows, grid_blocks(K, ds.n2))
 
         own = model.terms(theta, ds.x[self.unc_idx], ds.z_source[self.unc_idx], order)
-        own_logq = own[0]
-        _check(own_logq, "event density")
+        _check(own[0], "event density")
 
         # censored grid (K, n_c) in blocks of record columns: each record's
         # tail log-sum over the event times is complete within its block
         z_cens = ds.z_source[self.cens_idx]
-        Lcen, tail_w = np.empty((K, n_c)), np.empty((K, n_c))
+        tail_w = np.empty((K, n_c))                                # columns sum to 1
         cens_logsum, psi3 = np.empty(n_c), np.zeros((n_c, d))
 
         def censored_columns(m):
             block = model.terms(theta, self.tk[:, None], z_cens[m], order)
-            Lcen[:, m] = block[0]
             cens_logsum[m], tw = log_sum_weights(
                 self.logw[:, None] + block[0] - lqhat[:, None], axis=0, mask=self.tail_mask[:, m]
             )
@@ -305,7 +305,7 @@ class LikelihoodContext:
         map_blocks(censored_columns, grid_blocks(n_c, K))
 
         contrib = np.zeros(ds.n1)
-        contrib[self.unc_idx] = own_logq - lqhat[self.k_of_unc]
+        contrib[self.unc_idx] = own[0] - lqhat[self.k_of_unc]
         contrib[self.cens_idx] = cens_logsum
         loglik = math.fsum(contrib[self.sum_order]) / ds.n1
 
@@ -313,8 +313,6 @@ class LikelihoodContext:
             "theta": theta,
             "lqhat": lqhat,
             "Wt": Wt,
-            "own_logq": own_logq,
-            "Lcen": Lcen,
             "cens_logsum": cens_logsum,
             "tail_w": tail_w,
             "loglik": loglik,

@@ -15,16 +15,17 @@ through ratios against itself).
 
 Every input comes from the fit's own ``LikelihoodContext`` evaluated at
 theta-hat: its product-limit fit, its kept censored records (one empty-tail
-rule), the densities, the normalized target and tail weights and the
-per-record score rows; ``A`` needs no further evaluation of the likelihood.
-The target and censored-record density partials are recomputed from the
-model's ``terms``, one call per block of event-time rows
-(``likelihood.grid_blocks``), and contracted at once, so no (K, n, d) or
-(K, n, d, d) tensor and no whole-grid array of partials is formed.  The
-blocks run through ``likelihood.map_blocks``, in contiguous chunks on every
-usable core once each chunk gets two blocks; each block returns its partial
-sums and the caller adds them in block order, so ``A`` and ``psi_qz`` do not
-depend on the thread count.
+rule), the normalized target and tail weights ``Wt`` and ``tau`` and the
+per-record score rows.  One second-order row pass (``_second_order_pass``)
+walks both grids in blocks of event-time rows (``likelihood.grid_blocks``),
+one second-order ``terms`` call per grid and block, and gives ``A`` and the
+target rows' density-gradient sums; no (K, n, d) or (K, n, d, d) tensor is
+formed.  The influence terms contract the kept tail weights with the
+censored score rows first (``tau @ psi3``), so nothing of size K x n_c or
+n1 x n_c is formed either.  The blocks run through ``likelihood.map_blocks``,
+in contiguous chunks on every usable core once each chunk gets two blocks;
+each block returns its partial sums and the caller adds them in block order,
+so no output depends on the thread count.
 """
 
 from __future__ import annotations
@@ -50,59 +51,41 @@ class VarianceParts:
     sigma_psi: np.ndarray           # (d, d)
 
 
-# -- event-CDF estimation component -------------------------------------------
+# -- the one grid pass ---------------------------------------------------------
 
-def _psi_pt_rows(ctx: LikelihoodContext, phi, c_mat):
-    ds, km = ctx.dataset, ctx.km
-    n1, n_c = ds.n1, ctx.cens_idx.size
-    if n_c == 0:
-        return np.zeros((n1, c_mat.shape[1]))
-    tk, g0e = ctx.tk, km.g0_at_events
-    b = (km.event_counts * g0e)[:, None] * phi / n1
-    suffix = np.vstack([np.cumsum(b[::-1], axis=0)[::-1], np.zeros((1, n_c))])
-
-    tail_at_x = suffix[np.searchsorted(tk, ds.x, side="right")]       # (n1, n_c)
-    # compensator: prefix over censored records v of dv * tail(v)
-    tail_at_v = suffix[np.searchsorted(tk, km.censor_times, side="right")]
-    cp = np.vstack([np.zeros((1, n_c)), np.cumsum(km.dv[:, None] * tail_at_v, axis=0)])
-    gamma2_at_x = cp[np.searchsorted(km.censor_times, ds.x, side="left")]
-
-    eta0p = np.zeros((n1, n_c))
-    if ctx.unc_idx.size:
-        ku = ctx.k_of_unc
-        eta0p[ctx.unc_idx] = phi[ku, :] * g0e[ku, None]
-    cens_all = ctx.cens_idx_all
-    eta0p[cens_all] = tail_at_x[cens_all] / km.at_risk[cens_all, None]
-    eta0p -= gamma2_at_x
-    return -(eta0p @ c_mat) / n1
-
-
-# -- covariate-distribution component -----------------------------------------
-
-def _psi_qz_rows(ctx: LikelihoodContext, env, phi, s0, c_mat):
-    ds, model, theta = ctx.dataset, ctx.model, env["theta"]
-    ck = ctx.km.event_counts.astype(float)
-    qstar = env["qstar_ratio"]
+def _second_order_pass(ctx: LikelihoodContext, theta):
+    """The evaluation at theta, ``A``, ``R`` (K, d) with ``R_k = sum_m
+    tau_km grad l(t_k, Z_m)`` over the censored records, and ``G`` (n2, d)
+    with ``G_j = sum_k c_k Wt_kj grad l(t_k, z_j)`` over the event times."""
+    env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
+    theta, model, ds = env["theta"], ctx.model, ctx.dataset
+    q, Wt, tau, psi3 = env["qstar_ratio"], env["Wt"], env["tail_w"], env["psi3_cens"]
+    tau_k = tau.sum(axis=1)
+    c = ctx.km.event_counts + tau_k
     z_cens = ds.z_source[ctx.cens_idx]
-    inv_s0 = 1.0 / s0
-    a0 = ctx.w * (phi @ inv_s0)                                       # (K,)
-    rows = np.tile(a0 @ qstar, (ds.n2, 1))
+    _, own, own2 = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 2)
+    g_own = full_gradient(own)
+    A = contract_hessian(own, own2, np.ones(ctx.unc_idx.shape)) - g_own.T @ g_own
+    R = np.zeros_like(q)
+    G = np.zeros((ds.n2, q.shape[1]))
 
-    def block_rows(k):
-        t, rho_tgt = ctx.tk[k, None], env["Wt"][k] * ds.n2
-        # w_k (A2 - A1): A1 the phi/s0-weighted censored gradients, A2 = phi @ c
-        cen = model.terms(theta, t, z_cens, 1)[1]
-        a21 = ctx.w[k, None] * (phi[k] @ c_mat - contract_records(cen, phi[k] * inv_s0))
-        tgt = model.terms(theta, t, ds.z_target, 1)[1]
-        return (
-            -contract_times(tgt, (ck[k] + a0[k])[:, None] * rho_tgt)
-            + rho_tgt.T @ (ck[k, None] * qstar[k])
-            + (rho_tgt - 1.0).T @ (a21 + 2.0 * a0[k, None] * qstar[k])
-        )
+    def block_parts(k):
+        t = ctx.tk[k, None]
+        _, tgt, tgt2 = model.terms(theta, t, ds.z_target, 2)
+        _, cen, cen2 = model.terms(theta, t, z_cens, 2)
+        R[k] = contract_records(cen, tau[k])
+        v = c[k, None] * Wt[k]
+        return (contract_hessian(tgt, tgt2, v), contract_hessian(cen, cen2, tau[k]),
+                contract_times(tgt, v))
 
-    for part in map_blocks(block_rows, grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size))):
-        rows += part
-    return rows / ds.n1
+    blocks = grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size))
+    for tgt_part, cen_part, g_part in map_blocks(block_parts, blocks):
+        A -= tgt_part
+        A += cen_part
+        G += g_part
+    A += ((c + tau_k)[:, None] * q).T @ q - R.T @ q - q.T @ R - psi3.T @ psi3
+    A /= ds.n1
+    return env, 0.5 * (A + A.T), R, G
 
 
 def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
@@ -114,51 +97,61 @@ def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
     ``c_k`` times the Hessian of ``log qhat(t_k)``, plus the
     ``tau``-weighted censored Hessians and outer products of
     ``grad l(t_k, Z_m) - qstar_ratio_k``, minus each censored score row's
-    outer product.  The target and censored grids are contracted one block
-    of event-time rows at a time, from one second-order ``terms`` call per
-    grid and block.
+    outer product.  It comes from the one second-order row pass, which also
+    gives the sandwich its target rows.
     """
-    env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
-    theta, model, ds = env["theta"], ctx.model, ctx.dataset
-    q, Wt, tau, psi3 = env["qstar_ratio"], env["Wt"], env["tail_w"], env["psi3_cens"]
+    return _second_order_pass(ctx, theta)[1]
+
+
+# -- event-CDF estimation component -------------------------------------------
+
+def _psi_pt_rows(ctx: LikelihoodContext, tau, psi3):
+    # phi_m(t_k) = I(t_k > X_m) q(t_k, Z_m) / qhat(t_k) is kept censored record
+    # m's tail integrand, s0_m = sum_k w_k phi_m(t_k) its tail sum, and its
+    # influence enters weighted by c_m = psi3_m / s0_m.  Every step below is
+    # linear in phi's columns, so the sum over m comes first: with
+    # tau_km = w_k phi_m(t_k) / s0_m, phi @ c = (tau @ psi3) / w
+    ds, km = ctx.dataset, ctx.km
+    n1, d = ds.n1, psi3.shape[1]
+    tk, g0e = ctx.tk, km.g0_at_events
+    phi_c = (tau @ psi3) / ctx.w[:, None]                                 # (K, d)
+    b = (km.event_counts * g0e)[:, None] * phi_c / n1
+    suffix = np.vstack([np.cumsum(b[::-1], axis=0)[::-1], np.zeros((1, d))])
+
+    # compensator: prefix over censored records v of dv * tail(v)
+    tail_at_v = suffix[np.searchsorted(tk, km.censor_times, side="right")]
+    cp = np.vstack([np.zeros((1, d)), np.cumsum(km.dv[:, None] * tail_at_v, axis=0)])
+    eta0p = -cp[np.searchsorted(km.censor_times, ds.x, side="left")]     # (n1, d)
+    ku, cens_all = ctx.k_of_unc, ctx.cens_idx_all
+    eta0p[ctx.unc_idx] += phi_c[ku] * g0e[ku, None]
+    tail_at_x = suffix[np.searchsorted(tk, ds.x[cens_all], side="right")]
+    eta0p[cens_all] += tail_at_x / km.at_risk[cens_all, None]
+    return -eta0p / n1
+
+
+# -- covariate-distribution component -----------------------------------------
+
+def _psi_qz_rows(ctx: LikelihoodContext, env, R, G):
+    # closed form in the pass's R and G: with tau_k the tail weight at t_k and
+    # M = tau @ psi3 - R + 2 tau_k q, the rows are
+    # tau_k @ q - sum_k M_k + n2 (Wt^T (ck q + M) - G), over n1
+    ds, q, tau = ctx.dataset, env["qstar_ratio"], env["tail_w"]
+    ck = ctx.km.event_counts.astype(float)
     tau_k = tau.sum(axis=1)
-    c = ctx.km.event_counts + tau_k
-    z_cens = ds.z_source[ctx.cens_idx]
-    _, own, own2 = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 2)
-    g_own = full_gradient(own)
-    A = contract_hessian(own, own2, np.ones(ctx.unc_idx.shape)) - g_own.T @ g_own
-    R = np.zeros_like(q)                      # R_k = sum_m tau_km grad l(t_k, Z_m)
-
-    def block_parts(k):
-        t = ctx.tk[k, None]
-        _, tgt, tgt2 = model.terms(theta, t, ds.z_target, 2)
-        _, cen, cen2 = model.terms(theta, t, z_cens, 2)
-        R[k] = contract_records(cen, tau[k])
-        return contract_hessian(tgt, tgt2, c[k, None] * Wt[k]), contract_hessian(cen, cen2, tau[k])
-
-    blocks = grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size))
-    for tgt_part, cen_part in map_blocks(block_parts, blocks):
-        A -= tgt_part
-        A += cen_part
-    A += ((c + tau_k)[:, None] * q).T @ q - R.T @ q - q.T @ R - psi3.T @ psi3
-    A /= ds.n1
-    return 0.5 * (A + A.T)
+    M = tau @ env["psi3_cens"] - R + 2.0 * tau_k[:, None] * q
+    rows = ds.n2 * (env["Wt"].T @ (ck[:, None] * q + M) - G)
+    rows += tau_k @ q - M.sum(axis=0)
+    return rows / ds.n1
 
 
 def asymptotic_variance(ctx: LikelihoodContext, theta_hat):
     """Sandwich covariance of sqrt(n0) (theta_hat - theta0) and its parts,
     read from ``ctx`` (the context the fit maximized) at ``theta_hat``."""
-    env = ctx._evaluate(np.asarray(theta_hat, dtype=float), need_score=True)
+    env, A, R, G = _second_order_pass(ctx, theta_hat)
     dataset = ctx.dataset
     psi = env["psi"]
-    # per kept censored record m: phi_m(t_k) = I(t_k > X_m) q(t_k, Z_m) / qhat(t_k),
-    # its tail sum S0 = sum_k w_k phi_m(t_k), and c = (S1 - S2) / S0^2 where
-    # (S1 - S2) / S0 is the record's score row
-    phi = np.where(ctx.tail_mask, np.exp(env["Lcen"] - env["lqhat"][:, None]), 0.0)
-    s0 = np.exp(env["cens_logsum"])
-    c_mat = env["psi3_cens"] / s0[:, None]
-    psi_pt = _psi_pt_rows(ctx, phi, c_mat)
-    psi_qz = _psi_qz_rows(ctx, env, phi, s0, c_mat)
+    psi_pt = _psi_pt_rows(ctx, env["tail_w"], env["psi3_cens"])
+    psi_qz = _psi_qz_rows(ctx, env, R, G)
 
     pi_n = dataset.pi_n
     v_p = np.cov(psi + psi_pt, rowvar=False, ddof=1)
@@ -167,7 +160,6 @@ def asymptotic_variance(ctx: LikelihoodContext, theta_hat):
     v_q = np.atleast_2d(v_q)
     sigma_psi = min(1.0 / pi_n, 1.0 / (1.0 - pi_n)) * ((1.0 - pi_n) * v_p + pi_n * v_q)
 
-    A = a_matrix(ctx, env["theta"])
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e12 or np.max(np.abs(A)) < 1e-10:
         raise SingularA(

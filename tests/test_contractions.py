@@ -7,7 +7,7 @@ import pytest
 
 from lssurv.likelihood import LikelihoodContext, contract_records, contract_times
 from lssurv.models import REGISTRY_ORDER, get_model
-from lssurv.variance import _psi_qz_rows
+from lssurv.variance import _psi_qz_rows, _second_order_pass
 
 from conftest import make_dataset
 from oracles import eta_q_hat, qhat_T_star
@@ -70,8 +70,9 @@ def test_grid_contractions_match_dense_einsum(name, d_z):
     env = ctx._evaluate(theta, need_score=True)
     qstar = np.einsum("kj,kjd->kd", env["Wt"], Gtgt)
     np.testing.assert_allclose(env["qstar_ratio"], qstar, **close)
+    Lcen = model.log_density(theta, tcol, z_cens)
     tail_w = np.where(ctx.tail_mask, np.exp(
-        ctx.logw[:, None] + env["Lcen"] - env["lqhat"][:, None] - env["cens_logsum"][None, :]
+        ctx.logw[:, None] + Lcen - env["lqhat"][:, None] - env["cens_logsum"][None, :]
     ), 0.0)
     psi3 = np.einsum("ki,kid->id", tail_w, Gcen) - np.einsum("ki,kd->id", tail_w, qstar)
     np.testing.assert_allclose(env["psi"][ctx.cens_idx], psi3, **close)
@@ -84,10 +85,11 @@ def test_grid_contractions_match_dense_einsum(name, d_z):
 
     # at d_z = 0 the objective is flat in theta (A is singular), so the rows
     # are taken from the sandwich's own assembly step
-    phi = np.where(ctx.tail_mask, np.exp(env["Lcen"] - env["lqhat"][:, None]), 0.0)
+    phi = np.where(ctx.tail_mask, np.exp(Lcen - env["lqhat"][:, None]), 0.0)
     s0 = np.exp(env["cens_logsum"])
     c_mat = env["psi3_cens"] / s0[:, None]
-    np.testing.assert_allclose(_psi_qz_rows(ctx, env, phi, s0, c_mat),
+    _, _, R, G = _second_order_pass(ctx, theta)
+    np.testing.assert_allclose(_psi_qz_rows(ctx, env, R, G),
                                dense_psi_qz(ctx, env, phi, s0, c_mat, Gtgt, Gcen),
                                rtol=1e-10, atol=1e-12)
 

@@ -20,7 +20,7 @@ import lssurv.likelihood as lik
 from lssurv.errors import NumericalUnderflow
 from lssurv.likelihood import LikelihoodContext
 from lssurv.models import REGISTRY_ORDER, get_model
-from lssurv.variance import _psi_qz_rows, a_matrix
+from lssurv.variance import _psi_qz_rows, _second_order_pass, a_matrix
 
 from conftest import make_dataset
 from fixture_models import OneSlot, RecordingPHWeibull, TwoPointLogNormal, two_point_dataset
@@ -111,13 +111,10 @@ def test_grid_blocks_are_balanced():
 
 def grid_outputs(model, ds, theta):
     ctx = LikelihoodContext(model, ds)
-    env = ctx._evaluate(theta, need_score=True)
-    phi = np.where(ctx.tail_mask, np.exp(env["Lcen"] - env["lqhat"][:, None]), 0.0)
-    s0 = np.exp(env["cens_logsum"])
-    c_mat = env["psi3_cens"] / s0[:, None]
+    env, A, R, G = _second_order_pass(ctx, theta)
     out = {key: env[key] for key in ("loglik", "score", "psi", "qstar_ratio", "Wt", "tail_w")}
-    out["a_matrix"] = a_matrix(ctx, theta)
-    out["psi_qz"] = _psi_qz_rows(ctx, env, phi, s0, c_mat)
+    out["a_matrix"] = A
+    out["psi_qz"] = _psi_qz_rows(ctx, env, R, G)
     return out
 
 
