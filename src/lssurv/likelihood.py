@@ -14,10 +14,14 @@ gradient is exact and stable.
 
 Both (event time x record) grids are walked in blocks of at most
 ``_BLOCK_CELLS`` cells, one ``terms`` call per block, each contracted at
-once: the target grid in blocks of event-time rows, since its log-sums run
-over records, and the censored grid in blocks of record columns, since its
-tail log-sums run over event times.  So every block's log-sum is complete
-and the block size changes no formula.
+once: the target grid in blocks of event-time rows (``grid_blocks``), since
+its log-sums run over records, and the censored grid in blocks of record
+columns (``tail_blocks``), since its tail log-sums run over event times.  The
+kept censored records are sorted by time, so each one's tail is a suffix of
+the event-time rows and a column block starts at its first record's tail
+row: only that staircase is evaluated, not the whole rectangle.  Every
+block's log-sum is complete, so the block size changes no formula.  An
+evaluation keeps no grid: only the per-row and per-record results.
 
 A pass hands its blocks to ``map_blocks``, which splits them into contiguous
 chunks, one per thread, when every chunk gets at least two blocks: the
@@ -57,6 +61,9 @@ _LOG_FLOOR = math.log(1e-300)
 # temporaries of one block stay in cache
 _BLOCK_CELLS = 1 << 16
 
+# float64 temporaries a block of a second-order pass may hold at once
+_BLOCK_TEMPORARIES = 16
+
 
 def grid_blocks(n_rows, n_cols):
     """Slices of at most ``_BLOCK_CELLS`` cells, and at least one row, over
@@ -65,6 +72,19 @@ def grid_blocks(n_rows, n_cols):
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
     n_blocks = -(-n_rows // step)
     return [slice(n_rows * i // n_blocks, n_rows * (i + 1) // n_blocks) for i in range(n_blocks)]
+
+
+def tail_blocks(tail_start, n_rows):
+    """Slices over records whose tails are the rows from ``tail_start``
+    (non-decreasing) to ``n_rows``: each block covers the rows from its
+    first record's tail start, at most ``_BLOCK_CELLS`` cells of them and at
+    least one record."""
+    blocks, a = [], 0
+    while a < len(tail_start):
+        b = a + max(1, _BLOCK_CELLS // (n_rows - int(tail_start[a])))
+        blocks.append(slice(a, min(b, len(tail_start))))
+        a = b
+    return blocks
 
 
 def usable_cores():
@@ -156,16 +176,16 @@ def _check(logs, what):
 
 def log_sum_weights(a, axis, mask=None):
     """``log sum exp(a)`` along ``axis`` and the normalized weights
-    ``exp(a - logsum)`` from one max-shifted ``exp``; entries outside
-    ``mask`` count as ``-inf`` (weight 0).  The mask is applied by value, not
-    through ``where=``, which would take numpy's element-wise loops."""
+    ``exp(a - logsum)`` from one max-shifted ``exp``, formed in ``a`` itself;
+    entries outside ``mask`` count as ``-inf`` (weight 0)."""
     if mask is not None:
-        a = np.where(mask, a, -np.inf)
+        np.copyto(a, -np.inf, where=~mask)
     m = np.max(a, axis=axis, keepdims=True)
-    e = np.exp(a - m)
-    total = e.sum(axis=axis, keepdims=True)
-    e /= total
-    return np.squeeze(m + np.log(total), axis=axis), e
+    a -= m
+    np.exp(a, out=a)
+    total = a.sum(axis=axis, keepdims=True)
+    a /= total
+    return np.squeeze(m + np.log(total), axis=axis), a
 
 
 def contract_records(factors, W):
@@ -213,11 +233,14 @@ class LikelihoodContext:
     """Data-dependent, theta-independent scaffolding plus a one-slot cache
     of the last evaluated theta.
 
-    The evaluation at the maximizer is also the state the sandwich variance
+    The kept censored records (``cens_idx``) run in time order, so record
+    m's tail is the event-time rows from ``tail_start[m]`` on.  The
+    evaluation at the maximizer is also the state the sandwich variance
     reads: beside the product-limit fit and the kept censored records, it
-    keeps ``lqhat``, the normalized target and tail weights ``Wt`` (K x n2)
-    and ``tail_w`` (K x n_c), the tail log-sums and, with the score,
-    ``qstar_ratio`` and the score rows ``psi`` (``psi3_cens`` censored).
+    keeps ``lqhat`` and the tail log-sums ``cens_logsum`` (from which the
+    variance's one pass recomputes the target and tail weights block by
+    block) and, with the score, ``qstar_ratio`` and the score rows ``psi``
+    (``psi3_cens`` censored); no (event time x record) array.
     """
 
     def __init__(self, model: SurvivalModel, dataset: Dataset):
@@ -235,20 +258,29 @@ class LikelihoodContext:
         self.k_of_unc = np.searchsorted(self.tk, dataset.x[self.unc_idx])
         # censored records with at least one event time strictly beyond them
         tail_ok = dataset.x[self.cens_idx_all] < self.tk[-1]
-        self.cens_idx = self.cens_idx_all[tail_ok]
+        kept = self.cens_idx_all[tail_ok]
         self.n_dropped = int((~tail_ok).sum())
         if self.n_dropped:
             logger.debug(
                 "dropping %d censored record(s) beyond the last event time", self.n_dropped
             )
-        if self.unc_idx.size == 0 and self.cens_idx.size == 0:
+        if self.unc_idx.size == 0 and kept.size == 0:
             raise EmptyTail("no usable source contribution")
-        # tail mask: event time k strictly beyond censored record i
-        self.tail_mask = self.tk[:, None] > dataset.x[self.cens_idx][None, :]
-        # record order for the deterministic final reduction
+        by_time = np.argsort(dataset.x[kept], kind="stable")
+        self.cens_idx = kept[by_time]
+        # first event time strictly beyond each kept censored record
+        self.tail_start = np.searchsorted(self.tk, dataset.x[self.cens_idx], side="right")
+        # record order for the deterministic final reductions
         self.sum_order = np.lexsort((1 - dataset.delta, dataset.x))
+        self.cens_by_record = np.argsort(by_time)
         self._cache_key = None
         self._cache_val = None
+        # glibc raises its dynamic mmap threshold to the size of a freed
+        # mmapped chunk, and its trim threshold to twice that: one chunk the
+        # size of a block's temporaries, freed at once, keeps the blocks'
+        # freed temporaries in the heap for the next block, instead of handed
+        # back to the kernel and faulted in again
+        np.empty(_BLOCK_TEMPORARIES * _BLOCK_CELLS)
 
     # -- per-theta evaluation ------------------------------------------------
 
@@ -261,48 +293,40 @@ class LikelihoodContext:
         theta = model.check_theta(theta, ds.d_z)
         order, d, K, n_c = int(need_score), theta.shape[0], self.K, self.cens_idx.size
 
-        # each block's terms stay referenced until the next block's replace
-        # them, as a loop variable's would: freeing them on return lets glibc
-        # trim the heap, and the next block faults the pages back in
-        held = [None]
-
         # target grid (K, n2) in blocks of event-time rows: each row's
         # log-sum over the target records is complete within its block
-        lqhat, Wt = np.empty(K), np.empty((K, ds.n2))            # Wt rows sum to 1
+        lqhat = np.empty(K)
         qstar_ratio = np.empty((K, d))                            # qhat* / qhat
 
         def target_rows(k):
             block = model.terms(theta, self.tk[k, None], ds.z_target, order)
-            lse, Wt[k] = log_sum_weights(block[0], axis=1)
+            lse, wt = log_sum_weights(block[0], axis=1)          # rows sum to 1
             lqhat[k] = lse - math.log(ds.n2)
             _check(lqhat[k], "target-averaged density")
             if need_score:
-                qstar_ratio[k] = contract_records(block[1], Wt[k])
-            held[0] = block
+                qstar_ratio[k] = contract_records(block[1], wt)
 
         map_blocks(target_rows, grid_blocks(K, ds.n2))
 
         own = model.terms(theta, ds.x[self.unc_idx], ds.z_source[self.unc_idx], order)
         _check(own[0], "event density")
 
-        # censored grid (K, n_c) in blocks of record columns: each record's
-        # tail log-sum over the event times is complete within its block
-        z_cens = ds.z_source[self.cens_idx]
-        tail_w = np.empty((K, n_c))                                # columns sum to 1
+        # censored grid in blocks of record columns, each from its first
+        # record's tail row on: each tail log-sum is complete within its block
+        x_cens, z_cens = ds.x[self.cens_idx], ds.z_source[self.cens_idx]
         cens_logsum, psi3 = np.empty(n_c), np.zeros((n_c, d))
 
         def censored_columns(m):
-            block = model.terms(theta, self.tk[:, None], z_cens[m], order)
-            cens_logsum[m], tw = log_sum_weights(
-                self.logw[:, None] + block[0] - lqhat[:, None], axis=0, mask=self.tail_mask[:, m]
-            )
+            k = slice(self.tail_start[m.start], K)
+            block = model.terms(theta, self.tk[k, None], z_cens[m], order)
+            cens_logsum[m], tw = log_sum_weights(                  # columns sum to 1
+                self.logw[k, None] + block[0] - lqhat[k, None], axis=0,
+                mask=self.tk[k, None] > x_cens[m])
             _check(cens_logsum[m], "censored tail")
-            tail_w[:, m] = tw
             if need_score:
-                psi3[m] = contract_times(block[1], tw) - tw.T @ qstar_ratio
-            held[0] = block, tw
+                psi3[m] = contract_times(block[1], tw) - tw.T @ qstar_ratio[k]
 
-        map_blocks(censored_columns, grid_blocks(n_c, K))
+        map_blocks(censored_columns, tail_blocks(self.tail_start, K))
 
         contrib = np.zeros(ds.n1)
         contrib[self.unc_idx] = own[0] - lqhat[self.k_of_unc]
@@ -312,9 +336,7 @@ class LikelihoodContext:
         env = {
             "theta": theta,
             "lqhat": lqhat,
-            "Wt": Wt,
             "cens_logsum": cens_logsum,
-            "tail_w": tail_w,
             "loglik": loglik,
         }
         if need_score:
@@ -325,7 +347,7 @@ class LikelihoodContext:
             env["qstar_ratio"] = qstar_ratio
             env["psi3_cens"] = psi3
             env["psi"] = psi
-            env["score"] = (unc_rows.sum(axis=0) + psi3.sum(axis=0)) / ds.n1
+            env["score"] = (unc_rows.sum(axis=0) + psi3[self.cens_by_record].sum(axis=0)) / ds.n1
         self._cache_key = theta.tobytes()
         self._cache_val = env
         return env

@@ -14,18 +14,22 @@ terms whose target sums vanish identically (the target average only enters
 through ratios against itself).
 
 Every input comes from the fit's own ``LikelihoodContext`` evaluated at
-theta-hat: its product-limit fit, its kept censored records (one empty-tail
-rule), the normalized target and tail weights ``Wt`` and ``tau`` and the
-per-record score rows.  One second-order row pass (``_second_order_pass``)
-walks both grids in blocks of event-time rows (``likelihood.grid_blocks``),
-one second-order ``terms`` call per grid and block, and gives ``A`` and the
-target rows' density-gradient sums; no (K, n, d) or (K, n, d, d) tensor is
-formed.  The influence terms contract the kept tail weights with the
-censored score rows first (``tau @ psi3``), so nothing of size K x n_c or
-n1 x n_c is formed either.  The blocks run through ``likelihood.map_blocks``,
-in contiguous chunks on every usable core once each chunk gets two blocks;
-each block returns its partial sums and the caller adds them in block order,
-so no output depends on the thread count.
+theta-hat: its product-limit fit, its kept censored records in time order
+(one empty-tail rule), ``lqhat``, the tail log-sums and the per-record score
+rows.  One second-order row pass (``_second_order_pass``) walks both grids in
+blocks of event-time rows (``likelihood.grid_blocks``), one second-order
+``terms`` call per grid and block.  Each block recomputes its target weights
+with the evaluation's own ``log_sum_weights`` call and the tail weights of
+the censored records whose tails reach it, a prefix in time order.  The pass
+gives ``A`` and every row-local sum the influence terms need (``tau @ psi3``
+first), so ``_psi_pt_rows`` and ``_psi_qz_rows`` work in d columns; no (K, n),
+(K, n, d) or (K, n, d, d) array is formed.  The blocks run through
+``likelihood.map_blocks`` in fixed groups of consecutive blocks, in
+contiguous chunks on every usable core once each chunk gets two groups; each
+group sums its blocks' partials in block order and the caller adds the
+groups' in group order.  The groups depend on the block count only, so no
+output depends on the thread count and at most one (n2 x d) partial per
+group is held.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import SingularA
 from .likelihood import (LikelihoodContext, contract_hessian, contract_records, contract_times,
-                         grid_blocks, map_blocks)
+                         grid_blocks, log_sum_weights, map_blocks)
 from .models import full_gradient
 
 
@@ -53,39 +57,66 @@ class VarianceParts:
 
 # -- the one grid pass ---------------------------------------------------------
 
+# the pass sums its row blocks' (n2 x d) partials in at most this many groups
+# of consecutive blocks, cut by the block count alone: at most one partial per
+# group is held, and no sum depends on the thread count
+_GROUPS = 16
+
+
 def _second_order_pass(ctx: LikelihoodContext, theta):
-    """The evaluation at theta, ``A``, ``R`` (K, d) with ``R_k = sum_m
-    tau_km grad l(t_k, Z_m)`` over the censored records, and ``G`` (n2, d)
-    with ``G_j = sum_k c_k Wt_kj grad l(t_k, z_j)`` over the event times."""
+    """The evaluation at theta, ``A`` and the pass's row-local sums over the
+    kept censored records: ``tau_k`` (K,) the tail weight at ``t_k``,
+    ``tau_psi3 = tau @ psi3`` (K, d), ``M_k = tau_psi3_k - R_k + 2 tau_k
+    q_k`` (K, d) with ``R_k = sum_m tau_km grad l(t_k, Z_m)``, and the target
+    sum ``T_j = sum_k Wt_kj (ck_k q_k + M_k - c_k grad l(t_k, z_j))`` (n2, d)."""
     env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
     theta, model, ds = env["theta"], ctx.model, ctx.dataset
-    q, Wt, tau, psi3 = env["qstar_ratio"], env["Wt"], env["tail_w"], env["psi3_cens"]
-    tau_k = tau.sum(axis=1)
-    c = ctx.km.event_counts + tau_k
-    z_cens = ds.z_source[ctx.cens_idx]
+    q, psi3, lqhat, cens_logsum = env["qstar_ratio"], env["psi3_cens"], env["lqhat"], env["cens_logsum"]
+    ck = ctx.km.event_counts.astype(float)
+    x_cens, z_cens = ds.x[ctx.cens_idx], ds.z_source[ctx.cens_idx]
     _, own, own2 = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 2)
     g_own = full_gradient(own)
     A = contract_hessian(own, own2, np.ones(ctx.unc_idx.shape)) - g_own.T @ g_own
-    R = np.zeros_like(q)
-    G = np.zeros((ds.n2, q.shape[1]))
+    tau_k, tau_psi3, R, M = np.empty(ctx.K), np.empty_like(q), np.empty_like(q), np.empty_like(q)
 
     def block_parts(k):
         t = ctx.tk[k, None]
-        _, tgt, tgt2 = model.terms(theta, t, ds.z_target, 2)
-        _, cen, cen2 = model.terms(theta, t, z_cens, 2)
-        R[k] = contract_records(cen, tau[k])
-        v = c[k, None] * Wt[k]
-        return (contract_hessian(tgt, tgt2, v), contract_hessian(cen, cen2, tau[k]),
-                contract_times(tgt, v))
+        lt, tgt, tgt2 = model.terms(theta, t, ds.z_target, 2)
+        wt = log_sum_weights(lt, axis=1)[1]             # the evaluation's target weights
+        p = np.searchsorted(x_cens, ctx.tk[k.stop - 1])  # records whose tails reach the block
+        lc, cen, cen2 = model.terms(theta, t, z_cens[:p], 2)
+        lc += (ctx.logw[k] - lqhat[k])[:, None]
+        lc -= cens_logsum[:p]
+        np.copyto(lc, -np.inf, where=t <= x_cens[:p])
+        tau = np.exp(lc, out=lc)
+        tau_k[k] = tau.sum(axis=1)
+        tau_psi3[k] = tau @ psi3[:p]
+        R[k] = contract_records(cen, tau)
+        M[k] = tau_psi3[k] - R[k] + 2.0 * tau_k[k, None] * q[k]
+        v = (ck[k] + tau_k[k])[:, None] * wt
+        return (contract_hessian(cen, cen2, tau) - contract_hessian(tgt, tgt2, v),
+                wt.T @ (ck[k, None] * q[k] + M[k]) - contract_times(tgt, v))
+
+    def group_sums(group):
+        a_part, t_part = block_parts(group[0])
+        for k in group[1:]:
+            da, dt = block_parts(k)
+            a_part += da
+            t_part += dt
+        return a_part, t_part
 
     blocks = grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size))
-    for tgt_part, cen_part, g_part in map_blocks(block_parts, blocks):
-        A -= tgt_part
-        A += cen_part
-        G += g_part
+    n_groups = min(len(blocks), _GROUPS)
+    groups = [blocks[len(blocks) * i // n_groups:len(blocks) * (i + 1) // n_groups]
+              for i in range(n_groups)]
+    T = np.zeros((ds.n2, q.shape[1]))
+    for a_part, t_part in map_blocks(group_sums, groups):
+        A += a_part
+        T += t_part
+    c = ck + tau_k
     A += ((c + tau_k)[:, None] * q).T @ q - R.T @ q - q.T @ R - psi3.T @ psi3
     A /= ds.n1
-    return env, 0.5 * (A + A.T), R, G
+    return env, 0.5 * (A + A.T), tau_k, tau_psi3, M, T
 
 
 def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
@@ -98,23 +129,23 @@ def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
     ``tau``-weighted censored Hessians and outer products of
     ``grad l(t_k, Z_m) - qstar_ratio_k``, minus each censored score row's
     outer product.  It comes from the one second-order row pass, which also
-    gives the sandwich its target rows.
+    gives the sandwich its row-local sums.
     """
     return _second_order_pass(ctx, theta)[1]
 
 
 # -- event-CDF estimation component -------------------------------------------
 
-def _psi_pt_rows(ctx: LikelihoodContext, tau, psi3):
+def _psi_pt_rows(ctx: LikelihoodContext, tau_psi3):
     # phi_m(t_k) = I(t_k > X_m) q(t_k, Z_m) / qhat(t_k) is kept censored record
     # m's tail integrand, s0_m = sum_k w_k phi_m(t_k) its tail sum, and its
     # influence enters weighted by c_m = psi3_m / s0_m.  Every step below is
     # linear in phi's columns, so the sum over m comes first: with
     # tau_km = w_k phi_m(t_k) / s0_m, phi @ c = (tau @ psi3) / w
     ds, km = ctx.dataset, ctx.km
-    n1, d = ds.n1, psi3.shape[1]
+    n1, d = ds.n1, tau_psi3.shape[1]
     tk, g0e = ctx.tk, km.g0_at_events
-    phi_c = (tau @ psi3) / ctx.w[:, None]                                 # (K, d)
+    phi_c = tau_psi3 / ctx.w[:, None]                                     # (K, d)
     b = (km.event_counts * g0e)[:, None] * phi_c / n1
     suffix = np.vstack([np.cumsum(b[::-1], axis=0)[::-1], np.zeros((1, d))])
 
@@ -131,27 +162,23 @@ def _psi_pt_rows(ctx: LikelihoodContext, tau, psi3):
 
 # -- covariate-distribution component -----------------------------------------
 
-def _psi_qz_rows(ctx: LikelihoodContext, env, R, G):
-    # closed form in the pass's R and G: with tau_k the tail weight at t_k and
-    # M = tau @ psi3 - R + 2 tau_k q, the rows are
-    # tau_k @ q - sum_k M_k + n2 (Wt^T (ck q + M) - G), over n1
-    ds, q, tau = ctx.dataset, env["qstar_ratio"], env["tail_w"]
-    ck = ctx.km.event_counts.astype(float)
-    tau_k = tau.sum(axis=1)
-    M = tau @ env["psi3_cens"] - R + 2.0 * tau_k[:, None] * q
-    rows = ds.n2 * (env["Wt"].T @ (ck[:, None] * q + M) - G)
-    rows += tau_k @ q - M.sum(axis=0)
+def _psi_qz_rows(ctx: LikelihoodContext, env, tau_k, M, T):
+    # closed form in the pass's row-local sums: the rows are
+    # tau_k @ q - sum_k M_k + n2 T, over n1
+    ds = ctx.dataset
+    rows = ds.n2 * T
+    rows += tau_k @ env["qstar_ratio"] - M.sum(axis=0)
     return rows / ds.n1
 
 
 def asymptotic_variance(ctx: LikelihoodContext, theta_hat):
     """Sandwich covariance of sqrt(n0) (theta_hat - theta0) and its parts,
     read from ``ctx`` (the context the fit maximized) at ``theta_hat``."""
-    env, A, R, G = _second_order_pass(ctx, theta_hat)
+    env, A, tau_k, tau_psi3, M, T = _second_order_pass(ctx, theta_hat)
     dataset = ctx.dataset
     psi = env["psi"]
-    psi_pt = _psi_pt_rows(ctx, env["tail_w"], env["psi3_cens"])
-    psi_qz = _psi_qz_rows(ctx, env, R, G)
+    psi_pt = _psi_pt_rows(ctx, tau_psi3)
+    psi_qz = _psi_qz_rows(ctx, env, tau_k, M, T)
 
     pi_n = dataset.pi_n
     v_p = np.cov(psi + psi_pt, rowvar=False, ddof=1)

@@ -12,12 +12,17 @@ Each keeps its own arithmetic, apart from the array code it checks:
   functionals at one query point;
 * ``eta_q_hat`` is the three target-side influence integrals at one
   conditioning point;
+* ``target_weights`` and ``tail_weights`` are the dense (event time x
+  record) weights of an evaluation, rebuilt from ``log_density``;
+* ``rectangle_columns`` is the censored tail pass over the whole masked
+  (event time x censored record) rectangle, in record order;
 * ``SURVIVAL`` holds each zoo model's survival function in closed form, in
   u-space, for the log-survival kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +180,51 @@ def s_functionals(ctx, theta, x, z) -> SFunctionals:
     return SFunctionals(s0=float(r.sum()), s1=r @ full_gradient(factors), s2=r @ env["qstar_ratio"])
 
 
+def target_weights(ctx, env):
+    """``Wt`` (K x n2): ``q(t_k, z_j) / (n2 qhat(t_k))``, rows summing to 1."""
+    ds = ctx.dataset
+    lq = ctx.model.log_density(env["theta"], ctx.tk[:, None], ds.z_target)
+    return np.exp(lq - env["lqhat"][:, None] - math.log(ds.n2))
+
+
+def tail_weights(ctx, env):
+    """``tau`` (K x n_c) over the kept censored records in ``ctx.cens_idx``
+    order: ``w_k q(t_k, Z_m) / qhat(t_k)`` over record m's tail sum beyond
+    its censoring time, 0 elsewhere; columns summing to 1."""
+    ds = ctx.dataset
+    lc = ctx.model.log_density(env["theta"], ctx.tk[:, None], ds.z_source[ctx.cens_idx])
+    mask = ctx.tk[:, None] > ds.x[ctx.cens_idx]
+    return np.where(mask, np.exp(
+        ctx.logw[:, None] + lc - env["lqhat"][:, None] - env["cens_logsum"]), 0.0)
+
+
+def rectangle_columns(ctx, theta):
+    """The log-likelihood and score with every censored tail summed over
+    all K event-time rows, masked beyond the censoring time, in column
+    blocks of the (K x n_c) rectangle with the kept censored records in
+    record order; the target rows and the event records as the evaluation
+    has them."""
+    env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
+    theta, model, ds = env["theta"], ctx.model, ctx.dataset
+    lqhat, qstar = env["lqhat"], env["qstar_ratio"]
+    cens = np.sort(ctx.cens_idx)
+    mask = ctx.tk[:, None] > ds.x[cens][None, :]
+    z_cens = ds.z_source[cens]
+    logsum, psi3 = np.empty(cens.size), np.zeros((cens.size, theta.size))
+    for m in grid_blocks(cens.size, ctx.K):
+        lc, factors = model.terms(theta, ctx.tk[:, None], z_cens[m], 1)
+        logsum[m], tw = log_sum_weights(ctx.logw[:, None] + lc - lqhat[:, None], axis=0,
+                                        mask=mask[:, m])
+        psi3[m] = contract_times(factors, tw) - tw.T @ qstar
+    own = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 1)
+    contrib = np.zeros(ds.n1)
+    contrib[ctx.unc_idx] = own[0] - lqhat[ctx.k_of_unc]
+    contrib[cens] = logsum
+    unc_rows = full_gradient(own[1]) - qstar[ctx.k_of_unc]
+    return (math.fsum(contrib[ctx.sum_order]) / ds.n1,
+            (unc_rows.sum(axis=0) + psi3.sum(axis=0)) / ds.n1)
+
+
 def eta_q_hat(ctx, theta, x, z):
     """The three target-side influence integrals of the tail functionals at
     the conditioning point ``(x, z)``, one value (or d-vector) per target
@@ -183,7 +233,7 @@ def eta_q_hat(ctx, theta, x, z):
     """
     env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
     theta, model, tk, ds = env["theta"], ctx.model, ctx.tk, ctx.dataset
-    rho_tgt = env["Wt"] * ds.n2
+    rho_tgt = target_weights(ctx, env) * ds.n2
     qstar = env["qstar_ratio"]
     lz, factors = model.terms(theta, tk, np.asarray(z, dtype=float), 1)
     gz = full_gradient(factors)

@@ -10,7 +10,7 @@ from lssurv.models import REGISTRY_ORDER, get_model
 from lssurv.variance import _psi_qz_rows, _second_order_pass
 
 from conftest import make_dataset
-from oracles import eta_q_hat, qhat_T_star
+from oracles import eta_q_hat, qhat_T_star, tail_weights, target_weights
 
 BASELINE = {
     "ph-weibull": [1.2, 0.8],
@@ -26,7 +26,7 @@ def dense_psi_qz(ctx, env, phi, s0, c_mat, Gtgt, Gcen):
     n1, n2 = ctx.dataset.n1, ctx.dataset.n2
     ck = ctx.km.event_counts.astype(float)
     qstar = env["qstar_ratio"]
-    rho = env["Wt"] * n2
+    rho = target_weights(ctx, env) * n2
     term1 = -(
         np.einsum("k,kj,kjd->jd", ck, rho, Gtgt) - np.einsum("k,kj,kd->jd", ck, rho, qstar)
     ) / n1
@@ -68,12 +68,10 @@ def test_grid_contractions_match_dense_einsum(name, d_z):
                                np.einsum("ki,kid->id", V, Gcen), **close)
 
     env = ctx._evaluate(theta, need_score=True)
-    qstar = np.einsum("kj,kjd->kd", env["Wt"], Gtgt)
+    Wt = target_weights(ctx, env)
+    qstar = np.einsum("kj,kjd->kd", Wt, Gtgt)
     np.testing.assert_allclose(env["qstar_ratio"], qstar, **close)
-    Lcen = model.log_density(theta, tcol, z_cens)
-    tail_w = np.where(ctx.tail_mask, np.exp(
-        ctx.logw[:, None] + Lcen - env["lqhat"][:, None] - env["cens_logsum"][None, :]
-    ), 0.0)
+    tail_w = tail_weights(ctx, env)
     psi3 = np.einsum("ki,kid->id", tail_w, Gcen) - np.einsum("ki,kd->id", tail_w, qstar)
     np.testing.assert_allclose(env["psi"][ctx.cens_idx], psi3, **close)
 
@@ -85,18 +83,19 @@ def test_grid_contractions_match_dense_einsum(name, d_z):
 
     # at d_z = 0 the objective is flat in theta (A is singular), so the rows
     # are taken from the sandwich's own assembly step
-    phi = np.where(ctx.tail_mask, np.exp(Lcen - env["lqhat"][:, None]), 0.0)
+    mask = ctx.tk[:, None] > ds.x[ctx.cens_idx]
+    phi = np.where(mask, np.exp(model.log_density(theta, tcol, z_cens) - env["lqhat"][:, None]), 0.0)
     s0 = np.exp(env["cens_logsum"])
     c_mat = env["psi3_cens"] / s0[:, None]
-    _, _, R, G = _second_order_pass(ctx, theta)
-    np.testing.assert_allclose(_psi_qz_rows(ctx, env, R, G),
+    _, _, tau_k, _, M, T = _second_order_pass(ctx, theta)
+    np.testing.assert_allclose(_psi_qz_rows(ctx, env, tau_k, M, T),
                                dense_psi_qz(ctx, env, phi, s0, c_mat, Gtgt, Gcen),
                                rtol=1e-10, atol=1e-12)
 
     m = ctx.cens_idx[0]
     wr = ctx.w * np.where(ctx.tk > ds.x[m], np.exp(
         model.log_density(theta, ctx.tk, ds.z_source[m]) - env["lqhat"]), 0.0)
-    rho = env["Wt"] * ds.n2
+    rho = Wt * ds.n2
     eta2 = np.einsum("k,kjd->jd", wr, rho[:, :, None] * Gtgt - qstar[:, None, :]) \
         - 2.0 * np.einsum("k,kd,kj->jd", wr, qstar, rho - 1.0)
     np.testing.assert_allclose(eta_q_hat(ctx, theta, ds.x[m], ds.z_source[m])[2], eta2, **close)

@@ -26,7 +26,8 @@ from lssurv.models import SurvivalModel, get_model
 from lssurv.variance import a_matrix, asymptotic_variance
 
 from fixture_models import OneSlot, TwoPointLogNormal, two_point_dataset
-from oracles import eta_q_hat, influence_context, influence_evaluator, s_functionals
+from oracles import (eta_q_hat, influence_context, influence_evaluator, s_functionals,
+                     target_weights)
 
 
 def sim_dataset(seed=11, n1=160, n2=160):
@@ -406,7 +407,7 @@ def test_psi_qz_rows_match_per_record_reconstruction():
     fast = parts.psi_qZ_per_target
 
     env = ctx._evaluate(theta, need_score=True)
-    rho_tgt = env["Wt"] * ds.n2
+    rho_tgt = target_weights(ctx, env) * ds.n2
     qstar_ratio = env["qstar_ratio"]
     Gtgt = model.log_density_grad(theta, ctx.tk[:, None], ds.z_target)
     slow = np.zeros_like(fast)

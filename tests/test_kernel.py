@@ -4,10 +4,12 @@
 ``u_log_survival`` the log survival function and its partials from the same
 preamble; each order must repeat the lower orders' entries exactly and stay
 finite where the capped exponent binds.  The grid passes walk the (event
-time x record) grids in balanced blocks of at most ``likelihood._BLOCK_CELLS``
-cells; shrinking the budget down to single rows and single columns must not
-move any output, and running the blocks on two threads must not move any
-bit of it."""
+time x record) grids in blocks of at most ``likelihood._BLOCK_CELLS`` cells:
+the target grid in balanced row blocks, the censored tails in column blocks
+of the staircase the time-sorted records make.  Shrinking the budget down to
+single rows and single columns must not move any output, running the blocks
+on two threads must not move any bit of it, and walking only the tails must
+give the bits of the whole masked rectangle."""
 
 import logging
 import sys
@@ -16,15 +18,16 @@ import threading
 import numpy as np
 import pytest
 
+import lssurv as ls
 import lssurv.likelihood as lik
 from lssurv.errors import NumericalUnderflow
 from lssurv.likelihood import LikelihoodContext
 from lssurv.models import REGISTRY_ORDER, get_model
-from lssurv.variance import _psi_qz_rows, _second_order_pass, a_matrix
+from lssurv.variance import _psi_pt_rows, _psi_qz_rows, _second_order_pass, a_matrix
 
 from conftest import make_dataset
 from fixture_models import OneSlot, RecordingPHWeibull, TwoPointLogNormal, two_point_dataset
-from oracles import SURVIVAL
+from oracles import SURVIVAL, rectangle_columns, tail_weights, target_weights
 from test_contractions import BASELINE
 from test_hessian import assert_rel
 
@@ -109,12 +112,31 @@ def test_grid_blocks_are_balanced():
     assert [b.stop - b.start for b in lik.grid_blocks(200, 1000)] == [50] * 4
 
 
+def tail_dataset():
+    """Censored times that tie event times and each other, one censored
+    record whose tail is the last event time alone, and censored records at
+    and beyond the last event time (dropped)."""
+    ds = make_dataset(seed=31, n1=40, n2=3, censor_rate=0.8)
+    x, delta = ds.x.copy(), ds.delta.copy()
+    events = np.sort(x[delta == 1])
+    cens = np.flatnonzero(delta == 0)
+    x[cens[:3]] = events[10]                     # ties an event time and each other
+    x[cens[3:5]] = 0.5 * (events[5] + events[6])  # tie each other only
+    x[cens[5]] = 0.5 * (events[-2] + events[-1])  # tail: the last event time alone
+    x[cens[6]] = events[-1]                       # at the last event: dropped
+    x[cens[7]] = events[-1] + 1.0                 # beyond it: dropped
+    return ls.Dataset(x, delta, ds.z_source, ds.z_target)
+
+
 def grid_outputs(model, ds, theta):
     ctx = LikelihoodContext(model, ds)
-    env, A, R, G = _second_order_pass(ctx, theta)
-    out = {key: env[key] for key in ("loglik", "score", "psi", "qstar_ratio", "Wt", "tail_w")}
+    env, A, tau_k, tau_psi3, M, T = _second_order_pass(ctx, theta)
+    out = {key: env[key] for key in ("loglik", "score", "psi", "qstar_ratio", "cens_logsum")}
+    out["Wt"] = target_weights(ctx, env)
+    out["tail_w"] = tail_weights(ctx, env)
     out["a_matrix"] = A
-    out["psi_qz"] = _psi_qz_rows(ctx, env, R, G)
+    out["psi_pt"] = _psi_pt_rows(ctx, tau_psi3)
+    out["psi_qz"] = _psi_qz_rows(ctx, env, tau_k, M, T)
     return out
 
 
@@ -123,15 +145,72 @@ def _case(case):
         return TwoPointLogNormal(), two_point_dataset(n=30), np.array([0.75, 0.8, 0.6])
     if case == "one-slot":
         return OneSlot([1.0, 1.0, 1.0, 1.5]), make_dataset(seed=5, n1=40, n2=3), np.array([0.9])
+    if case == "tied-tails":
+        return get_model("ph-weibull"), tail_dataset(), np.array([0.4, -0.3, 1.2, 0.8])
     name, d_z = case
     # three target records, so a 7-cell budget takes two event-time rows
     ds = make_dataset(seed=29 + d_z, n1=40, n2=3, d_z=d_z)
     return get_model(name), ds, np.array([0.4, -0.3, 0.2][:d_z] + BASELINE[name])
 
 
+def test_tail_dataset_has_its_edge_cases():
+    ds = tail_dataset()
+    ctx = LikelihoodContext(get_model("ph-weibull"), ds)
+    x_cens, events = ds.x[ctx.cens_idx], np.sort(ds.x[ds.delta == 1])
+    assert ctx.n_dropped == 2
+    assert np.all(np.diff(x_cens) >= 0)
+    assert np.sum(x_cens == events[10]) == 3
+    assert np.sum(x_cens == 0.5 * (events[5] + events[6])) == 2
+    assert np.sum(ctx.tail_start == ctx.K - 1) == 1
+    np.testing.assert_array_equal(ctx.tail_start, np.searchsorted(ctx.tk, x_cens, side="right"))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, 500, 1 << 16])
+def test_tail_blocks_cut_the_staircase(cells, monkeypatch):
+    monkeypatch.setattr(lik, "_BLOCK_CELLS", cells)
+    for ds in (tail_dataset(), make_dataset(seed=3, n1=300, n2=5)):
+        ctx = LikelihoodContext(get_model("ph-weibull"), ds)
+        blocks = lik.tail_blocks(ctx.tail_start, ctx.K)
+        assert blocks[0].start == 0 and blocks[-1].stop == ctx.cens_idx.size
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert all(b.stop > b.start for b in blocks)
+        for b in blocks:
+            rows = ctx.K - ctx.tail_start[b.start]
+            assert rows * (b.stop - b.start) <= cells or b.stop - b.start == 1
+            # every record's tail lies within its block's rows
+            assert np.all(ctx.tail_start[b] >= ctx.tail_start[b.start])
+    assert lik.tail_blocks(np.array([], dtype=int), 5) == []
+
+
+@pytest.mark.parametrize("cells", [2048, 1 << 16])
+@pytest.mark.parametrize("case", list(REGISTRY_ORDER) + ["twopoint-lognormal", "tied-tails"])
+def test_tails_give_the_bits_of_the_masked_rectangle(case, cells, monkeypatch):
+    monkeypatch.setattr(lik, "_BLOCK_CELLS", cells)
+    if case in REGISTRY_ORDER:
+        model, ds = get_model(case), make_dataset(seed=37, n1=1000, n2=40)
+        theta = np.array([0.4, -0.3] + BASELINE[case])
+    else:
+        model, ds, theta = _case(case)
+    ctx = LikelihoodContext(model, ds)
+    loglik, sc = ctx.value_and_score(theta)
+    want_loglik, want_score = rectangle_columns(ctx, theta)
+    np.testing.assert_array_equal(loglik, want_loglik)
+    np.testing.assert_array_equal(sc, want_score)
+
+
+def test_an_evaluation_keeps_no_grid():
+    ds = make_dataset(seed=37, n1=300, n2=40)
+    ctx = LikelihoodContext(get_model("ph-weibull"), ds)
+    env = ctx._evaluate(np.array([0.4, -0.3, 1.2, 0.8]), need_score=True)
+    cells = ctx.K * min(ds.n2, ctx.cens_idx.size)
+    assert all(np.size(v) < cells for v in env.values())
+    assert all(np.size(v) < cells for v in vars(ctx).values() if isinstance(v, np.ndarray))
+
+
 @pytest.mark.parametrize(
     "case",
-    [(name, d_z) for name in REGISTRY_ORDER for d_z in (0, 1, 3)] + ["twopoint-lognormal", "one-slot"],
+    [(name, d_z) for name in REGISTRY_ORDER for d_z in (0, 1, 3)]
+    + ["twopoint-lognormal", "one-slot", "tied-tails"],
     ids=lambda case: case if isinstance(case, str) else f"{case[0]}-dz{case[1]}",
 )
 def test_block_budget_moves_no_output(case, monkeypatch):
@@ -142,7 +221,7 @@ def test_block_budget_moves_no_output(case, monkeypatch):
     assert len(lik.grid_blocks(ctx.K, ds.n2)) == 1
     for cells in (1, 7, 64):
         monkeypatch.setattr(lik, "_BLOCK_CELLS", cells)
-        assert len(lik.grid_blocks(ctx.K, ctx.cens_idx.size)) > 1
+        assert len(lik.tail_blocks(ctx.tail_start, ctx.K)) > 1
         monkeypatch.setattr(lik, "_threads", 1)
         serial = grid_outputs(model, ds, theta)
         for key, ref in want.items():

@@ -6,10 +6,10 @@ leaves ``A``, the source rows and the covariance as they are; duplicating
 every target row repeats the target influence rows and leaves the
 likelihood, its score, ``A`` and the source rows as they are.
 
-The variance contracts the kept tail weights with the censored score rows
-before it forms any per-record array, and walks the grids in blocks, so its
-working memory above the evaluation it reads stays well below one
-(event time x censored record) grid."""
+The evaluation walks the grids in blocks and keeps none of them; the
+variance recomputes the tail weights block by block and contracts them with
+the censored score rows before it forms any per-record array.  So neither
+one's working memory comes near one (event time x record) grid."""
 
 import tracemalloc
 
@@ -87,3 +87,29 @@ def test_variance_forms_no_per_record_tail_grid(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 30e6
+
+
+def test_evaluation_and_variance_form_no_event_time_by_record_grid(monkeypatch):
+    # n1 = n2 = 4000 (K = 2866, 1134 kept censored records): a quarter of
+    # one (K x n2) float64 grid is 22.9 MB, and the target and tail weights
+    # of one evaluation as grids 118 MB; the blocks' temporaries take about
+    # 4 MB in the evaluation and 11 MB in the variance, whatever n is
+    monkeypatch.setattr(lik, "_threads", 1)
+    theta = np.array([1.0, 1.0, 1.0, 1.5])
+    cfg = ls.SimConfig(model="ph-weibull", theta_true=tuple(theta), n1=4000, n2=4000, seed=1)
+    ds = ls.generate_dataset(cfg, np.random.default_rng(1))
+    ctx = LikelihoodContext(get_model("ph-weibull"), ds)
+    quarter = ctx.K * ds.n2 * 8 / 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctx.value_and_score(theta)
+        kept, eval_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        asymptotic_variance(ctx, theta)
+        var_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eval_peak - before < quarter
+    assert var_peak - kept < quarter
+    assert kept - before < quarter / 10
