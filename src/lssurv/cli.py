@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -147,16 +146,6 @@ def _g_from_menu(name: str):
     )
 
 
-def _default_threads():
-    env = os.environ.get("LSSURV_THREADS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            pass
-    return usable_cores()
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lssurv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -217,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--qz", default="n:0,n:1")
     sp.add_argument("--pt-rate", type=float, default=1.0)
     sp.add_argument("--pc-rate", type=float, default=0.4)
-    sp.add_argument("--threads", type=int, default=None, help="worker processes")
+    sp.add_argument("--threads", type=int, default=usable_cores(),
+                    help="worker processes (default: the CPUs this process may run on)")
     return p
 
 
@@ -322,17 +312,8 @@ def _cmd_mc(args):
         n_reps=args.reps,
         seed=args.seed if args.seed is not None else 0,
     )
-    threads = args.threads if args.threads is not None else _default_threads()
-    report = run_mc_study(config, n_jobs=threads)
-    if args.json:
-        text = json.dumps(report.to_json_dict(), indent=2)
-    else:
-        text = report.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+    report = run_mc_study(config, n_jobs=args.threads)
+    _emit(args, report.to_json_dict(), report.to_csv().rstrip("\n"))
     return 0
 
 

@@ -270,8 +270,6 @@ class LikelihoodContext:
         self.cens_idx = kept[by_time]
         # first event time strictly beyond each kept censored record
         self.tail_start = np.searchsorted(self.tk, dataset.x[self.cens_idx], side="right")
-        # record order for the deterministic final reductions
-        self.sum_order = np.lexsort((1 - dataset.delta, dataset.x))
         self.cens_by_record = np.argsort(by_time)
         self._cache_key = None
         self._cache_val = None
@@ -279,7 +277,8 @@ class LikelihoodContext:
         # mmapped chunk, and its trim threshold to twice that: one chunk the
         # size of a block's temporaries, freed at once, keeps the blocks'
         # freed temporaries in the heap for the next block, instead of handed
-        # back to the kernel and faulted in again
+        # back to the kernel and faulted in again.  This is the package's one
+        # heap rule, in Monte Carlo worker processes as in the caller's.
         np.empty(_BLOCK_TEMPORARIES * _BLOCK_CELLS)
 
     # -- per-theta evaluation ------------------------------------------------
@@ -331,7 +330,7 @@ class LikelihoodContext:
         contrib = np.zeros(ds.n1)
         contrib[self.unc_idx] = own[0] - lqhat[self.k_of_unc]
         contrib[self.cens_idx] = cens_logsum
-        loglik = math.fsum(contrib[self.sum_order]) / ds.n1
+        loglik = math.fsum(contrib) / ds.n1
 
         env = {
             "theta": theta,

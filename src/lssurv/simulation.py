@@ -12,19 +12,10 @@ each zoo log density is concave in u, so the envelope is the u-space log
 density at its mode, found for every time at once by bracketed Newton steps.
 A short random-walk Metropolis-Hastings chain takes the draws whose
 acceptance stalls.
-
-A Monte Carlo worker process raises glibc's heap trim and mmap thresholds
-when it starts: a replication's serial grid passes allocate and free a few
-block-sized arrays per block, and the freed memory then stays in the
-worker's heap instead of going back to the kernel and faulting in again on
-the next block.  Importing the package and in-process studies leave the
-allocator as it is.
 """
 
 from __future__ import annotations
 
-import ctypes
-import logging
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -38,18 +29,7 @@ from .estimator import FitOptions, fit
 from .likelihood import _set_threads, usable_cores
 from .models import SurvivalModel, get_model
 
-logger = logging.getLogger("lssurv")
-
 _LOG_HALF = math.log(0.5)
-
-# glibc's mallopt parameters (malloc.h) and the thresholds a Monte Carlo
-# worker sets.  Setting either one alone turns off glibc's dynamic mmap
-# threshold, which faults more than leaving both alone, so it is both or
-# neither.  32 MiB is the ceiling of glibc's own dynamic mmap threshold on
-# 64-bit; a block array (512 KiB) stays far below it.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_THRESHOLD_BYTES = 64 << 20
-_MMAP_THRESHOLD_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -313,38 +293,11 @@ def _run_one_rep(config: SimConfig, rep: int):
         return {"rep": rep, "error": f"{type(exc).__name__}: {exc}", "kind": type(exc).__name__}
 
 
-def _keep_freed_memory(libc):
-    """Raise the heap's trim and mmap thresholds through ``libc.mallopt``,
-    the mmap one first and the trim one only once that took; nothing where
-    there is no ``mallopt`` (a C library other than glibc)."""
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mmap = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    trim = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) if mmap else 0
-    logger.debug("worker allocator: mallopt(M_MMAP_THRESHOLD) -> %d, "
-                 "mallopt(M_TRIM_THRESHOLD) -> %d", mmap, trim)
-
-
-def _init_worker(threads):
-    """A Monte Carlo worker's set-up: its share of the cores for the grid
-    passes, and a heap that keeps freed memory."""
-    _set_threads(threads)
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):  # no dlopen(NULL) on this platform
-        return
-    _keep_freed_memory(libc)
-
-
 def run_mc_study(config: SimConfig, n_jobs: int = 1) -> McReport:
     """Replicated generate/fit/variance cycles aggregated into a report.
 
     Per-replication seeds are derived from ``(config.seed, rep)`` so the
     study is reproducible and order-independent under any parallel schedule.
-    With ``n_jobs > 1`` the replications run in worker processes that keep
-    freed heap memory (see the module docstring).
     """
     if config.n1 < 10 or config.n2 < 10:
         raise ValidationError("Monte Carlo runs need n1, n2 >= 10")
@@ -355,7 +308,7 @@ def run_mc_study(config: SimConfig, n_jobs: int = 1) -> McReport:
     if n_jobs > 1:
         # each worker's grid passes get its share of the cores
         share = max(1, usable_cores() // n_jobs)
-        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_set_threads,
                                  initargs=(share,)) as ex:
             results = list(ex.map(_run_one_rep, [config] * config.n_reps, reps, chunksize=1))
     else:

@@ -221,7 +221,7 @@ def rectangle_columns(ctx, theta):
     contrib[ctx.unc_idx] = own[0] - lqhat[ctx.k_of_unc]
     contrib[cens] = logsum
     unc_rows = full_gradient(own[1]) - qstar[ctx.k_of_unc]
-    return (math.fsum(contrib[ctx.sum_order]) / ds.n1,
+    return (math.fsum(contrib) / ds.n1,
             (unc_rows.sum(axis=0) + psi3.sum(axis=0)) / ds.n1)
 
 

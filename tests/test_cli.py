@@ -183,16 +183,6 @@ def test_mc_cli_csv_and_seed_reproducibility(tmp_path):
     )
 
 
-def test_threads_env_fallback(monkeypatch):
-    from lssurv.cli import _default_threads
-    from lssurv.likelihood import usable_cores
-
-    monkeypatch.setenv("LSSURV_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("LSSURV_THREADS", "junk")
-    assert _default_threads() == usable_cores()
-
-
 def test_run_cli_in_process(csv_pair, capsys):
     _, src, tgt = csv_pair
     code = run_cli(["fit", "--model", "ph-weibull", "--source", src, "--target", tgt])

@@ -9,8 +9,14 @@ likelihood, its score, ``A`` and the source rows as they are.
 The evaluation walks the grids in blocks and keeps none of them; the
 variance recomputes the tail weights block by block and contracts them with
 the censored score rows before it forms any per-record array.  So neither
-one's working memory comes near one (event time x record) grid."""
+one's working memory comes near one (event time x record) grid.  Nor do
+the blocks' freed temporaries go back to the kernel between blocks, to be
+faulted in again by the next one."""
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -113,3 +119,42 @@ def test_evaluation_and_variance_form_no_event_time_by_record_grid(monkeypatch):
     assert eval_peak - before < quarter
     assert var_peak - kept < quarter
     assert kept - before < quarter / 10
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+import lssurv as ls
+import lssurv.likelihood as lik
+from lssurv.models import get_model
+from lssurv.variance import a_matrix
+
+lik._set_threads(1)
+theta = np.array([1.0, 1.0, 1.0, 1.5])
+ds = ls.generate_dataset(ls.SimConfig(n1=500, n2=500, seed=1), np.random.default_rng(1))
+ctx = lik.LikelihoodContext(get_model("ph-weibull"), ds)
+ctx.value_and_score(theta)
+a_matrix(ctx, theta)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for step in (1, 2, 3):
+    moved = theta * (1 + 1e-3 * step)
+    ctx.value_and_score(moved)
+    a_matrix(ctx, moved)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap thresholds")
+def test_block_temporaries_stay_in_the_heap():
+    # a fresh process, since the heap of this one depends on the tests run
+    # before; at n1 = n2 = 500 one value_and_score and one a_matrix fault
+    # in about 3K and 8K pages when glibc trims the freed block temporaries
+    # after each block, and none when the context's freed array has raised
+    # its thresholds; the probe runs its passes on one grid thread, as a
+    # Monte Carlo worker on a two-core machine does
+    src = os.path.dirname(os.path.dirname(ls.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 500

@@ -1,6 +1,4 @@
-import logging
 import threading
-import types
 import warnings
 
 import numpy as np
@@ -151,10 +149,6 @@ def test_mc_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(likelihood, "_threads", 2)
     monkeypatch.setattr(likelihood, "_BLOCK_CELLS", 1024)
     monkeypatch.setattr(simulation, "usable_cores", lambda: 4)
-    # only the worker processes set up their allocator, never the caller
-    in_caller, keep = [], simulation._keep_freed_memory
-    monkeypatch.setattr(simulation, "_keep_freed_memory",
-                        lambda libc: (in_caller.append(libc), keep(libc)))
     cfg = SimConfig(n1=120, n2=120, n_reps=4, seed=77)
     a = run_mc_study(cfg, n_jobs=1)
     assert likelihood._pool is not None
@@ -165,42 +159,6 @@ def test_mc_parallel_matches_serial(monkeypatch):
     caller.join(timeout=300)
     assert not caller.is_alive()
     assert got[0].to_json_dict() == a.to_json_dict()
-    assert in_caller == []
-
-
-class _FakeMallopt:
-    """``mallopt`` of a fake C library: records each call and answers from
-    ``results`` by parameter."""
-
-    def __init__(self, results):
-        self.results, self.calls = results, []
-
-    def __call__(self, param, value):
-        self.calls.append((param, value))
-        return self.results[param]
-
-
-@pytest.mark.parametrize("mmap_ok", [1, 0])
-def test_worker_allocator_sets_both_thresholds_or_neither(mmap_ok, caplog):
-    mallopt = _FakeMallopt({simulation._M_MMAP_THRESHOLD: mmap_ok, simulation._M_TRIM_THRESHOLD: 1})
-    with caplog.at_level(logging.DEBUG, logger="lssurv"):
-        simulation._keep_freed_memory(types.SimpleNamespace(mallopt=mallopt))
-    mmap = (simulation._M_MMAP_THRESHOLD, 32 << 20)
-    trim = (simulation._M_TRIM_THRESHOLD, 64 << 20)
-    # a refused mmap threshold leaves the trim threshold, and so glibc's
-    # dynamic mmap threshold, as they were
-    assert mallopt.calls == ([mmap, trim] if mmap_ok else [mmap])
-    assert mallopt.argtypes and mallopt.restype
-    assert [r.getMessage() for r in caplog.records] == [
-        f"worker allocator: mallopt(M_MMAP_THRESHOLD) -> {mmap_ok}, "
-        f"mallopt(M_TRIM_THRESHOLD) -> {mmap_ok}"
-    ]
-
-
-def test_worker_allocator_is_silent_without_mallopt(caplog):
-    with caplog.at_level(logging.DEBUG, logger="lssurv"):
-        simulation._keep_freed_memory(types.SimpleNamespace())
-    assert caplog.records == []
 
 
 def test_mc_requires_minimum_sizes():
