@@ -34,56 +34,51 @@ def _parse_float(text, path, lineno, col):
     return v
 
 
-def read_source_csv(path):
-    """Rows of ``x,delta,z1,...,zd``; returns (x, delta, z) arrays."""
+def _csv_rows(path, lead):
+    """The non-blank rows, with their line numbers, of a CSV whose header is
+    ``lead`` followed by ``z1,...,zd`` (d >= 1); each row has as many fields
+    as the header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        d = len(header) - 2
-        if d < 1 or header[0] != "x" or header[1] != "delta" or header[2:] != [
-            f"z{i + 1}" for i in range(d)
-        ]:
-            raise SchemaError(f"{path}: expected header x,delta,z1,...,zd, got {header}")
-        xs, ds_, zs = [], [], []
+        d = len(header) - len(lead)
+        if d < 1 or header != lead + [f"z{i + 1}" for i in range(d)]:
+            expected = ",".join(lead + ["z1", "...", "zd"])
+            raise SchemaError(f"{path}: expected header {expected}, got {header}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != d + 2:
-                raise ParseError(f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}")
-            x = _parse_float(row[0], path, lineno, "x")
-            if x <= 0:
-                raise ValidationError(f"{path}:{lineno}: x must be positive, got {x}")
-            delta = _parse_float(row[1], path, lineno, "delta")
-            if delta not in (0.0, 1.0):
-                raise ValidationError(f"{path}:{lineno}: delta must be 0 or 1, got {row[1]}")
-            z = [_parse_float(row[2 + j], path, lineno, f"z{j + 1}") for j in range(d)]
-            xs.append(x)
-            ds_.append(int(delta))
-            zs.append(z)
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
+
+
+def _z_fields(row, path, lineno):
+    return [_parse_float(v, path, lineno, f"z{j + 1}") for j, v in enumerate(row)]
+
+
+def read_source_csv(path):
+    """Rows of ``x,delta,z1,...,zd``; returns (x, delta, z) arrays."""
+    xs, ds_, zs = [], [], []
+    for lineno, row in _csv_rows(path, ["x", "delta"]):
+        x = _parse_float(row[0], path, lineno, "x")
+        if x <= 0:
+            raise ValidationError(f"{path}:{lineno}: x must be positive, got {x}")
+        delta = _parse_float(row[1], path, lineno, "delta")
+        if delta not in (0.0, 1.0):
+            raise ValidationError(f"{path}:{lineno}: delta must be 0 or 1, got {row[1]}")
+        xs.append(x)
+        ds_.append(int(delta))
+        zs.append(_z_fields(row[2:], path, lineno))
     return np.array(xs), np.array(ds_), np.array(zs)
 
 
 def read_target_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        d = len(header)
-        if d < 1 or header != [f"z{i + 1}" for i in range(d)]:
-            raise SchemaError(f"{path}: expected header z1,...,zd, got {header}")
-        zs = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d:
-                raise ParseError(f"{path}:{lineno}: expected {d} fields, got {len(row)}")
-            zs.append([_parse_float(row[j], path, lineno, f"z{j + 1}") for j in range(d)])
-    return np.array(zs)
+    """Rows of ``z1,...,zd``; returns the z array."""
+    return np.array([_z_fields(row, path, lineno) for lineno, row in _csv_rows(path, [])])
 
 
 def read_dataset(source_path, target_path) -> Dataset:
@@ -155,15 +150,21 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the report to this path")
         sp.add_argument("--seed", type=int, default=None)
 
+    def simulation(sp, reps=False):
+        # --reps, of mc only, sits between the sample sizes and the laws
+        sp.add_argument("--model", required=True)
+        sp.add_argument("--theta", required=True, type=_theta_arg)
+        sp.add_argument("--n1", type=int, required=True)
+        sp.add_argument("--n2", type=int, required=True)
+        if reps:
+            sp.add_argument("--reps", type=int, required=True)
+        sp.add_argument("--qz", default="n:0,n:1")
+        sp.add_argument("--pt-rate", type=float, default=1.0)
+        sp.add_argument("--pc-rate", type=float, default=0.4)
+
     sp = sub.add_parser("simulate", help="generate a synthetic two-population dataset")
     common(sp)
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--theta", required=True, type=_theta_arg)
-    sp.add_argument("--n1", type=int, required=True)
-    sp.add_argument("--n2", type=int, required=True)
-    sp.add_argument("--qz", default="n:0,n:1")
-    sp.add_argument("--pt-rate", type=float, default=1.0)
-    sp.add_argument("--pc-rate", type=float, default=0.4)
+    simulation(sp)
     sp.add_argument("--out-prefix", required=True)
 
     sp = sub.add_parser("fit", help="fit a model to source/target CSV data")
@@ -198,22 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mc", help="Monte Carlo study; writes a table-shaped CSV")
     common(sp)
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--theta", required=True, type=_theta_arg)
-    sp.add_argument("--n1", type=int, required=True)
-    sp.add_argument("--n2", type=int, required=True)
-    sp.add_argument("--reps", type=int, required=True)
-    sp.add_argument("--qz", default="n:0,n:1")
-    sp.add_argument("--pt-rate", type=float, default=1.0)
-    sp.add_argument("--pc-rate", type=float, default=0.4)
+    simulation(sp, reps=True)
     sp.add_argument("--threads", type=int, default=usable_cores(),
                     help="worker processes (default: the CPUs this process may run on)")
     return p
 
 
-def _cmd_simulate(args):
+def _sim_config(args, **extra) -> SimConfig:
     get_model(args.model)
-    config = SimConfig(
+    return SimConfig(
         model=args.model,
         theta_true=tuple(args.theta),
         n1=args.n1,
@@ -222,9 +216,13 @@ def _cmd_simulate(args):
         pt_rate=args.pt_rate,
         pc_rate=args.pc_rate,
         seed=args.seed if args.seed is not None else 0,
+        **extra,
     )
-    rng = np.random.default_rng(config.seed)
-    ds = generate_dataset(config, rng)
+
+
+def _cmd_simulate(args):
+    config = _sim_config(args)
+    ds = generate_dataset(config)
     source_path = f"{args.out_prefix}_source.csv"
     target_path = f"{args.out_prefix}_target.csv"
     write_dataset(ds, source_path, target_path)
@@ -240,10 +238,7 @@ def _cmd_simulate(args):
         f"wrote {source_path} (n1={ds.n1}, censoring "
         f"{doc['censoring_fraction']:.1%}) and {target_path} (n2={ds.n2})"
     )
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(human)
+    print(json.dumps(doc, indent=2) if args.json else human)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=2)
@@ -300,18 +295,7 @@ def _cmd_shift_test(args):
 
 
 def _cmd_mc(args):
-    get_model(args.model)
-    config = SimConfig(
-        model=args.model,
-        theta_true=tuple(args.theta),
-        n1=args.n1,
-        n2=args.n2,
-        qz=QzSpec.from_string(args.qz),
-        pt_rate=args.pt_rate,
-        pc_rate=args.pc_rate,
-        n_reps=args.reps,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    config = _sim_config(args, n_reps=args.reps)
     report = run_mc_study(config, n_jobs=args.threads)
     _emit(args, report.to_json_dict(), report.to_csv().rstrip("\n"))
     return 0

@@ -134,10 +134,6 @@ class Dataset:
     def n0(self) -> int:
         return min(self.n1, self.n2)
 
-    def source_subset(self, idx) -> tuple:
-        idx = np.asarray(idx)
-        return self.x[idx], self.delta[idx], self.z_source[idx]
-
     def take(self, source_idx, target_idx) -> "Dataset":
         """A new Dataset restricted to the given row indices."""
         source_idx = np.asarray(source_idx)

@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .likelihood import LikelihoodContext, contract_records
-from .models import REGISTRY_ORDER, SurvivalModel, get_model
+from .models import REGISTRY_ORDER, SurvivalModel, full_gradient, get_model
 from .variance import VarianceParts, a_matrix, asymptotic_variance
 
 Z975 = 1.96
@@ -161,16 +161,15 @@ def _source_objective(model: SurvivalModel, dataset: Dataset):
     return nll
 
 
-def source_only_mle(model: SurvivalModel, dataset: Dataset, theta0=None) -> np.ndarray:
+def source_only_mle(model: SurvivalModel, dataset: Dataset) -> np.ndarray:
     """Censored maximum likelihood on the source sample alone.
 
     Consistent for theta when there is no shift; in general a starting
     point close enough to the basin of the full objective.  BFGS on the
     exact gradient (``_source_objective``), in the same log coordinates as
-    ``fit``.
+    ``fit``, from the model's ``default_init``.
     """
-    if theta0 is None:
-        theta0 = model.default_init(dataset.x, dataset.delta, dataset.z_source)
+    theta0 = model.default_init(dataset.x, dataset.delta, dataset.z_source)
     to_eta, to_theta, _ = _transforms(model, dataset.d_z)
     nll = _source_objective(model, dataset)
     # a line-search step far out may overflow a kernel; nll is then inf
@@ -306,24 +305,18 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
         raise ValidationError("fit result carries no covariance; rerun without skip_variance")
     theta = fit_result.theta_hat
     z = np.asarray(z, dtype=float)
-    d = theta.shape[0]
 
     def integrand(t):
         return g(t) * float(np.exp(model.log_density(theta, t, z)))
 
-    def quad_full(f):
-        total = 0.0
-        err = 0.0
-        edges = [0.0] + sorted(float(p) for p in (points or [])) + [np.inf]
-        for a, b in zip(edges[:-1], edges[1:]):
-            val, e = integrate.quad(f, a, b, limit=200)
-            total += val
-            err += e
-        return total, err
-
     def checked(f, what):
+        val = err = 0.0
         try:
-            val, err = quad_full(f)
+            edges = [0.0] + sorted(float(p) for p in (points or [])) + [np.inf]
+            for a, b in zip(edges[:-1], edges[1:]):
+                v, e = integrate.quad(f, a, b, limit=200)
+                val += v
+                err += e
         except Exception as exc:
             raise QuadratureFailure(str(exc)) from exc
         if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
@@ -332,12 +325,11 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
 
     zeta = checked(integrand, "integral")
 
-    gamma = np.empty(d)
-    for s in range(d):
+    gamma = np.empty(theta.shape[0])
+    for s in range(gamma.size):
         def comp(t, s=s):
-            lq = float(np.exp(model.log_density(theta, t, z)))
-            gr = model.log_density_grad(theta, t, z)
-            return g(t) * lq * float(np.asarray(gr).reshape(-1, d)[0, s])
+            lq, factors = model.terms(theta, t, z, 1)
+            return g(t) * float(np.exp(lq)) * float(full_gradient(factors)[s])
 
         gamma[s] = checked(comp, f"gradient integral {s}")
     var = float(gamma @ fit_result.sigma_hat @ gamma) / fit_result.n0

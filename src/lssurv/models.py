@@ -23,18 +23,18 @@ constrained to (0, inf) (``positive``), and supplies three functions of
 ``SurvivalModel`` derives the rest: the parameter layout (``beta_1 ..
 beta_{d_z}`` followed by the baseline block), and from theta and z (split
 and ``u`` formed once per call) ``terms``, the one theta-space entry point
-through which the likelihood and the sandwich contract (event time x record)
-grids without a (K, n, d) or (K, n, d, d) tensor, ``log_survival_terms``,
-its log-survival counterpart, which gives the source-only start its exact
-gradient, plus ``log_density``, ``log_density_grad`` (regression block
-``(dl/du) * z``), ``survival`` (``exp(log S)``) and ``inverse_survival``.
+through which the likelihood, the sandwich and the functionals contract
+(event time x record) grids without a (K, n, d) or (K, n, d, d) tensor,
+``log_survival_terms``, its log-survival counterpart, which gives the
+source-only start its exact gradient, plus ``log_density``,
+``log_density_grad`` (regression block ``(dl/du) * z``), ``survival``
+(``exp(log S)``) and ``inverse_survival``.
 
-A model without a linear predictor declares no baseline slots and overrides
-``d_theta``, ``param_names``, ``positive_mask``, ``log_density``,
-``log_density_grad``, ``log_density_hess`` and ``survival``; its ``terms``
-factors are a zero-width regression block followed by its own full gradient
-and Hessian, so the contractions run unchanged.  To take the ``"auto"``
-(source-only) start it also overrides ``log_survival_terms``.
+A model that is not a function of a linear predictor overrides the layout
+(``d_theta``, ``param_names``, ``positive_mask``), ``survival`` and
+``terms``, whose factors are a zero-width ``zr`` with its full gradient and
+Hessian as ``g_base`` and ``h_bb``, so the contractions run unchanged; for
+the ``"auto"`` (source-only) start it also overrides ``log_survival_terms``.
 """
 
 from __future__ import annotations
@@ -121,28 +121,12 @@ class SurvivalModel:
         ``g_u[..., None] * zr`` followed by one slot per entry of ``g_base``,
         then ``(h_uu, h_ub, h_bb)``, the Hessian with regression block
         ``h_uu[..., None, None] * zr zr^T``, regression-baseline column ``s``
-        ``h_ub[s][..., None] * zr`` and baseline entries ``h_bb[s][r]``.  A
-        model without a linear predictor gives a zero-width ``zr`` and its
-        full gradient and Hessian as ``g_base`` and ``h_bb``."""
-        if not self.baseline:
-            out = [self.log_density(theta, t, z)]
-            if order >= 1:
-                g = np.moveaxis(self.log_density_grad(theta, t, z), -1, 0)
-                out.append((0.0, g, np.zeros(np.shape(z)[:-1] + (0,))))
-            if order >= 2:
-                h = np.moveaxis(self.log_density_hess(theta, t, z), (-2, -1), (0, 1))
-                out.append((0.0, (0.0,) * h.shape[0], h))
-            return out
+        ``h_ub[s][..., None] * zr`` and baseline entries ``h_bb[s][r]``."""
         return self._u_kernel(self.u_terms, theta, t, z, order)
 
     def log_survival_terms(self, theta, t, z, order=0):
         """The log survival function at theta and, at ``order=1``, its
         factored gradient ``(g_u, g_base, zr)`` in the layout of ``terms``."""
-        if not self.baseline:
-            raise NotImplementedError(
-                f"{self.name}: a model without a linear predictor overrides "
-                "log_survival_terms to take the source-only start"
-            )
         return self._u_kernel(self.u_log_survival, theta, t, z, order)
 
     def log_density(self, theta, t, z):

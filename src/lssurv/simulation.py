@@ -30,6 +30,8 @@ from .likelihood import _set_threads, usable_cores
 from .models import SurvivalModel, get_model
 
 _LOG_HALF = math.log(0.5)
+_MAX_ROUNDS = 1000   # rejection rounds before the Metropolis-Hastings chains
+_PROPOSAL_SD = 0.5   # the chains' random-walk step
 
 
 @dataclass(frozen=True)
@@ -161,15 +163,15 @@ def _envelope(model, theta, ts):
     return np.fmax(val, vals[np.arange(ts.size), best]) + 1e-10
 
 
-def _mh_conditional(model, theta, qz: QzSpec, ts, rng, steps=50, prop_sd=0.5, init=None):
-    """Vectorized random-walk chains targeting the conditional covariate law
-    at each time; used as sampler fallback and as test oracle."""
+def _mh_conditional(model, theta, qz: QzSpec, ts, rng, steps=50):
+    """Vectorized random-walk chains from q_Z draws, targeting the conditional
+    covariate law at each time; used as sampler fallback and as test oracle."""
     ts = np.asarray(ts, dtype=float)
     n = ts.shape[0]
-    z = qz.sample(rng, n) if init is None else np.array(init, dtype=float)
+    z = qz.sample(rng, n)
     logf = model.log_density(theta, ts, z) + qz.log_pdf(z)
     for _ in range(steps):
-        zp = qz.propose(z, rng, prop_sd)
+        zp = qz.propose(z, rng, _PROPOSAL_SD)
         logf_p = model.log_density(theta, ts, zp) + qz.log_pdf(zp)
         with np.errstate(invalid="ignore"):
             acc = np.log(rng.uniform(size=n)) < (logf_p - logf)
@@ -181,7 +183,7 @@ def _mh_conditional(model, theta, qz: QzSpec, ts, rng, steps=50, prop_sd=0.5, in
     return z
 
 
-def sample_z_given_t_batch(model: SurvivalModel, theta, qz: QzSpec, ts, rng, max_rounds=1000):
+def sample_z_given_t_batch(model: SurvivalModel, theta, qz: QzSpec, ts, rng):
     """Conditional covariate draws, one per entry of ``ts``."""
     theta = model.check_theta(np.asarray(theta, dtype=float), qz.d)
     ts = np.asarray(ts, dtype=float)
@@ -194,7 +196,7 @@ def sample_z_given_t_batch(model: SurvivalModel, theta, qz: QzSpec, ts, rng, max
     log_m = _envelope(model, theta, ts)
     pending = np.arange(n)
     rounds = 0
-    while pending.size and rounds < max_rounds:
+    while pending.size and rounds < _MAX_ROUNDS:
         z = qz.sample(rng, pending.size)
         logq = model.log_density(theta, ts[pending], z)
         accept = np.log(rng.uniform(size=pending.size)) < (logq - log_m[pending])

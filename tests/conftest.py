@@ -7,6 +7,16 @@ from lssurv.nonparam import product_limit
 from oracles import StepFunction
 
 
+# admissible spot parameters per zoo model: (regression block, baseline block)
+SPOTS = {
+    "ph-weibull": ([0.5, -0.3], [1.2, 0.8]),
+    "po-loglogistic": ([0.4, -0.6], [-0.5, 0.7]),
+    "aft-lognormal": ([0.7, -0.2], [0.3, 0.9]),
+    "aft-exponential": ([0.5, -0.5], [1.4]),
+    "ah-weibull": ([0.4, -0.3], [1.1, 1.8]),
+}
+
+
 def make_dataset(seed=0, n1=20, n2=12, d_z=2, censor_rate=0.4):
     """Small random two-population dataset for unit tests."""
     rng = np.random.default_rng(seed)

@@ -12,7 +12,28 @@ from lssurv.models import PHWeibull, SurvivalModel
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-class TwoPointLogNormal(SurvivalModel):
+class FullGradientModel(SurvivalModel):
+    """Base of the fixtures that are not functions of a linear predictor.
+
+    A subclass supplies ``log_density``, ``log_density_grad`` and
+    ``log_density_hess`` over its full parameter vector (the last two with
+    trailing ``(d,)`` and ``(d, d)`` axes); ``terms`` factors them as a
+    zero-width regression block followed by the full gradient and Hessian
+    as the baseline block, so the likelihood and sandwich contractions run
+    unchanged."""
+
+    def terms(self, theta, t, z, order=0):
+        out = [self.log_density(theta, t, z)]
+        if order >= 1:
+            g = np.moveaxis(self.log_density_grad(theta, t, z), -1, 0)
+            out.append((0.0, g, np.zeros(np.shape(z)[:-1] + (0,))))
+        if order >= 2:
+            h = np.moveaxis(self.log_density_hess(theta, t, z), (-2, -1), (0, 1))
+            out.append((0.0, (0.0,) * h.shape[0], h))
+        return out
+
+
+class TwoPointLogNormal(FullGradientModel):
     """Test fixture: a log-normal event-time family over a two-point
     covariate whose induced conditional density is invariant under
     ``mu -> -mu``, so the family is not identifiable from the stacked
@@ -129,7 +150,7 @@ def two_point_dataset(seed=42, n=60):
                       rng.integers(1, 3, n).astype(float)[:, None])
 
 
-class OneSlot(SurvivalModel):
+class OneSlot(FullGradientModel):
     """ph-weibull with everything frozen except the scale slot."""
 
     name = "one-slot"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import lssurv as ls
 from lssurv.errors import (
@@ -22,10 +23,10 @@ from lssurv.estimator import (
     source_only_mle,
 )
 from lssurv.likelihood import LikelihoodContext, approx_loglik, score
-from lssurv.models import SurvivalModel, get_model
+from lssurv.models import REGISTRY_ORDER, get_model
 from lssurv.variance import a_matrix, asymptotic_variance
 
-from fixture_models import OneSlot, TwoPointLogNormal, two_point_dataset
+from fixture_models import FullGradientModel, OneSlot, TwoPointLogNormal, two_point_dataset
 from oracles import (eta_q_hat, influence_context, influence_evaluator, s_functionals,
                      target_weights)
 
@@ -241,6 +242,47 @@ def test_conditional_functional_weibull_mean():
     assert se > 0
 
 
+def _functional_at(name, theta, sigma, z, g, points):
+    fr = FitResult(
+        model_name=name, param_names=get_model(name).param_names(2), theta_hat=theta,
+        loglik=0.0, sigma_hat=sigma, se=None, ci=None, converged=True, iterations=0,
+        grad_norm=0.0, n0=100, d_z=2,
+    )
+    return conditional_functional(name, fr, z, g, points=points)
+
+
+@pytest.mark.parametrize("name", REGISTRY_ORDER)
+def test_conditional_functional_every_zoo_model(name):
+    # the restricted mean E[min(T, 2) | Z = z]: zeta against a scalar
+    # quadrature of the density, gamma against central differences of zeta
+    model = get_model(name)
+    theta = np.array(GOLDEN_TRUTH[name])
+    z = np.array([0.3, -0.8])
+    g, points = (lambda t: min(t, 2.0)), [2.0]
+    zeta = _functional_at(name, theta, np.eye(theta.size), z, g, points)[0]
+    want = sum(integrate.quad(lambda t: g(t) * float(np.exp(model.log_density(theta, t, z))),
+                              a, b, limit=200)[0] for a, b in ((0.0, 2.0), (2.0, np.inf)))
+    assert zeta == pytest.approx(want, rel=1e-10)
+
+    gamma = np.empty(theta.size)
+    for s in range(theta.size):
+        h = 1e-4 * max(1.0, abs(theta[s]))
+        up, dn = theta.copy(), theta.copy()
+        up[s] += h
+        dn[s] -= h
+        gamma[s] = (_functional_at(name, up, np.eye(theta.size), z, g, points)[0]
+                    - _functional_at(name, dn, np.eye(theta.size), z, g, points)[0]) / (2 * h)
+        # a one-slot covariance reads |gamma_s| off the SE
+        unit = np.zeros((theta.size, theta.size))
+        unit[s, s] = 1.0
+        se_s = _functional_at(name, theta, unit, z, g, points)[1]
+        assert se_s * math.sqrt(100) == pytest.approx(abs(gamma[s]), rel=1e-6, abs=1e-9)
+    a = np.random.default_rng(3).normal(size=(theta.size, theta.size))
+    sigma = a @ a.T + np.eye(theta.size)
+    se = _functional_at(name, theta, sigma, z, g, points)[1]
+    assert se == pytest.approx(math.sqrt(gamma @ sigma @ gamma / 100), rel=1e-6)
+
+
 def test_conditional_functional_quadrature_failure(fitted):
     _, fr = fitted
     with pytest.raises(QuadratureFailure):
@@ -330,7 +372,7 @@ def test_bic_select_permutation_invariance():
     assert set(np.concatenate([r1.inference_source_idx, [0]])) <= set(range(ds.n1 + 1))
 
 
-class _AlwaysFails(SurvivalModel):
+class _AlwaysFails(FullGradientModel):
     name = "always-fails"
 
     def d_theta(self, d_z):

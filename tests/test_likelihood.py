@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 import lssurv as ls
 from lssurv.errors import NumericalUnderflow
 from lssurv.likelihood import LikelihoodContext, approx_loglik, score
+from lssurv.models import REGISTRY_ORDER
 from lssurv.nonparam import kaplan_meier
+from lssurv.variance import a_matrix
 
-from conftest import km_survival, make_dataset
-from oracles import qhat_T, qhat_T_star, s_functionals
+from conftest import SPOTS, km_survival, make_dataset
+from oracles import qhat_T, qhat_T_star, s_functionals, target_weights
 
 
 def brute_force_loglik(model, ds, theta):
@@ -76,7 +79,8 @@ def test_loglik_two_event_identity():
     assert approx_loglik(ctx, theta) == pytest.approx(expected, abs=1e-13)
 
 
-def test_constant_in_z_collapse():
+@pytest.mark.parametrize("name", REGISTRY_ORDER)
+def test_constant_in_z_collapse(name):
     # a covariate-free family: terms one and two cancel and the censored
     # term is the remaining jump mass beyond x_i
     rng = np.random.default_rng(9)
@@ -87,8 +91,8 @@ def test_constant_in_z_collapse():
     delta = (t <= c).astype(int)
     delta[np.argmax(x)] = 1   # keep every censored tail non-empty
     ds = ls.Dataset(x, delta, np.empty((n1, 0)), np.empty((25, 0)))
-    model = ls.get_model("ph-weibull")
-    theta = np.array([1.3, 1.6])
+    model = ls.get_model(name)
+    theta = np.array(SPOTS[name][1])
     ctx = LikelihoodContext(model, ds)
     surv = km_survival(x, delta)
     tmax = kaplan_meier(x, delta).event_times[-1]
@@ -129,12 +133,52 @@ def test_all_events_kill_censored_term(small_dataset):
     # psi_3 contributes nothing: the score reduces to its first two pieces
     gown = model.log_density_grad(theta, ds2.x, ds2.z_source)
     lq = model.log_density(theta, ds2.x[:, None], ds2.z_target)
-    from scipy.special import logsumexp
-
     lqh = logsumexp(lq, axis=1) - math.log(ds2.n2)
     Wt = np.exp(lq - lqh[:, None] - math.log(ds2.n2))
     qs = np.einsum("kj,kjd->kd", Wt, model.log_density_grad(theta, ds2.x[:, None], ds2.z_target))
     np.testing.assert_allclose(sc, (gown - qs).mean(axis=0), atol=1e-12)
+
+
+def _uncensored_formula(model, ds, theta):
+    """With every record an event: the mean over events of
+    ``l(x_i, z_i) - log qhat(x_i)`` and its gradient, the target side
+    weighted by the dense target weights."""
+    ctx = LikelihoodContext(model, ds)
+    tk = ctx.tk
+    lq = model.log_density(theta, tk[:, None], ds.z_target)
+    lqhat = logsumexp(lq, axis=1) - math.log(ds.n2)
+    wt = target_weights(ctx, {"theta": theta, "lqhat": lqhat})
+    qstar = np.einsum("kj,kjd->kd", wt, model.log_density_grad(theta, tk[:, None], ds.z_target))
+    k = np.searchsorted(tk, ds.x)
+    own = model.log_density(theta, ds.x, ds.z_source)
+    gown = model.log_density_grad(theta, ds.x, ds.z_source)
+    return np.mean(own - lqhat[k]), (gown - qstar[k]).mean(axis=0)
+
+
+@pytest.mark.parametrize("name", REGISTRY_ORDER)
+def test_no_censoring_matches_uncensored_formula(name):
+    rng = np.random.default_rng(12)
+    n1, n2 = 30, 20
+    ds = ls.Dataset(rng.exponential(1.0, n1), np.ones(n1, dtype=int),
+                    rng.normal(0.0, 1.0, (n1, 2)), rng.normal(0.3, 1.0, (n2, 2)))
+    model = ls.get_model(name)
+    beta, base = SPOTS[name]
+    theta = np.array(beta + base)
+    ctx = LikelihoodContext(model, ds)
+    assert ctx.cens_idx.size == 0
+    want_ll, want_sc = _uncensored_formula(model, ds, theta)
+    ll, sc = ctx.value_and_score(theta)
+    assert ll == pytest.approx(want_ll, abs=1e-12)
+    np.testing.assert_allclose(sc, want_sc, rtol=0, atol=1e-12)
+    fd = np.empty((theta.size, theta.size))
+    for j in range(theta.size):
+        h = 1e-5 * max(1.0, abs(theta[j]))
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        fd[:, j] = (_uncensored_formula(model, ds, up)[1]
+                    - _uncensored_formula(model, ds, dn)[1]) / (2 * h)
+    np.testing.assert_allclose(a_matrix(ctx, theta), fd, rtol=0, atol=1e-6)
 
 
 def test_qhat_examples(small_dataset):

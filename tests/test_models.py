@@ -16,16 +16,8 @@ from lssurv.models import (
     survival,
 )
 
+from conftest import SPOTS
 from fixture_models import TwoPointLogNormal
-
-# admissible spot parameters per model for randomized checks
-SPOTS = {
-    "ph-weibull": ([0.5, -0.3], [1.2, 0.8]),
-    "po-loglogistic": ([0.4, -0.6], [-0.5, 0.7]),
-    "aft-lognormal": ([0.7, -0.2], [0.3, 0.9]),
-    "aft-exponential": ([0.5, -0.5], [1.4]),
-    "ah-weibull": ([0.4, -0.3], [1.1, 1.8]),
-}
 
 
 def theta_for(name, rng=None, d_z=2):
