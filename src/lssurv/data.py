@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import EmptyTarget, ValidationError
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class Dataset:
         if n1 < 2:
             raise ValidationError("need at least two source records")
         if n2 < 1:
-            raise ValidationError("need at least one target record")
+            raise EmptyTarget("need at least one target record")
         if not np.all(np.isfinite(x)) or np.any(x <= 0):
             raise ValidationError("observed times must be finite and positive")
         if not np.all(np.isin(delta, (0, 1))):
@@ -103,7 +103,7 @@ class Dataset:
         if not source:
             raise ValidationError("need at least two source records")
         if not target:
-            raise ValidationError("need at least one target record")
+            raise EmptyTarget("need at least one target record")
         d_z = source[0].z.shape[0]
         for r in source + target:
             if r.z.shape[0] != d_z:

@@ -9,6 +9,10 @@ class ValidationError(LssurvError):
     """Input data violates a structural invariant."""
 
 
+class EmptyTarget(ValidationError):
+    """The target sample is empty."""
+
+
 class ParseError(LssurvError):
     """A file could not be parsed; message carries the line number."""
 
@@ -19,10 +23,6 @@ class SchemaError(LssurvError):
 
 class NoEvents(LssurvError):
     """Every observation is censored; the product-limit estimator is undefined."""
-
-
-class EmptyTarget(LssurvError):
-    """The target sample is empty."""
 
 
 class DomainError(LssurvError):

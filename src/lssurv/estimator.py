@@ -13,7 +13,6 @@ at the maximizer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -84,9 +83,6 @@ class FitResult:
                 "warnings": list(self.warnings),
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FitResult":

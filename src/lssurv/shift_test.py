@@ -14,16 +14,19 @@ is replaced by an equal-weight average over the pooled observed event
 points, which keeps the statistic well-defined for multivariate z.
 
 A bootstrap resample changes only how many copies of each record it holds,
-so replicate k is column k of an (n x K) count matrix: one count-weighted
-product-limit pass gives every column's jump masses, and the kernels, built
-once at the original event records (a censored record carries no mass in
-any resample), turn the event rows of a block of mass columns into ratio
-estimates with two matrix products per population.  The kernels are built in
-blocks of grid rows and the replicates run in blocks of columns, both
-through ``likelihood.map_blocks``: contiguous chunks of blocks on every
-usable core once each chunk gets two blocks.  Every replicate keeps its own
-generator and block results are joined in block order, so the statistics do
-not depend on the thread count.
+so one count-weighted product-limit pass over a block of replicates' count
+columns gives their jump masses (a censored record carries no mass in any
+resample).  Each population keeps one (n_events x (K + 1)) mass array over
+its event records: column 0 for the sample itself, column k + 1 for
+replicate k, which draws from its own generator.  One pass over blocks of
+grid rows then builds both kernels of each population for those rows only,
+turns every mass column into ratio estimates with two matrix products and
+sums the squared differences per column: ``T_n`` and every ``T*_k`` come
+from that one pass, and no (grid point x record) kernel is kept.  Both
+passes run through ``likelihood.map_blocks`` (contiguous chunks of blocks
+on every usable core once each chunk gets two blocks) and join their block
+results in block order, so the statistics do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -106,6 +109,19 @@ def _bandwidths(bandwidths, z_atoms, t_atoms) -> tuple:
     return h_z, h_t
 
 
+def _ratio_rows(x_ev, z_ev, grid_z, grid_t, h_z, h_t, masses) -> np.ndarray:
+    """Ratio estimates at a block of grid points, (grid_z, grid_t), per
+    column of ``masses``, the (n_events,) or (n_events, B) jump masses of the
+    event records at (x_ev, z_ev): both kernels are built for these grid
+    points only."""
+    kt = np.exp(-0.5 * ((grid_t[:, None] - x_ev[None, :]) / h_t) ** 2)
+    num_w = kt
+    for j in range(z_ev.shape[1]):
+        num_w = num_w * special.ndtr((grid_z[:, j, None] - z_ev[None, :, j]) / h_z[j])
+    floor = _DENOM_FLOOR * h_t * math.sqrt(2 * math.pi)
+    return (num_w @ masses) / np.maximum(kt @ masses, floor)
+
+
 @dataclass
 class RatioEstimate:
     grid_z: np.ndarray
@@ -128,9 +144,9 @@ def ratio_estimate(x, delta, z, bandwidths="auto", grid=None) -> RatioEstimate:
         grid_z = np.atleast_2d(np.asarray(grid_z, dtype=float))
         grid_t = np.asarray(grid_t, dtype=float)
     h_z, h_t = _bandwidths(bandwidths, z_atoms, t_atoms)
-    # the atoms are the uncensored records
-    atoms = _PopKernels(t_atoms, np.ones(t_atoms.shape[0]), z_atoms, grid_z, grid_t, h_z, h_t)
-    values = atoms.ratio(masses)
+    values = np.concatenate(map_blocks(
+        lambda g: _ratio_rows(t_atoms, z_atoms, grid_z[g], grid_t[g], h_z, h_t, masses),
+        grid_blocks(grid_t.shape[0], t_atoms.shape[0])))
     return RatioEstimate(
         grid_z=grid_z, grid_t=grid_t, values=values, bandwidth_z=h_z, bandwidth_t=h_t
     )
@@ -164,66 +180,46 @@ class ShiftTestResult:
         }
 
 
-class _PopKernels:
-    """Per-population machinery reused across bootstrap replicates: kernels
-    are evaluated once at the original record values, and a resample only
-    reweights the columns.  Takes the arrays of ``_population``."""
-
-    def __init__(self, x, delta, z, grid_z, grid_t, h_z, h_t):
-        self.x, self.delta, self.n = x, delta, x.shape[0]
-        self.redraws = 0
-        self.events = np.flatnonzero(delta == 1)
-        x_ev, z_ev = x[self.events], z[self.events]
-        self.kt = kt = np.empty((grid_t.shape[0], self.events.size))
-        self.num_w = num_w = np.empty_like(kt)
-
-        def rows(g):
-            kt[g] = np.exp(-0.5 * ((grid_t[g, None] - x_ev[None, :]) / h_t) ** 2)
-            num_w[g] = kt[g]
-            for j in range(z.shape[1]):
-                num_w[g] *= special.ndtr((grid_z[g, j][:, None] - z_ev[None, :, j]) / h_z[j])
-
-        map_blocks(rows, grid_blocks(grid_t.shape[0], self.events.size))
-        self.floor = _DENOM_FLOOR * h_t * math.sqrt(2 * math.pi)
-
-    def ratio(self, record_masses) -> np.ndarray:
-        """Ratio estimates on the grid per column of an (n,) or (n, B) mass
-        array over the records; only the event records' rows are read."""
-        masses = record_masses[self.events]
-        denom = self.kt @ masses
-        return (self.num_w @ masses) / np.maximum(denom, self.floor)
-
-    def draw_counts(self, rng):
-        """Copies per record of one resample with at least one event, and
-        the number of resamples with none drawn (and drawn again) before it."""
-        for redraws in range(_MAX_REDRAWS):
-            idx = rng.integers(0, self.n, size=self.n)
-            if np.any(self.delta[idx] == 1):
-                return np.bincount(idx, minlength=self.n), redraws
-        raise NoEvents(f"{_MAX_REDRAWS} resamples in a row held no event")
+def _draw_counts(delta, rng):
+    """Copies per record of one resample with at least one event, and the
+    number of resamples with none drawn (and drawn again) before it."""
+    n = delta.shape[0]
+    for redraws in range(_MAX_REDRAWS):
+        idx = rng.integers(0, n, size=n)
+        if np.any(delta[idx] == 1):
+            return np.bincount(idx, minlength=n), redraws
+    raise NoEvents(f"{_MAX_REDRAWS} resamples in a row held no event")
 
 
-def _bootstrap(kp, kq, K, seed) -> np.ndarray:
-    """Bootstrap statistics of replicates 0..K-1; the no-event redraws are
-    added to each population's ``redraws``.  Replicate k draws P, then Q,
-    from its own generator; replicates run in column blocks of the
-    likelihood's grid-block size, so memory does not grow with K."""
-    pops = (kp, kq)
+def _statistics(pops, own_masses, grid_z, grid_t, h_z, h_t, K, seed):
+    """``T_n``, the statistics ``T*_k`` of replicates 0..K-1 and the number
+    of no-event redraws, for two populations in the arrays of
+    ``_population`` with their ``stute_masses``.  Replicate k draws P, then
+    Q, from its own generator; its jump masses are column k + 1 of each
+    population's mass array, the sample's own column 0."""
+    events = [np.flatnonzero(delta == 1) for _, delta, _ in pops]
+    masses = [np.empty((ev.size, K + 1)) for ev in events]
+    for ev, m, own in zip(events, masses, own_masses):
+        m[:, 0] = own[ev]
 
     def replicates(block):
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, k))) for k in range(K)[block]]
-        draws = [[pop.draw_counts(rng) for pop in pops] for rng in rngs]
-        ratios, redraws = [], []
-        for pop, pop_draws in zip(pops, zip(*draws)):
-            counts, n_redrawn = zip(*pop_draws)
-            ratios.append(pop.ratio(_product_limit_masses(pop.x, pop.delta, np.column_stack(counts))))
-            redraws.append(sum(n_redrawn))
-        return np.mean((ratios[0] - ratios[1]) ** 2, axis=0), redraws
+        draws = [[_draw_counts(delta, rng) for _, delta, _ in pops] for rng in rngs]
+        for (x, delta, _), ev, m, pop_draws in zip(pops, events, masses, zip(*draws)):
+            counts = np.column_stack([c for c, _ in pop_draws])
+            m[:, block.start + 1:block.stop + 1] = _product_limit_masses(x, delta, counts)[ev]
+        return sum(r for rng_draws in draws for _, r in rng_draws)
 
-    parts = map_blocks(replicates, grid_blocks(K, max(kp.n, kq.n)))
-    for i, pop in enumerate(pops):
-        pop.redraws += sum(redraws[i] for _, redraws in parts)
-    return np.concatenate([t for t, _ in parts])
+    redraws = sum(map_blocks(replicates, grid_blocks(K, max(x.shape[0] for x, _, _ in pops))))
+
+    def grid_rows(g):
+        rp, rq = (_ratio_rows(x[ev], z[ev], grid_z[g], grid_t[g], h_z, h_t, m)
+                  for (x, _, z), ev, m in zip(pops, events, masses))
+        return np.sum((rp - rq) ** 2, axis=0)
+
+    sums = sum(map_blocks(grid_rows, grid_blocks(grid_t.shape[0], max(ev.size for ev in events))))
+    stats = sums / grid_t.shape[0]
+    return float(stats[0]), stats[1:], redraws
 
 
 def label_shift_test(
@@ -239,20 +235,16 @@ def label_shift_test(
     """
     if K < 50:
         raise ValidationError("bootstrap needs K >= 50 replicates")
-    (xp, dp, zp), (xq, dq, zq) = (_population(*pop) for pop in (pop_p, pop_q))
-    if zp.shape[1] != zq.shape[1]:
+    pops = [_population(*pop) for pop in (pop_p, pop_q)]
+    if pops[0][2].shape[1] != pops[1][2].shape[1]:
         raise ValidationError("populations disagree on covariate dimension")
 
-    mp, mq = stute_masses(xp, dp), stute_masses(xq, dq)
-    grid_z = np.vstack([zp[dp == 1], zq[dq == 1]])
-    grid_t = np.concatenate([xp[dp == 1], xq[dq == 1]])
+    own_masses = [stute_masses(x, delta) for x, delta, _ in pops]
+    grid_z = np.vstack([z[delta == 1] for _, delta, z in pops])
+    grid_t = np.concatenate([x[delta == 1] for x, delta, _ in pops])
     h_z, h_t = _bandwidths(bandwidths, grid_z, grid_t)
-    kp = _PopKernels(xp, dp, zp, grid_z, grid_t, h_z, h_t)
-    kq = _PopKernels(xq, dq, zq, grid_z, grid_t, h_z, h_t)
-    t_n = float(np.mean((kp.ratio(mp) - kq.ratio(mq)) ** 2))
-
     seed_eff = seed if seed is not None else int(np.random.default_rng().integers(2**62))
-    t_star = _bootstrap(kp, kq, K, seed_eff)
+    t_n, t_star, redraws = _statistics(pops, own_masses, grid_z, grid_t, h_z, h_t, K, seed_eff)
     recentred = t_star - t_n
     critical = float(np.quantile(recentred, 1.0 - alpha))
     p_value = float(np.mean(recentred >= t_n))
@@ -264,7 +256,7 @@ def label_shift_test(
         K=K,
         alpha=alpha,
         seed=seed if isinstance(seed, int) else None,
-        redraws=kp.redraws + kq.redraws,
+        redraws=redraws,
         bandwidth_z=h_z,
         bandwidth_t=h_t,
     )

@@ -102,14 +102,14 @@ class QzSpec:
                 out += np.where(col == slot[1], 0.0, -np.inf)
         return out
 
-    def propose(self, z: np.ndarray, rng, sd: float) -> np.ndarray:
-        """Symmetric random-walk proposal: Gaussian steps on continuous
-        slots, probability-0.3 flips on Bernoulli slots."""
+    def propose(self, z: np.ndarray, rng) -> np.ndarray:
+        """Symmetric random-walk proposal: Gaussian steps of ``_PROPOSAL_SD``
+        on continuous slots, probability-0.3 flips on Bernoulli slots."""
         z = np.array(z, dtype=float)
         for j, slot in enumerate(self.slots):
             kind = slot[0]
             if kind in ("normal", "exp"):
-                z[:, j] += rng.normal(0.0, sd, size=z.shape[0])
+                z[:, j] += rng.normal(0.0, _PROPOSAL_SD, size=z.shape[0])
             elif kind == "bern":
                 flip = rng.uniform(size=z.shape[0]) < 0.3
                 z[flip, j] = 1.0 - z[flip, j]
@@ -171,7 +171,7 @@ def _mh_conditional(model, theta, qz: QzSpec, ts, rng, steps=50):
     z = qz.sample(rng, n)
     logf = model.log_density(theta, ts, z) + qz.log_pdf(z)
     for _ in range(steps):
-        zp = qz.propose(z, rng, _PROPOSAL_SD)
+        zp = qz.propose(z, rng)
         logf_p = model.log_density(theta, ts, zp) + qz.log_pdf(zp)
         with np.errstate(invalid="ignore"):
             acc = np.log(rng.uniform(size=n)) < (logf_p - logf)

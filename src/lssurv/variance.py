@@ -16,31 +16,30 @@ through ratios against itself).
 Every input comes from the fit's own ``LikelihoodContext`` evaluated at
 theta-hat: its product-limit fit, its kept censored records in time order
 (one empty-tail rule), ``lqhat``, the tail log-sums and the per-record score
-rows.  One second-order row pass (``_second_order_pass``) walks both grids in
-blocks of event-time rows (``likelihood.grid_blocks``), one second-order
-``terms`` call per grid and block.  Each block recomputes its target weights
-with the evaluation's own ``log_sum_weights`` call and the tail weights of
-the censored records whose tails reach it, a prefix in time order.  The pass
-gives ``A`` and every row-local sum the influence terms need (``tau @ psi3``
-first), so ``_psi_pt_rows`` and ``_psi_qz_rows`` work in d columns; no (K, n),
-(K, n, d) or (K, n, d, d) array is formed.  The blocks run through
-``likelihood.map_blocks`` in fixed groups of consecutive blocks, in
-contiguous chunks on every usable core once each chunk gets two groups; each
-group sums its blocks' partials in block order and the caller adds the
-groups' in group order.  The groups depend on the block count only, so no
-output depends on the thread count and at most one (n2 x d) partial per
-group is held.
+rows.  ``_second_order_pass`` walks each grid once, one second-order
+``terms`` call per block, in the evaluation's shape: every block writes only
+its own rows or columns and returns one (d x d) Hessian term.  The censored
+grid runs in blocks of event-time rows (``likelihood.grid_blocks``), each
+against the censored records whose tails reach it, a prefix in time order;
+it writes the tail weight ``tau_k``, ``tau @ psi3`` and ``R`` per row.  The
+target grid then runs in blocks of record columns, its weights
+``exp(l - lqhat - log n2)`` read from the evaluation's ``lqhat``; it writes
+the target sum ``T_j`` per record.  So ``_psi_pt_rows`` and ``_psi_qz_rows``
+work in d columns, and no (K, n), (K, n, d) or (K, n, d, d) array is formed.
+The blocks run through ``likelihood.map_blocks`` and their Hessian terms are
+added in block order, so no output depends on the thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularA
 from .likelihood import (LikelihoodContext, contract_hessian, contract_records, contract_times,
-                         grid_blocks, log_sum_weights, map_blocks)
+                         grid_blocks, map_blocks)
 from .models import full_gradient
 
 
@@ -55,17 +54,11 @@ class VarianceParts:
     sigma_psi: np.ndarray           # (d, d)
 
 
-# -- the one grid pass ---------------------------------------------------------
-
-# the pass sums its row blocks' (n2 x d) partials in at most this many groups
-# of consecutive blocks, cut by the block count alone: at most one partial per
-# group is held, and no sum depends on the thread count
-_GROUPS = 16
-
+# -- the two grid passes -------------------------------------------------------
 
 def _second_order_pass(ctx: LikelihoodContext, theta):
-    """The evaluation at theta, ``A`` and the pass's row-local sums over the
-    kept censored records: ``tau_k`` (K,) the tail weight at ``t_k``,
+    """The evaluation at theta, ``A`` and the passes' sums over the kept
+    censored records: ``tau_k`` (K,) the tail weight at ``t_k``,
     ``tau_psi3 = tau @ psi3`` (K, d), ``M_k = tau_psi3_k - R_k + 2 tau_k
     q_k`` (K, d) with ``R_k = sum_m tau_km grad l(t_k, Z_m)``, and the target
     sum ``T_j = sum_k Wt_kj (ck_k q_k + M_k - c_k grad l(t_k, z_j))`` (n2, d)."""
@@ -77,12 +70,11 @@ def _second_order_pass(ctx: LikelihoodContext, theta):
     _, own, own2 = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 2)
     g_own = full_gradient(own)
     A = contract_hessian(own, own2, np.ones(ctx.unc_idx.shape)) - g_own.T @ g_own
-    tau_k, tau_psi3, R, M = np.empty(ctx.K), np.empty_like(q), np.empty_like(q), np.empty_like(q)
+    tau_k, tau_psi3, R = np.empty(ctx.K), np.empty_like(q), np.empty_like(q)
+    T = np.empty((ds.n2, q.shape[1]))
 
-    def block_parts(k):
+    def censored_rows(k):
         t = ctx.tk[k, None]
-        lt, tgt, tgt2 = model.terms(theta, t, ds.z_target, 2)
-        wt = log_sum_weights(lt, axis=1)[1]             # the evaluation's target weights
         p = np.searchsorted(x_cens, ctx.tk[k.stop - 1])  # records whose tails reach the block
         lc, cen, cen2 = model.terms(theta, t, z_cens[:p], 2)
         lc += (ctx.logw[k] - lqhat[k])[:, None]
@@ -92,28 +84,26 @@ def _second_order_pass(ctx: LikelihoodContext, theta):
         tau_k[k] = tau.sum(axis=1)
         tau_psi3[k] = tau @ psi3[:p]
         R[k] = contract_records(cen, tau)
-        M[k] = tau_psi3[k] - R[k] + 2.0 * tau_k[k, None] * q[k]
-        v = (ck[k] + tau_k[k])[:, None] * wt
-        return (contract_hessian(cen, cen2, tau) - contract_hessian(tgt, tgt2, v),
-                wt.T @ (ck[k, None] * q[k] + M[k]) - contract_times(tgt, v))
+        return contract_hessian(cen, cen2, tau)
 
-    def group_sums(group):
-        a_part, t_part = block_parts(group[0])
-        for k in group[1:]:
-            da, dt = block_parts(k)
-            a_part += da
-            t_part += dt
-        return a_part, t_part
-
-    blocks = grid_blocks(ctx.K, max(ds.n2, ctx.cens_idx.size))
-    n_groups = min(len(blocks), _GROUPS)
-    groups = [blocks[len(blocks) * i // n_groups:len(blocks) * (i + 1) // n_groups]
-              for i in range(n_groups)]
-    T = np.zeros((ds.n2, q.shape[1]))
-    for a_part, t_part in map_blocks(group_sums, groups):
-        A += a_part
-        T += t_part
+    # rows cut as for both grids side by side: a block's prefix sets how
+    # BLAS rounds ``tau @ psi3``, and this cut keeps ``psi_pt``'s bits
+    for part in map_blocks(censored_rows, grid_blocks(ctx.K, max(ds.n2, x_cens.size))):
+        A += part
     c = ck + tau_k
+    M = tau_psi3 - R + 2.0 * tau_k[:, None] * q
+    ckq_m = ck[:, None] * q + M
+
+    def target_columns(j):
+        lt, tgt, tgt2 = model.terms(theta, ctx.tk[:, None], ds.z_target[j], 2)
+        lt -= (lqhat + math.log(ds.n2))[:, None]
+        wt = np.exp(lt, out=lt)                           # the evaluation's target weights
+        v = c[:, None] * wt
+        T[j] = wt.T @ ckq_m - contract_times(tgt, v)
+        return contract_hessian(tgt, tgt2, v)
+
+    for part in map_blocks(target_columns, grid_blocks(ds.n2, ctx.K)):
+        A -= part
     A += ((c + tau_k)[:, None] * q).T @ q - R.T @ q - q.T @ R - psi3.T @ psi3
     A /= ds.n1
     return env, 0.5 * (A + A.T), tau_k, tau_psi3, M, T
@@ -128,8 +118,8 @@ def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
     ``c_k`` times the Hessian of ``log qhat(t_k)``, plus the
     ``tau``-weighted censored Hessians and outer products of
     ``grad l(t_k, Z_m) - qstar_ratio_k``, minus each censored score row's
-    outer product.  It comes from the one second-order row pass, which also
-    gives the sandwich its row-local sums.
+    outer product.  It comes from the second-order grid passes, which also
+    give the sandwich its per-row and per-record sums.
     """
     return _second_order_pass(ctx, theta)[1]
 
@@ -163,7 +153,7 @@ def _psi_pt_rows(ctx: LikelihoodContext, tau_psi3):
 # -- covariate-distribution component -----------------------------------------
 
 def _psi_qz_rows(ctx: LikelihoodContext, env, tau_k, M, T):
-    # closed form in the pass's row-local sums: the rows are
+    # closed form in the passes' per-row and per-record sums: the rows are
     # tau_k @ q - sum_k M_k + n2 T, over n1
     ds = ctx.dataset
     rows = ds.n2 * T

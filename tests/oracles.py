@@ -17,7 +17,10 @@ Each keeps its own arithmetic, apart from the array code it checks:
 * ``rectangle_columns`` is the censored tail pass over the whole masked
   (event time x censored record) rectangle, in record order;
 * ``SURVIVAL`` holds each zoo model's survival function in closed form, in
-  u-space, for the log-survival kernels.
+  u-space, for the log-survival kernels;
+* ``DenseKernels`` is one population's pair of shift-test kernels over the
+  whole (grid point x event record) grid, built once and reweighted by one
+  mass vector at a time.
 """
 
 from __future__ import annotations
@@ -257,3 +260,28 @@ SURVIVAL = {
     "aft-exponential": lambda t, u, lam: np.exp(-lam * t * np.exp(-u)),
     "ah-weibull": lambda t, u, lam, gam: np.exp(-lam * np.power(t, gam) * np.exp((gam - 1.0) * u)),
 }
+
+
+# -- the shift test's kernels over the whole grid ----------------------------
+
+class DenseKernels:
+    """One population's two shift-test kernels over the whole (grid point x
+    event record) grid: the Gaussian time kernel ``kt`` and ``num_w``, the
+    same times the product of the covariate CDF kernels.  Takes the arrays
+    of ``shift_test._population``."""
+
+    def __init__(self, x, delta, z, grid_z, grid_t, h_z, h_t):
+        self.x, self.delta, self.n = x, delta, x.shape[0]
+        self.events = np.flatnonzero(delta == 1)
+        x_ev, z_ev = x[self.events], z[self.events]
+        self.kt = np.exp(-0.5 * ((grid_t[:, None] - x_ev[None, :]) / h_t) ** 2)
+        self.num_w = self.kt.copy()
+        for j in range(z.shape[1]):
+            self.num_w *= special.ndtr((grid_z[:, j][:, None] - z_ev[None, :, j]) / h_z[j])
+        self.floor = 1e-10 * h_t * math.sqrt(2 * math.pi)
+
+    def ratio(self, record_masses) -> np.ndarray:
+        """Ratio estimates on the grid for an (n,) mass vector over the
+        records; only the event records' entries are read."""
+        masses = record_masses[self.events]
+        return (self.num_w @ masses) / np.maximum(self.kt @ masses, self.floor)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lssurv.data import Dataset, SourceRecord, TargetRecord
-from lssurv.errors import ValidationError
+from lssurv.errors import EmptyTarget, ValidationError
 
 
 def test_source_record_validation():
@@ -54,6 +54,17 @@ def test_from_records_dimension_check():
     src = [SourceRecord(1.0, 1, np.zeros(2)), SourceRecord(2.0, 0, np.zeros(3))]
     with pytest.raises(ValidationError):
         Dataset.from_records(src, [TargetRecord(np.zeros(2))])
+
+
+def test_an_empty_target_raises_empty_target():
+    msg = "^need at least one target record$"
+    with pytest.raises(EmptyTarget, match=msg):
+        Dataset(np.array([1.0, 2.0]), np.array([1, 0]), np.zeros((2, 1)), np.zeros((0, 1)))
+    src = [SourceRecord(1.0, 1, np.array([0.5])), SourceRecord(2.0, 0, np.array([1.5]))]
+    with pytest.raises(EmptyTarget, match=msg):
+        Dataset.from_records(src, [])
+    # callers that catch ValidationError keep catching it
+    assert issubclass(EmptyTarget, ValidationError)
 
 
 def test_from_records_roundtrip():

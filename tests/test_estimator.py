@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import lssurv as ls
 from lssurv.errors import (
     DomainError,
     DomainEscape,
+    LssurvError,
     NonConvergence,
     QuadratureFailure,
     SingularA,
@@ -351,6 +353,29 @@ def test_fit_is_time_scale_equivariant(name, c):
     want = fit(name, ds, opts=opts).theta_hat
     got = fit(name, scaled, opts=opts).theta_hat
     np.testing.assert_allclose(_rescaled_back(name, got, c), want, rtol=1e-5, atol=1e-6)
+
+
+@given(st.integers(0, 2**16), st.floats(-6.0, 6.0))
+@settings(max_examples=25, deadline=None)
+def test_lognormal_location_shifts_by_log_c_on_drawn_data(seed, log10_c):
+    # rescaling time by c shifts the aft-lognormal location by log c and
+    # leaves every other slot fixed; a fit that fails must fail the same way
+    c = 10.0 ** log10_c
+    ds = sim_dataset(seed=seed, n1=80, n2=80)
+    scaled = ls.Dataset(ds.x * c, ds.delta, ds.z_source, ds.z_target)
+    opts = FitOptions(skip_variance=True)
+    outcomes = []
+    for data in (ds, scaled):
+        try:
+            outcomes.append(fit("aft-lognormal", data, opts=opts).theta_hat)
+        except LssurvError as exc:
+            outcomes.append(type(exc))
+    want, got = outcomes
+    if isinstance(want, type) or isinstance(got, type):
+        assert want is got
+    else:
+        np.testing.assert_allclose(_rescaled_back("aft-lognormal", got, c), want,
+                                   rtol=1e-5, atol=1e-6)
 
 
 def test_bic_penalty_arithmetic():

@@ -1,10 +1,13 @@
-"""The batched shift-test bootstrap against the per-replicate loop it replaced.
+"""The blocked shift-test statistics against the dense per-replicate loop.
 
-The oracle draws every replicate as the batched path does, takes the
-product-limit levels of each resample from the scalar loop, spreads each
+The oracle builds each population's two kernels over the whole grid
+(``oracles.DenseKernels``), draws every replicate as the test does, takes
+the product-limit levels of each resample from the scalar loop, spreads each
 copy's jump share back onto its record with ``np.add.at`` and reweights the
 kernels one mass vector at a time.
 """
+
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -15,7 +18,7 @@ from lssurv.errors import NoEvents
 from lssurv.schemas import RESULT_SCHEMAS
 
 from conftest import gen_censored_population
-from oracles import product_limit_levels
+from oracles import DenseKernels, product_limit_levels
 
 RTOL = 1e-12
 
@@ -55,17 +58,25 @@ def oracle_bootstrap(kp, kq, K, seed):
     return t_star, redraws
 
 
+def oracle_t_n(kp, kq):
+    """The statistic of the samples themselves, from the dense kernels."""
+    return float(np.mean((kp.ratio(scalar_stute_masses(kp.x, kp.delta))
+                          - kq.ratio(scalar_stute_masses(kq.x, kq.delta))) ** 2))
+
+
 @pytest.fixture
 def seen(monkeypatch):
-    """Records the kernels, seed and statistics of each bootstrap run."""
+    """Records the dense kernels, the seed and the statistics of each run."""
     record = {}
-    batched = shift_test._bootstrap
+    statistics = shift_test._statistics
 
-    def spy(kp, kq, K, seed):
-        record.update(kp=kp, kq=kq, seed=seed, t_star=batched(kp, kq, K, seed))
-        return record["t_star"]
+    def spy(pops, own_masses, grid_z, grid_t, h_z, h_t, K, seed):
+        out = statistics(pops, own_masses, grid_z, grid_t, h_z, h_t, K, seed)
+        kp, kq = (DenseKernels(*pop, grid_z, grid_t, h_z, h_t) for pop in pops)
+        record.update(kp=kp, kq=kq, seed=seed, t_n=out[0], t_star=out[1], redraws=out[2])
+        return out
 
-    monkeypatch.setattr(shift_test, "_bootstrap", spy)
+    monkeypatch.setattr(shift_test, "_statistics", spy)
     return record
 
 
@@ -101,14 +112,15 @@ def test_batched_t_star_matches_per_replicate_loop(case, block_cols, seen, monke
     pp, pq = CASES[case](np.random.default_rng(11))
     K = 61
     if block_cols is not None:
-        # blocks of 7 replicates, so K leaves a partial last block
+        # blocks of at most 7 replicates
         monkeypatch.setattr(likelihood, "_BLOCK_CELLS", block_cols * max(len(pp[0]), len(pq[0])))
     monkeypatch.setattr(likelihood, "_threads", 1)
     res = shift_test.label_shift_test(pp, pq, K=K, seed=5)
     serial = seen["t_star"]
     t_star, redraws = oracle_bootstrap(seen["kp"], seen["kq"], K, seen["seed"])
     np.testing.assert_allclose(serial, t_star, rtol=RTOL, atol=0)
-    assert res.redraws == redraws
+    np.testing.assert_allclose(res.t_n, oracle_t_n(seen["kp"], seen["kq"]), rtol=RTOL, atol=0)
+    assert res.redraws == seen["redraws"] == redraws
     if case == "one-event":
         assert redraws > 0
     # two threads: the same bits
@@ -128,14 +140,43 @@ def test_reject_and_p_value_match_oracle_on_c7_seeds(s, seen):
     for pq in (pq0, pq1):
         res = shift_test.label_shift_test(pp, pq, K=200, alpha=0.05, seed=s)
         kp, kq = seen["kp"], seen["kq"]
-        t_n = float(np.mean((kp.ratio(scalar_stute_masses(kp.x, kp.delta))
-                             - kq.ratio(scalar_stute_masses(kq.x, kq.delta))) ** 2))
-        t_star, _ = oracle_bootstrap(kp, kq, 200, s)
+        t_n = oracle_t_n(kp, kq)
+        t_star, redraws = oracle_bootstrap(kp, kq, 200, s)
         critical = float(np.quantile(t_star - t_n, 0.95))
-        assert res.t_n == t_n
+        assert res.t_n == pytest.approx(t_n, rel=RTOL)
+        assert res.redraws == redraws
         assert res.p_value == float(np.mean(t_star - t_n >= t_n))
         assert res.reject == (t_n > critical)
         assert res.critical_value == pytest.approx(critical, rel=RTOL)
+
+
+@pytest.mark.parametrize("block_rows", [7, None])
+def test_ratio_estimate_matches_the_dense_kernels(block_rows, monkeypatch):
+    x, delta, z = _two_covariates(np.random.default_rng(16), 120)
+    z_atoms, t_atoms, masses = shift_test.stute_joint_cdf(x, delta, z)
+    if block_rows is not None:
+        # blocks of at most 7 grid rows
+        monkeypatch.setattr(likelihood, "_BLOCK_CELLS", block_rows * t_atoms.size)
+    est = shift_test.ratio_estimate(x, delta, z)
+    atoms = DenseKernels(t_atoms, np.ones(t_atoms.size, dtype=int), z_atoms, z_atoms, t_atoms,
+                         est.bandwidth_z, est.bandwidth_t)
+    np.testing.assert_allclose(est.values, atoms.ratio(masses), rtol=RTOL, atol=0)
+
+
+def test_label_shift_test_keeps_no_kernel():
+    # n = 2000 per population, K = 50: one (grid point x event record)
+    # float64 kernel alone takes about 30 MB
+    rng = np.random.default_rng(15)
+    pp, pq = gen_censored_population(rng, 2000), gen_censored_population(rng, 2000, t_rate=0.7)
+    events = [int(np.sum(delta)) for _, delta, _ in (pp, pq)]
+    kernel_bytes = 8 * sum(events) * max(events)
+    tracemalloc.start()
+    try:
+        shift_test.label_shift_test(pp, pq, K=50, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < kernel_bytes
 
 
 def test_stute_masses_equal_scalar_reference_on_ties():
@@ -155,6 +196,16 @@ def test_exhausted_redraws_raise_no_events(monkeypatch):
     monkeypatch.setattr(shift_test, "_MAX_REDRAWS", 1)
     with pytest.raises(NoEvents):
         shift_test.label_shift_test(pp, pq, K=60, seed=0)
+
+
+@pytest.mark.parametrize("bandwidths", [None, (np.array([0.5]), 0.5)])
+def test_populations_without_events_raise_no_events(bandwidths):
+    rng = np.random.default_rng(17)
+    (xp, _, zp), (xq, _, zq) = gen_censored_population(rng, 100), gen_censored_population(rng, 100)
+    censored = np.zeros(100, dtype=int)
+    with pytest.raises(NoEvents):
+        shift_test.label_shift_test((xp, censored, zp), (xq, censored, zq), K=50, seed=1,
+                                    bandwidths=bandwidths)
 
 
 def test_json_reports_redraws_and_bandwidths():
