@@ -13,6 +13,7 @@ at the maximizer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .likelihood import LikelihoodContext, contract_records
+from .likelihood import LikelihoodContext
 from .models import REGISTRY_ORDER, SurvivalModel, full_gradient, get_model
 from .variance import VarianceParts, a_matrix, asymptotic_variance
 
@@ -145,9 +146,9 @@ def _source_objective(model: SurvivalModel, dataset: Dataset):
             model.check_theta(theta, dataset.d_z)
             ll, grad = 0.0, 0.0
             for kernel, t, zr in parts:
-                val, factors = kernel(theta, t, zr, 1)
+                val, cells = kernel(theta, t, zr, 1)
                 ll += float(np.sum(val))
-                grad = grad + contract_records(factors, np.ones(t.shape))
+                grad = grad + full_gradient(cells).sum(axis=0)
         except _UNEVALUABLE:
             return np.inf, np.zeros_like(eta)
         if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
@@ -246,11 +247,15 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
     except _UNEVALUABLE as exc:
         raise DomainEscape(f"optimizer left the parameter domain: {exc}") from exc
     # lstsq, not solve: with a rate near 1e-13 cond(A) reaches 1e27, and
-    # lstsq's cutoff drops the singular directions a solve fills with rounding
+    # lstsq's cutoff drops the singular directions a solve fills with rounding;
+    # a Jacobian that overflowed (a rate whose square underflows) ends the steps
     for _ in range(min(40, max(opts.max_iter - iterations, 0))):
         if stationarity(theta, sc) <= opts.grad_tol:
             break
-        step = np.linalg.lstsq(a_matrix(ctx, theta), -sc, rcond=None)[0]
+        A = a_matrix(ctx, theta)
+        if not np.all(np.isfinite(A)):
+            break
+        step = np.linalg.lstsq(A, -sc, rcond=None)[0]
         iterations += 1
         hit = try_step(theta, sc, step)
         if hit is None:
@@ -321,13 +326,16 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
 
     zeta = checked(integrand, "integral")
 
+    @functools.lru_cache(maxsize=None)
+    def weighted_gradient(t):
+        # the d integrands at one node, shared by the d quadratures, which
+        # mostly visit the same nodes
+        lq, cells = model.terms(theta, t, z, 1)
+        return g(t) * float(np.exp(lq)) * full_gradient(cells)
+
     gamma = np.empty(theta.shape[0])
     for s in range(gamma.size):
-        def comp(t, s=s):
-            lq, factors = model.terms(theta, t, z, 1)
-            return g(t) * float(np.exp(lq)) * float(full_gradient(factors)[s])
-
-        gamma[s] = checked(comp, f"gradient integral {s}")
+        gamma[s] = checked(lambda t, s=s: float(weighted_gradient(t)[s]), f"gradient integral {s}")
     var = float(gamma @ fit_result.sigma_hat @ gamma) / fit_result.n0
     se = math.sqrt(max(var, 0.0))
     return zeta, se, (zeta - Z975 * se, zeta + Z975 * se)

@@ -9,8 +9,8 @@ For a parameter vector theta the objective is the source average of
 
 where ``w_k`` are the product-limit jumps of the source event-time CDF and
 ``qhat(t) = mean_j q(t, z_j)`` over the target covariates.  Everything is
-evaluated in log space; ratios are formed through normalized weights so the
-gradient is exact and stable.
+evaluated in log space; ratios are formed through max-shifted weights so
+the gradient is exact and stable.
 
 Both (event time x record) grids are walked in blocks of at most
 ``_BLOCK_CELLS`` cells, one ``terms`` call per block, each contracted at
@@ -23,14 +23,26 @@ row: only that staircase is evaluated, not the whole rectangle.  Every
 block's log-sum is complete, so the block size changes no formula.  An
 evaluation keeps no grid: only the per-row and per-record results.
 
-A pass hands its blocks to ``map_blocks``, which splits them into contiguous
-chunks, one per thread, when every chunk gets at least two blocks: the
-calling thread runs chunk 0 and a pool of ``threads - 1`` workers, created
-on first use, runs the rest.  ``threads`` is the number of CPUs the process
-may run on (``usable_cores``); a Monte Carlo worker process gets its share.
-Each block writes only its own rows or columns and returns its partials in
-block order, so the results do not depend on the thread count.  Smaller
-passes, and passes started from a pool thread, run as a plain loop.
+A block is contracted through its ``Cells`` (``BlockSums``), not through a
+cell array per partial: every partial is a polynomial in the block's one
+cell feature ``phi``, a row basis and a column basis, so the block forms
+``V * phi**p`` once per power, one cell pass each, and reduces it with one
+small product against the column design ``[cols * z, cols]`` (sums over
+records) or the row basis (sums over event times); the coefficient tables
+then act on those (rows x a few) or (a few x records) sums.  The weights
+``V`` are the max-shifted ``exp`` of the log-sums, unnormalized: a block
+divides its weighted sums by the weights' totals instead.
+
+A pass hands its blocks and their cell counts to ``map_blocks``, which
+splits them into contiguous chunks of about equal cell counts, one per
+thread and at most one per started ``_BLOCK_CELLS`` cells: the calling
+thread runs chunk 0 and a pool of ``threads - 1`` workers, created on first
+use, runs the rest.  ``threads`` is the number of CPUs the process may run on
+(``usable_cores``); a Monte Carlo worker process gets its share.  Each
+block writes only its own rows or columns and returns its partials in block
+order, so the results do not depend on the thread count.  Passes of one
+block or one budget of cells, and passes started from a pool thread, run as
+a plain loop.
 
 Censored records with no event time beyond them have an undefined tail term
 and are dropped with a warning count (the product-limit tail carries no
@@ -50,7 +62,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyTail, NumericalUnderflow
-from .models import SurvivalModel, full_gradient
+from .models import SurvivalModel, full_gradient, theta_hessian, theta_rows
 from .nonparam import kaplan_meier
 
 logger = logging.getLogger("lssurv")
@@ -74,6 +86,11 @@ def grid_blocks(n_rows, n_cols):
     return [slice(n_rows * i // n_blocks, n_rows * (i + 1) // n_blocks) for i in range(n_blocks)]
 
 
+def block_cells(blocks, width):
+    """Cell counts of slices over one axis of a grid ``width`` cells across."""
+    return [(b.stop - b.start) * width for b in blocks]
+
+
 def tail_blocks(tail_start, n_rows):
     """Slices over records whose tails are the rows from ``tail_start``
     (non-decreasing) to ``n_rows``: each block covers the rows from its
@@ -85,6 +102,18 @@ def tail_blocks(tail_start, n_rows):
         blocks.append(slice(a, min(b, len(tail_start))))
         a = b
     return blocks
+
+
+def prefix_blocks(reach):
+    """Slices over rows whose cells are the columns before ``reach``
+    (non-decreasing): each block covers its last row's columns, at most
+    ``_BLOCK_CELLS`` cells of them and at least one row."""
+    blocks, b = [], len(reach)
+    while b > 0:
+        a = max(0, b - max(1, _BLOCK_CELLS // max(int(reach[b - 1]), 1)))
+        blocks.append(slice(a, b))
+        b = a
+    return blocks[::-1]
 
 
 def usable_cores():
@@ -135,21 +164,27 @@ def _run_chunk(fn, chunk):
     return [fn(b) for b in chunk]
 
 
-def map_blocks(fn, blocks):
-    """``[fn(b) for b in blocks]``, in block order.
+def map_blocks(fn, blocks, cells):
+    """``[fn(b) for b in blocks]``, in block order; ``cells[i]`` is the cell
+    count of block ``i``.
 
-    When every chunk gets at least two blocks, the blocks are split into
-    contiguous chunks, one per thread: the calling thread runs chunk 0 and
-    the grid pool the others, each in a copy of the caller's context, so a
-    caller's ``np.errstate`` holds in every chunk.  Every chunk runs to its
-    end before the first exception, in chunk order, is raised as it is.
+    When the blocks hold more than one budget of ``_BLOCK_CELLS`` cells, they
+    are split into contiguous chunks of about equal cell counts, one per
+    thread and at most one per started budget: a block goes to the chunk in
+    which its middle cell falls.  The calling thread runs chunk 0 and the grid
+    pool the others, each in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds in every chunk.  Every chunk runs to its end
+    before the first exception, in chunk order, is raised as it is.
     Otherwise, and when called from a pool thread, this is the plain loop."""
     threads = _threads or usable_cores()
-    n_chunks = min(threads, len(blocks) // 2)
+    cells = np.asarray(cells, dtype=float)
+    total = cells.sum()
+    n_chunks = min(threads, len(blocks), math.ceil(total / _BLOCK_CELLS))
     if n_chunks < 2 or getattr(_in_pool, "active", False):
         return _run_chunk(fn, blocks)
-    cuts = [len(blocks) * i // n_chunks for i in range(n_chunks + 1)]
-    chunks = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+    middles = np.cumsum(cells) - 0.5 * cells
+    cuts = [0, *np.searchsorted(middles, total * np.arange(1, n_chunks) / n_chunks), len(blocks)]
+    chunks = [blocks[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
     pool = _grid_pool(threads - 1)
     futures = [pool.submit(contextvars.copy_context().run, _run_chunk, fn, chunk)
                for chunk in chunks[1:]]
@@ -175,58 +210,91 @@ def _check(logs, what):
 
 
 def log_sum_weights(a, axis, mask=None):
-    """``log sum exp(a)`` along ``axis`` and the normalized weights
-    ``exp(a - logsum)`` from one max-shifted ``exp``, formed in ``a`` itself;
-    entries outside ``mask`` count as ``-inf`` (weight 0)."""
+    """``log sum exp(a)`` along ``axis``, the weights ``exp(a - max)`` from
+    one max-shifted ``exp``, formed in ``a`` itself, and their sums (kept
+    dimension), by which a weighted sum is divided to normalize it; entries
+    outside ``mask`` count as ``-inf`` (weight 0)."""
     if mask is not None:
         np.copyto(a, -np.inf, where=~mask)
     m = np.max(a, axis=axis, keepdims=True)
     a -= m
     np.exp(a, out=a)
     total = a.sum(axis=axis, keepdims=True)
-    a /= total
-    return np.squeeze(m + np.log(total), axis=axis), a
+    return np.squeeze(m + np.log(total), axis=axis), a, total
 
 
-def contract_records(factors, W):
-    """``sum_j W[..., j] * grad[..., j, :]`` for the density gradient on a
-    grid whose last axis runs over records, from its ``terms`` factors: the
-    regression block is one matrix product, the baseline block one weighted
-    sum per slot, and the full gradient grid is never formed."""
-    g_u, g_base, zr = factors
-    base = [np.einsum("...j,...j->...", W, g) for g in g_base]
-    return np.concatenate([(W * g_u) @ zr, np.stack(base, axis=-1)], axis=-1)
+class BlockSums:
+    """Weighted sums of the partials of ``terms`` over one grid block, from
+    the block's ``Cells`` and its weights ``V`` (event-time rows x record
+    columns), without a cell array per partial.
 
+    The block forms ``V * phi**p`` once per power ``p`` its tables use, one
+    cell pass each.  A sum over records reduces it with one matrix product
+    against the column design ``[cols * z, cols]``; a sum over event times
+    reduces it with the row basis, one pass per (power, row) pair, in
+    event-time order, so a record's sums do not depend on the zero rows
+    before its tail; those row sums are kept for the block's other sums.
+    The coefficient tables act only on the reductions."""
 
-def contract_times(factors, W):
-    """``sum_k W[k, j] * grad[k, j, :]`` over the event times of an (event
-    time x record) grid, one row per record, from its ``terms`` factors."""
-    g_u, g_base, zr = factors
-    base = [np.einsum("kj,kj->j", W, g) for g in g_base]
-    return np.concatenate([(W * g_u).sum(axis=0)[:, None] * zr, np.stack(base, axis=-1)], axis=-1)
+    def __init__(self, cells, V):
+        self.cells = cells
+        self._weighted = [V]
+        self._row_sums = {}
 
+    def _power(self, p):
+        while len(self._weighted) <= p:
+            self._weighted.append(self._weighted[-1] * self.cells.phi)
+        return self._weighted[p]
 
-def contract_hessian(factors, second, V):
-    """``sum V * (H + g g^T)`` over a grid whose last axis runs over records,
-    from its first- and second-order ``terms`` factors: the regression block is
-    ``zr^T diag(colsum) zr``, the regression-baseline block one column-sum
-    product with ``zr`` per slot and the baseline block plain sums, so no
-    (..., d, d) array is formed."""
-    g_u, g_b, zr = factors
-    h_uu, h_ub, h_bb = second
-    lead = tuple(range(np.ndim(V) - 1))
+    def _over_rows(self, table):
+        """(P, R, n_cols): ``sum_k rows[r, k] * (V phi**p)[k, :]`` for every
+        (p, r) the table uses, zero for the others."""
+        P, R = table.shape[-3:-1]
+        n_rows, n_cols = self._weighted[0].shape
+        rows = self.cells.rows.reshape(R, n_rows)
+        out = np.zeros((P, R, n_cols))
+        for p, r in zip(*np.nonzero(table.any(axis=(*range(table.ndim - 3), -1)))):
+            if (p, r) not in self._row_sums:
+                self._row_sums[p, r] = np.einsum("k,kj->j", rows[r], self._power(p))
+            out[p, r] = self._row_sums[p, r]
+        return out
 
-    def per_record(a):
-        return np.sum(V * a, axis=lead)
+    def over_records(self):
+        """``sum_j V[k, j] grad[k, j]`` (n_rows, d): one gradient sum per
+        event-time row."""
+        cells, g = self.cells, self.cells.grad
+        P, R, C = g.shape[1:]
+        z = cells.z
+        (n_rows, n_cols), d_z = self._weighted[0].shape, z.shape[-1]
+        cols = cells.cols.reshape(C, n_cols).T
+        design = np.empty((n_cols, C, d_z + 1))          # per column term: [cols * z, cols]
+        np.multiply(cols[:, :, None], z[:, None, :], out=design[:, :, :d_z])
+        design[:, :, d_z] = cols
+        design = design.reshape(n_cols, C * (d_z + 1))
+        Y = np.empty((P, n_rows, C, d_z + 1))
+        for p in range(P):
+            np.matmul(self._power(p), design, out=Y[p].reshape(n_rows, C * (d_z + 1)))
+        coef = np.einsum("aprc,rk->apkc", g, cells.rows.reshape(R, n_rows))
+        out = np.empty((n_rows, d_z + g.shape[0] - 1))
+        out[:, :d_z] = np.einsum("pkc,pkci->ki", coef[0], Y[..., :d_z])
+        out[:, d_z:] = np.einsum("apkc,pkc->ka", coef[1:], Y[..., d_z])
+        return out
 
-    d_z, nb = zr.shape[-1], len(g_b)
-    out = np.empty((d_z + nb, d_z + nb))
-    out[:d_z, :d_z] = zr.T @ (per_record(h_uu + g_u * g_u)[:, None] * zr)
-    for s in range(nb):
-        out[:d_z, d_z + s] = out[d_z + s, :d_z] = zr.T @ per_record(h_ub[s] + g_u * g_b[s])
-        for r in range(s, nb):
-            out[d_z + s, d_z + r] = out[d_z + r, d_z + s] = np.sum(V * (h_bb[s][r] + g_b[s] * g_b[r]))
-    return out
+    def _slots(self, table):
+        # the per-record u-space sums of a table's cells (leading axes, n_cols)
+        C = table.shape[-1]
+        reduced = np.tensordot(table, self._over_rows(table), axes=([-3, -2], [0, 1]))
+        return np.einsum("...cj,cj->...j", reduced,
+                         self.cells.cols.reshape(C, self._weighted[0].shape[1]))
+
+    def over_times(self):
+        """``sum_k V[k, j] grad[k, j]`` (n_cols, d): one gradient sum per
+        record."""
+        return theta_rows(self._slots(self.cells.grad), self.cells.z)
+
+    def hessian(self):
+        """``sum V * (Hess + grad grad^T)`` over the block, (d, d)."""
+        return theta_hessian(self._slots(self.cells.curv), self.cells.z)
 
 
 class LikelihoodContext:
@@ -299,13 +367,14 @@ class LikelihoodContext:
 
         def target_rows(k):
             block = model.terms(theta, self.tk[k, None], ds.z_target, order)
-            lse, wt = log_sum_weights(block[0], axis=1)          # rows sum to 1
+            lse, wt, total = log_sum_weights(block[0], axis=1)
             lqhat[k] = lse - math.log(ds.n2)
             _check(lqhat[k], "target-averaged density")
             if need_score:
-                qstar_ratio[k] = contract_records(block[1], wt)
+                qstar_ratio[k] = BlockSums(block[1], wt).over_records() / total
 
-        map_blocks(target_rows, grid_blocks(K, ds.n2))
+        blocks = grid_blocks(K, ds.n2)
+        map_blocks(target_rows, blocks, block_cells(blocks, ds.n2))
 
         own = model.terms(theta, ds.x[self.unc_idx], ds.z_source[self.unc_idx], order)
         _check(own[0], "event density")
@@ -318,14 +387,16 @@ class LikelihoodContext:
         def censored_columns(m):
             k = slice(self.tail_start[m.start], K)
             block = model.terms(theta, self.tk[k, None], z_cens[m], order)
-            cens_logsum[m], tw = log_sum_weights(                  # columns sum to 1
+            cens_logsum[m], tw, total = log_sum_weights(
                 self.logw[k, None] + block[0] - lqhat[k, None], axis=0,
                 mask=self.tk[k, None] > x_cens[m])
             _check(cens_logsum[m], "censored tail")
             if need_score:
-                psi3[m] = contract_times(block[1], tw) - tw.T @ qstar_ratio[k]
+                psi3[m] = (BlockSums(block[1], tw).over_times() - tw.T @ qstar_ratio[k]) / total.T
 
-        map_blocks(censored_columns, tail_blocks(self.tail_start, K))
+        blocks = tail_blocks(self.tail_start, K)
+        map_blocks(censored_columns, blocks,
+                   [(K - self.tail_start[m.start]) * (m.stop - m.start) for m in blocks])
 
         contrib = np.zeros(ds.n1)
         contrib[self.unc_idx] = own[0] - lqhat[self.k_of_unc]

@@ -6,40 +6,62 @@ zoo model declares its baseline slot names (``baseline``), the ones
 constrained to (0, inf) (``positive``), and supplies three functions of
 ``(t, u, *base)``, ``base`` being the baseline scalars:
 
-* ``u_terms(t, u, *base, order)``, one kernel for the log density and its
-  partials, each with the broadcast shape of ``t`` and ``u``: ``[l]`` at
-  ``order=0``; ``[l, (dl/du, (dl/dbase_1, ...))]`` at ``order=1``; and at
-  ``order=2`` also ``(d2l/du2, (d2l/du dbase_s, ...), ((d2l/dbase_s
-  dbase_r, ...), ...))``, the last a full symmetric table.  Its preamble
-  (``log t`` and the one capped ``exp``) runs once per call, and each order
-  adds its entries without changing the lower ones;
-* ``u_log_survival(t, u, *base, order)``, the log survival function in
-  the same layout up to ``order=1``: ``[log S]``, then ``(dlogS/du,
-  (dlogS/dbase_1, ...))``, from the same preamble and capped ``exp`` as
-  ``u_terms``, so it stays finite wherever ``u_terms`` does;
+* ``u_terms(t, u, *base, order)``, one kernel for the log density ``l``,
+  ``[l]`` at ``order=0``, a cell array (the broadcast shape of ``t`` and
+  ``u``).  Its partials are not cell arrays.  Each one, up to order 2, is a
+  polynomial in three things: one *cell feature* ``F``, a cell array the
+  kernel returns; ``L = log t``, a function of the event time alone (a
+  grid's row); and ``U = u``, a function of the record alone (a grid's
+  column).  Its coefficients depend on the baseline only.  So ``order=1``
+  appends the feature and the gradient ``(dl/du, dl/dbase_1, ...)`` as
+  ``Poly`` objects written with this module's ``F``, ``L`` and ``U``, and
+  ``order=2`` appends the upper triangle of the Hessian by rows,
+  ``((d2l/du2, d2l/du dbase_1, ...), (d2l/dbase_1^2, ...), ...)``.  The
+  preamble (``log t`` and the one capped ``exp``) runs once per call, and
+  each order appends its entries without changing the lower ones;
+* ``u_log_survival(t, u, *base, order)``, the log survival function in the
+  same layout up to ``order=1`` (its own feature), from the same preamble
+  and capped ``exp`` as ``u_terms``, so it stays finite wherever
+  ``u_terms`` does;
 * ``u_inverse_survival``: the inverse of the survival function in ``t`` at
   level ``v``.
+
+Picking the feature.  The feature is the one cell array the partials need
+beyond ``log t`` and ``u``: the capped ``exp`` term, or an affine map of
+it.  Take the map that makes ``dl/du`` the feature itself (up to a
+constant factor), so that no contracted sum is the difference of two large
+sums that nearly cancel: ``ph-weibull``'s ``dl/du`` is ``1 - He``, so its
+feature is ``1 - He``, and its regression score is one weighted sum of it,
+not ``sum W z - sum W He z``.  The features are ``1 - He``
+(``ph-weibull``), ``1 - H`` (``ah-weibull``), ``lam t e^-u - 1``
+(``aft-exponential``), ``1 - 2G`` with ``G = expit(log H + u)``
+(``po-loglogistic``) and ``s`` (``aft-lognormal``).
 
 ``SurvivalModel`` derives the rest: the parameter layout (``beta_1 ..
 beta_{d_z}`` followed by the baseline block), and from theta and z (split
 and ``u`` formed once per call) ``terms``, the one theta-space entry point
 through which the likelihood, the sandwich and the functionals contract
-(event time x record) grids without a (K, n, d) or (K, n, d, d) tensor,
-``log_survival_terms``, its log-survival counterpart, which gives the
-source-only start its exact gradient, plus ``log_density``,
-``log_density_grad`` (regression block ``(dl/du) * z``), ``survival``
-(``exp(log S)``) and ``inverse_survival``.
+(event time x record) grids: ``[l]``, or ``[l, Cells]`` from ``order=1`` on,
+the feature with its coefficient tables over the powers of ``log t`` (the
+row basis) and of ``u`` (the column basis).  Also ``log_survival_terms``,
+its log-survival counterpart, which gives the source-only start its exact
+gradient, plus ``log_density``, ``log_density_grad`` (regression block
+``(dl/du) * z``), ``survival`` (``exp(log S)``) and ``inverse_survival``.
+Per-record rows (own events, quadrature nodes, the envelope's Newton step)
+expand the tables through ``expand``.
 
 A model that is not a function of a linear predictor overrides the layout
 (``d_theta``, ``param_names``, ``positive_mask``), ``survival`` and
-``terms``, whose factors are a zero-width ``zr`` with its full gradient and
-Hessian as ``g_base`` and ``h_bb``, so the contractions run unchanged; for
-the ``"auto"`` (source-only) start it also overrides ``log_survival_terms``.
+``terms``, whose ``Cells`` take any row and column bases, with a
+zero-width ``z`` and its full gradient in the baseline slots, so the
+contractions run unchanged; for the ``"auto"`` (source-only) start it also
+overrides ``log_survival_terms``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -49,22 +71,180 @@ from .errors import DomainError
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _exp_clip(a):
-    """exp with the argument capped well below the overflow threshold; the
-    result stays a huge finite number (with slack for scale factors) so
-    downstream log-densities stay NaN-free."""
-    return np.exp(np.minimum(a, 600.0))
+def _exp_clip(row, col):
+    """``a = row + col``, a row term plus a column term, and ``exp(a)`` with
+    the argument capped well below the overflow threshold; the result stays
+    a huge finite number (with slack for scale factors) so downstream
+    log-densities stay NaN-free.  The cap costs a pass over the cells only
+    where the largest row and column terms can reach it."""
+    a = np.add(row, col)
+    if np.max(row, initial=-np.inf) + np.max(col, initial=-np.inf) > 600.0:
+        return a, np.exp(np.minimum(a, 600.0))
+    return a, np.exp(a)
 
 
-def full_gradient(factors):
-    """The gradient rows ``[g_u * zr, g_base...]`` of the first-order
-    ``terms`` factors ``(g_u, g_base, zr)``."""
-    g_u, g_base, zr = factors
-    return np.concatenate([np.asarray(g_u)[..., None] * zr, np.stack(g_base, axis=-1)], axis=-1)
+class Poly(dict):
+    """A polynomial in the cell feature ``F``, ``L = log t`` and ``U = u``
+    with scalar coefficients: ``{(p, r, c): coef}`` stands for the sum of
+    ``coef * F**p * L**r * U**c``.  Numbers mix in as constants."""
+
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, Poly) else Poly({(0, 0, 0): float(x)})
+
+    def __add__(self, other):
+        out = Poly(self)
+        for key, coef in Poly.of(other).items():
+            out[key] = out.get(key, 0.0) + coef
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return Poly({key: coef * other for key, coef in self.items()})
+        out = Poly()
+        for (p, r, c), a in self.items():
+            for (q, s, e), b in other.items():
+                key = (p + q, r + s, c + e)
+                out[key] = out.get(key, 0.0) + a * b
+        return out
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, other):
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other):
+        return Poly.of(other) + -self
+
+    def __truediv__(self, x):
+        return self * (1.0 / x)
+
+
+F = Poly({(1, 0, 0): 1.0})
+L = Poly({(0, 1, 0): 1.0})
+U = Poly({(0, 0, 1): 1.0})
+
+
+class Cells(NamedTuple):
+    """The partials of a log density (or log survival function) over cells.
+
+    Slot ``a`` of the u-space gradient (slot 0 ``d/du``, then the baseline)
+    is ``sum grad[a, p, r, c] * phi**p * rows[r] * cols[c]`` over (p, r, c),
+    and at order 2 entry (a, b) of ``d2q/q``, the Hessian plus the outer
+    product of the gradient, is the same sum over ``curv[a, b]``.  ``rows``
+    (R, *t.shape) depends on the event time alone and ``cols`` (C, *u.shape)
+    on the record alone; the theta-space gradient is ``slot_0 * z``
+    followed by the baseline slots."""
+
+    phi: object
+    rows: np.ndarray
+    cols: np.ndarray
+    z: object
+    grad: np.ndarray
+    curv: object = None
+
+
+def _powers(x, n):
+    """``x**0 .. x**(n - 1)`` stacked along a new first axis."""
+    x = np.asarray(x, dtype=float)
+    return x ** np.arange(float(n)).reshape((n,) + (1,) * x.ndim)
+
+
+def _dense(polys, shape):
+    """Coefficient tables (len(polys), *shape) of polynomials."""
+    out = np.zeros((len(polys),) + shape)
+    for i, poly in enumerate(polys):
+        for key, coef in Poly.of(poly).items():
+            out[(i,) + key] = coef
+    return out
+
+
+def _tables(grad, hess=None):
+    """Dense coefficient tables of gradient polynomials and, given the upper
+    triangle of the Hessian, of the curvature ``hess + grad grad^T``, over
+    the powers of ``F``, ``L`` and ``U`` the polynomials use."""
+    grad = [Poly.of(p) for p in grad]
+    n, curv = len(grad), []
+    if hess is not None:
+        curv = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                curv[a][b] = curv[b][a] = hess[a][b - a] + grad[a] * grad[b]
+    flat = grad + [p for row in curv for p in row]
+    P, R, C = (1 + max(key[i] for p in flat for key in p) for i in range(3))
+    tables = [_dense(grad, (P, R, C))]
+    if hess is not None:
+        P2 = 1 + max(key[0] for p in flat[n:] for key in p)
+        tables.append(_dense(flat[n:], (P2, R, C)).reshape((n, n, P2, R, C)))
+    return tables
+
+
+def _bases(t, u, table):
+    """The row and column bases of a table: powers of ``log t`` and ``u``."""
+    return _powers(np.log(t), table.shape[-2]), _powers(u, table.shape[-1])
+
+
+def expand(table, cells):
+    """The cell values of a coefficient table of ``cells``: the sum over
+    (p, r, c) of ``table[..., p, r, c] * phi**p * rows[r] * cols[c]``, with
+    the table's leading axes in front of the cells' shape."""
+    bases = (_powers(cells.phi, table.shape[-3]), cells.rows, cells.cols)
+    ndim = max(b.ndim for b in bases) - 1
+
+    def lift(basis, axis):
+        # to axis ``axis`` of (P, R, C), its cell axes aligned to the right
+        head = [1, 1, 1]
+        head[axis] = basis.shape[0]
+        return basis.reshape(tuple(head) + (1,) * (ndim + 1 - basis.ndim) + basis.shape[1:])
+
+    monomials = lift(bases[0], 0) * lift(bases[1], 1) * lift(bases[2], 2)
+    P, R, C = table.shape[-3:]
+    lead, shape = table.shape[:-3], monomials.shape[3:]
+    flat = table.reshape(-1, P * R * C) @ monomials.reshape(P * R * C, -1)
+    return flat.reshape(lead + shape)
+
+
+def evaluate(polys, phi, t, u):
+    """The cell values of u-space polynomials at the feature ``phi``."""
+    (table,) = _tables(polys)
+    return expand(table, Cells(phi, *_bases(t, u, table), None, table))
+
+
+def theta_rows(slots, z):
+    """Theta-space rows (..., d) of u-space slot values (S, ...): the
+    regression block ``slots[0] * z``, then the baseline slots."""
+    base = slots[1:].transpose(tuple(range(1, slots.ndim)) + (0,))
+    return np.concatenate([slots[0][..., None] * z, base], axis=-1)
+
+
+def theta_hessian(pairs, z):
+    """The (d, d) sum over records of the theta-space matrices of u-space
+    slot-pair values ``pairs`` (S, S, n) with regression rows ``z`` (n, d_z)."""
+    d_z = z.shape[-1]
+    d = d_z + pairs.shape[0] - 1
+    out = np.empty((d, d))
+    out[:d_z, :d_z] = z.T @ (pairs[0, 0][:, None] * z)
+    out[:d_z, d_z:] = z.T @ pairs[0, 1:].T
+    out[d_z:, :d_z] = out[:d_z, d_z:].T
+    out[d_z:, d_z:] = pairs[1:, 1:].sum(axis=-1)
+    return out
+
+
+def full_gradient(cells):
+    """The theta-space gradient rows (..., d) of ``cells``, cell by cell."""
+    return theta_rows(expand(cells.grad, cells), cells.z)
 
 
 class SurvivalModel:
-    """Interface shared by the model zoo.  Stateless and thread-safe.
+    """Interface shared by the model zoo.  Thread-safe: its only state is
+    the last coefficient tables of each kernel, replaced whole.
 
     See the module docstring for the contract: a zoo model supplies the
     u-space functions, this class derives every theta-space method.
@@ -107,27 +287,33 @@ class SurvivalModel:
         beta, base = self.split(theta)
         return (np.asarray(t, dtype=float), np.asarray(z, dtype=float) @ beta, *base)
 
-    def _u_kernel(self, kernel, theta, t, z, order):
-        """A u-space kernel's output with ``z`` appended to its first-order
-        factors, the regression block's rows."""
-        out = kernel(*self._u_args(theta, t, z), order=order)
-        if order >= 1:
-            out[1] = (*out[1], np.asarray(z, dtype=float))
-        return out
+    def _cells(self, kernel, theta, t, z, order):
+        """A u-space kernel's output at theta, its partials as ``Cells``
+        over the powers of ``log t`` and ``u``, with ``d2q/q = hess + grad
+        grad^T`` as the curvature.  The tables depend on the baseline alone,
+        so the last ones of each kernel and order are kept for the next
+        call (every block of a grid pass)."""
+        t, u, *base = self._u_args(theta, t, z)
+        out = kernel(t, u, *base, order=order)
+        if order == 0:
+            return out
+        value, phi, *polys = out
+        slot, memo = (kernel.__name__, order), self.__dict__.setdefault("_tables", {})
+        kept = memo.get(slot)
+        if kept is None or kept[0] != base:
+            kept = memo[slot] = (base, _tables(*polys))
+        tables = kept[1]
+        return [value, Cells(phi, *_bases(t, u, tables[0]), np.asarray(z, dtype=float), *tables)]
 
     def terms(self, theta, t, z, order=0):
-        """The log density at theta and, up to ``order``, its factored
-        partials: ``[l]``, then ``(g_u, g_base, zr)``, the gradient being
-        ``g_u[..., None] * zr`` followed by one slot per entry of ``g_base``,
-        then ``(h_uu, h_ub, h_bb)``, the Hessian with regression block
-        ``h_uu[..., None, None] * zr zr^T``, regression-baseline column ``s``
-        ``h_ub[s][..., None] * zr`` and baseline entries ``h_bb[s][r]``."""
-        return self._u_kernel(self.u_terms, theta, t, z, order)
+        """The log density at theta and, from ``order=1`` on, the ``Cells``
+        of its partials (with the curvature at ``order=2``)."""
+        return self._cells(self.u_terms, theta, t, z, order)
 
     def log_survival_terms(self, theta, t, z, order=0):
-        """The log survival function at theta and, at ``order=1``, its
-        factored gradient ``(g_u, g_base, zr)`` in the layout of ``terms``."""
-        return self._u_kernel(self.u_log_survival, theta, t, z, order)
+        """The log survival function at theta and, at ``order=1``, the
+        ``Cells`` of its gradient."""
+        return self._cells(self.u_log_survival, theta, t, z, order)
 
     def log_density(self, theta, t, z):
         return self.terms(theta, t, z)[0]
@@ -155,25 +341,23 @@ class PHWeibull(SurvivalModel):
 
     def u_terms(self, t, u, lam, gam, order=0):
         logt = np.log(t)
-        He = lam * _exp_clip(gam * logt + u)  # H(t) * exp(u)
-        out = [math.log(lam) + math.log(gam) + (gam - 1.0) * logt + u - He]
+        value, He = _exp_clip(gam * logt + math.log(lam), u)      # log He, He = H(t) * exp(u)
+        value += math.log(gam) - logt
+        value -= He
+        out = [value]
         if order >= 1:
-            g_u = 1.0 - He
-            out.append((g_u, (1.0 / lam - He / lam, 1.0 / gam + logt * g_u)))
+            out += [1.0 - He, (F, F / lam, 1.0 / gam + L * F)]  # feature 1 - He
         if order >= 2:
-            l_lg = -He * logt / lam
-            out.append((-He, (-He / lam, -He * logt), (
-                (-1.0 / lam**2, l_lg),
-                (l_lg, -1.0 / gam**2 - He * logt**2),
-            )))
+            h = F - 1.0                                           # -He
+            out.append(((h, h / lam, L * h), (-1.0 / lam**2, L * h / lam),
+                        (-1.0 / gam**2 + L * L * h,)))
         return out
 
     def u_log_survival(self, t, u, lam, gam, order=0):
-        logt = np.log(t)
-        He = lam * _exp_clip(gam * logt + u)
+        He = _exp_clip(gam * np.log(t) + math.log(lam), u)[1]
         out = [-He]
         if order >= 1:
-            out.append((-He, (-He / lam, -He * logt)))
+            out += [He, (-F, -F / lam, -L * F)]                   # feature He
         return out
 
     def u_inverse_survival(self, v, u, lam, gam):
@@ -197,18 +381,15 @@ class POLogLogistic(SurvivalModel):
         # log h = logH - log(sigma * t)
         out = [logH - np.log(sigma) - logt + u - 2.0 * np.logaddexp(0.0, logH + u)]
         if order >= 1:
-            G = special.expit(logH + u)  # H e^u / (1 + H e^u)
-            r = mu - logt
-            out.append((1.0 - 2.0 * G, (
-                (2.0 * G - 1.0) / sigma,
-                r * (1.0 - 2.0 * G) / sigma**2 - 1.0 / sigma,
-            )))
+            # feature 1 - 2G, G = H e^u / (1 + H e^u)
+            r = mu - L
+            out += [1.0 - 2.0 * special.expit(logH + u),
+                    (F, -F / sigma, r * F / sigma**2 - 1.0 / sigma)]
         if order >= 2:
-            D2 = 2.0 * G * (1.0 - G)                          # d(2G)/d(logit)
-            l_ms = D2 * r / sigma**3 - (2.0 * G - 1.0) / sigma**2
-            l_ss = (-D2 * r**2 / sigma**4 - 2.0 * r * (1.0 - 2.0 * G) / sigma**3
-                    + 1.0 / sigma**2)
-            out.append((-D2, (D2 / sigma, -D2 * r / sigma**2), ((-D2 / sigma**2, l_ms), (l_ms, l_ss))))
+            D2 = 0.5 * (1.0 - F * F)                              # d(2G)/d(logit)
+            l_ms = D2 * r / sigma**3 + F / sigma**2
+            l_ss = -D2 * r * r / sigma**4 - 2.0 * r * F / sigma**3 + 1.0 / sigma**2
+            out.append(((-D2, D2 / sigma, -D2 * r / sigma**2), (-D2 / sigma**2, l_ms), (l_ss,)))
         return out
 
     def u_log_survival(self, t, u, mu, sigma, order=0):
@@ -216,8 +397,7 @@ class POLogLogistic(SurvivalModel):
         logH = (logt - mu) / sigma
         out = [-np.logaddexp(0.0, logH + u)]
         if order >= 1:
-            G = special.expit(logH + u)
-            out.append((-G, (G / sigma, G * (logt - mu) / sigma**2)))
+            out += [special.expit(logH + u), (-F, F / sigma, F * (L - mu) / sigma**2)]  # feature G
         return out
 
     def u_inverse_survival(self, v, u, mu, sigma):
@@ -240,14 +420,13 @@ class AFTLogNormal(SurvivalModel):
     def u_terms(self, t, u, mu, sigma, order=0):
         logt = np.log(t)
         s = (logt - mu - u) / sigma
-        s2 = s**2
-        out = [-np.log(sigma) - logt - 0.5 * s2 - 0.5 * _LOG_2PI]
+        out = [-np.log(sigma) - logt - 0.5 * s**2 - 0.5 * _LOG_2PI]
         if order >= 1:
-            out.append((s / sigma, (s / sigma, (s2 - 1.0) / sigma)))
+            out += [s, (F / sigma, F / sigma, (F * F - 1.0) / sigma)]   # feature s
         if order >= 2:
-            l_ms = -2.0 * s / sigma**2
             h = -1.0 / sigma**2
-            out.append((h, (h, l_ms), ((h, l_ms), (l_ms, (1.0 - 3.0 * s2) / sigma**2))))
+            l_ms = 2.0 * h * F
+            out.append(((h, h, l_ms), (h, l_ms), ((1.0 - 3.0 * F * F) / sigma**2,)))
         return out
 
     def u_log_survival(self, t, u, mu, sigma, order=0):
@@ -256,10 +435,10 @@ class AFTLogNormal(SurvivalModel):
         log_tail = special.log_ndtr(-s)
         out = [log_tail]
         if order >= 1:
-            # the inverse Mills ratio phi(s) / Phi(-s), from logs so that it
-            # stays finite far in the upper tail
+            # feature: the inverse Mills ratio phi(s) / Phi(-s), from logs so
+            # that it stays finite far in the upper tail
             mills = np.exp(-0.5 * s**2 - 0.5 * _LOG_2PI - log_tail)
-            out.append((mills / sigma, (mills / sigma, mills * s / sigma)))
+            out += [mills, (F / sigma, F / sigma, F * (L - mu - U) / sigma**2)]
         return out
 
     def u_inverse_survival(self, v, u, mu, sigma):
@@ -282,20 +461,19 @@ class AFTExponential(SurvivalModel):
 
     def u_terms(self, t, u, lam, order=0):
         # exp(-u), capped so that t exp(-u) stays finite as well
-        E = _exp_clip(np.minimum(-u, 600.0 - np.log(t)))
+        E = np.exp(np.minimum(-u, 600.0 - np.log(t)))
         out = [math.log(lam) - u - lam * t * E]
         if order >= 1:
-            te = t * E
-            out.append((lam * te - 1.0, (1.0 / lam - te,)))
+            out += [lam * (t * E) - 1.0, (F, -F / lam)]          # feature lam t e^-u - 1
         if order >= 2:
-            out.append((-lam * te, (te,), ((-1.0 / lam**2,),)))
+            out.append(((-(F + 1.0), (F + 1.0) / lam), (-1.0 / lam**2,)))
         return out
 
     def u_log_survival(self, t, u, lam, order=0):
-        te = t * _exp_clip(np.minimum(-u, 600.0 - np.log(t)))  # t exp(-u), capped as in u_terms
+        te = t * np.exp(np.minimum(-u, 600.0 - np.log(t)))    # t exp(-u), capped as in u_terms
         out = [-lam * te]
         if order >= 1:
-            out.append((lam * te, (-te,)))
+            out += [te, (lam * F, -F)]                            # feature t e^-u
         return out
 
     def u_inverse_survival(self, v, u, lam):
@@ -326,26 +504,24 @@ class AHWeibull(SurvivalModel):
     def u_terms(self, t, u, lam, gam, order=0):
         logt = np.log(t)
         v = logt + u
-        H = lam * _exp_clip(gam * logt + (gam - 1.0) * u)
-        out = [math.log(gam) + math.log(lam) + (gam - 1.0) * v - H]
+        H = lam * _exp_clip(gam * logt, (gam - 1.0) * u)[1]
+        value = math.log(gam) + math.log(lam) + (gam - 1.0) * v
+        value -= H
+        out = [value]
         if order >= 1:
-            one_m_H = 1.0 - H
-            out.append(((gam - 1.0) * one_m_H, (one_m_H / lam, 1.0 / gam + v * one_m_H)))
+            lv = L + U
+            out += [1.0 - H, ((gam - 1.0) * F, F / lam, 1.0 / gam + lv * F)]  # feature 1 - H
         if order >= 2:
-            l_lg = -H * v / lam
-            h_ub = (-(gam - 1.0) * H / lam, 1.0 - H - (gam - 1.0) * H * v)
-            out.append((-((gam - 1.0) ** 2) * H, h_ub, (
-                (-1.0 / lam**2, l_lg),
-                (l_lg, -1.0 / gam**2 - H * v**2),
-            )))
+            h = F - 1.0                                                        # -H
+            out.append((((gam - 1.0) ** 2 * h, (gam - 1.0) * h / lam, F + (gam - 1.0) * h * lv),
+                        (-1.0 / lam**2, h * lv / lam), (-1.0 / gam**2 + h * lv * lv,)))
         return out
 
     def u_log_survival(self, t, u, lam, gam, order=0):
-        logt = np.log(t)
-        H = lam * _exp_clip(gam * logt + (gam - 1.0) * u)
+        H = lam * _exp_clip(gam * np.log(t), (gam - 1.0) * u)[1]
         out = [-H]
         if order >= 1:
-            out.append((-(gam - 1.0) * H, (-H / lam, -H * (logt + u))))
+            out += [H, (-(gam - 1.0) * F, -F / lam, -F * (L + U))]   # feature H
         return out
 
     def u_inverse_survival(self, v, u, lam, gam):

@@ -38,7 +38,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateBandwidth, NoEvents, ValidationError
-from .likelihood import grid_blocks, map_blocks
+from .likelihood import block_cells, grid_blocks, map_blocks
 from .nonparam import product_limit
 
 _DENOM_FLOOR = 1e-10
@@ -144,9 +144,10 @@ def ratio_estimate(x, delta, z, bandwidths="auto", grid=None) -> RatioEstimate:
         grid_z = np.atleast_2d(np.asarray(grid_z, dtype=float))
         grid_t = np.asarray(grid_t, dtype=float)
     h_z, h_t = _bandwidths(bandwidths, z_atoms, t_atoms)
+    blocks = grid_blocks(grid_t.shape[0], t_atoms.shape[0])
     values = np.concatenate(map_blocks(
         lambda g: _ratio_rows(t_atoms, z_atoms, grid_z[g], grid_t[g], h_z, h_t, masses),
-        grid_blocks(grid_t.shape[0], t_atoms.shape[0])))
+        blocks, block_cells(blocks, t_atoms.shape[0])))
     return RatioEstimate(
         grid_z=grid_z, grid_t=grid_t, values=values, bandwidth_z=h_z, bandwidth_t=h_t
     )
@@ -210,14 +211,18 @@ def _statistics(pops, own_masses, grid_z, grid_t, h_z, h_t, K, seed):
             m[:, block.start + 1:block.stop + 1] = _product_limit_masses(x, delta, counts)[ev]
         return sum(r for rng_draws in draws for _, r in rng_draws)
 
-    redraws = sum(map_blocks(replicates, grid_blocks(K, max(x.shape[0] for x, _, _ in pops))))
+    width = max(x.shape[0] for x, _, _ in pops)
+    blocks = grid_blocks(K, width)
+    redraws = sum(map_blocks(replicates, blocks, block_cells(blocks, width)))
 
     def grid_rows(g):
         rp, rq = (_ratio_rows(x[ev], z[ev], grid_z[g], grid_t[g], h_z, h_t, m)
                   for (x, _, z), ev, m in zip(pops, events, masses))
         return np.sum((rp - rq) ** 2, axis=0)
 
-    sums = sum(map_blocks(grid_rows, grid_blocks(grid_t.shape[0], max(ev.size for ev in events))))
+    width = max(ev.size for ev in events)
+    blocks = grid_blocks(grid_t.shape[0], width)
+    sums = sum(map_blocks(grid_rows, blocks, block_cells(blocks, width)))
     stats = sums / grid_t.shape[0]
     return float(stats[0]), stats[1:], redraws
 

@@ -27,7 +27,7 @@ from .data import Dataset
 from .errors import EnvelopeFailure, LssurvError, TooManyFailures, ValidationError
 from .estimator import FitOptions, fit
 from .likelihood import _set_threads, usable_cores
-from .models import SurvivalModel, get_model
+from .models import SurvivalModel, evaluate, get_model
 
 _LOG_HALF = math.log(0.5)
 _MAX_ROUNDS = 1000   # rejection rounds before the Metropolis-Hastings chains
@@ -153,7 +153,8 @@ def _envelope(model, theta, ts):
     hi = grid[np.minimum(best + 1, grid.size - 1)]
     u = grid[best]
     for _ in range(50):
-        val, (g_u, _), (h_uu, _, _) = model.u_terms(ts, u, *base, order=2)
+        val, phi, grad, hess = model.u_terms(ts, u, *base, order=2)
+        g_u, h_uu = evaluate((grad[0], hess[0][0]), phi, ts, u)
         with np.errstate(over="ignore"):  # a flat curvature: to the bracket's edge
             step = -g_u / np.where(h_uu < 0, h_uu, -np.inf)
         nxt = np.clip(u + step, lo, hi)

@@ -18,16 +18,20 @@ theta-hat: its product-limit fit, its kept censored records in time order
 (one empty-tail rule), ``lqhat``, the tail log-sums and the per-record score
 rows.  ``_second_order_pass`` walks each grid once, one second-order
 ``terms`` call per block, in the evaluation's shape: every block writes only
-its own rows or columns and returns one (d x d) Hessian term.  The censored
-grid runs in blocks of event-time rows (``likelihood.grid_blocks``), each
+its own rows or columns and returns one (d x d) Hessian term, the
+curvature ``Hess + grad grad^T`` of its ``Cells`` summed against its
+weights (``likelihood.BlockSums``, which shares the block's weighted
+feature powers with its gradient sums).  The censored
+grid runs in blocks of event-time rows (``likelihood.prefix_blocks``), each
 against the censored records whose tails reach it, a prefix in time order;
 it writes the tail weight ``tau_k``, ``tau @ psi3`` and ``R`` per row.  The
 target grid then runs in blocks of record columns, its weights
 ``exp(l - lqhat - log n2)`` read from the evaluation's ``lqhat``; it writes
 the target sum ``T_j`` per record.  So ``_psi_pt_rows`` and ``_psi_qz_rows``
 work in d columns, and no (K, n), (K, n, d) or (K, n, d, d) array is formed.
-The blocks run through ``likelihood.map_blocks`` and their Hessian terms are
-added in block order, so no output depends on the thread count.
+The blocks run through ``likelihood.map_blocks``, chunked by their cell
+counts, and their Hessian terms are added in block order, so no output
+depends on the thread count.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularA
-from .likelihood import (LikelihoodContext, contract_hessian, contract_records, contract_times,
-                         grid_blocks, map_blocks)
-from .models import full_gradient
+from .likelihood import (BlockSums, LikelihoodContext, block_cells, grid_blocks, map_blocks,
+                         prefix_blocks)
+from .models import expand, full_gradient, theta_hessian
 
 
 @dataclass
@@ -67,42 +71,45 @@ def _second_order_pass(ctx: LikelihoodContext, theta):
     q, psi3, lqhat, cens_logsum = env["qstar_ratio"], env["psi3_cens"], env["lqhat"], env["cens_logsum"]
     ck = ctx.km.event_counts.astype(float)
     x_cens, z_cens = ds.x[ctx.cens_idx], ds.z_source[ctx.cens_idx]
-    _, own, own2 = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 2)
+    _, own = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 2)
     g_own = full_gradient(own)
-    A = contract_hessian(own, own2, np.ones(ctx.unc_idx.shape)) - g_own.T @ g_own
+    A = theta_hessian(expand(own.curv, own), own.z) - g_own.T @ g_own
     tau_k, tau_psi3, R = np.empty(ctx.K), np.empty_like(q), np.empty_like(q)
     T = np.empty((ds.n2, q.shape[1]))
 
+    reach = np.searchsorted(x_cens, ctx.tk)               # records whose tails reach each row
+
     def censored_rows(k):
         t = ctx.tk[k, None]
-        p = np.searchsorted(x_cens, ctx.tk[k.stop - 1])  # records whose tails reach the block
-        lc, cen, cen2 = model.terms(theta, t, z_cens[:p], 2)
+        p = reach[k.stop - 1]
+        lc, cen = model.terms(theta, t, z_cens[:p], 2)
         lc += (ctx.logw[k] - lqhat[k])[:, None]
         lc -= cens_logsum[:p]
         np.copyto(lc, -np.inf, where=t <= x_cens[:p])
         tau = np.exp(lc, out=lc)
         tau_k[k] = tau.sum(axis=1)
         tau_psi3[k] = tau @ psi3[:p]
-        R[k] = contract_records(cen, tau)
-        return contract_hessian(cen, cen2, tau)
+        sums = BlockSums(cen, tau)
+        R[k] = sums.over_records()
+        return sums.hessian()
 
-    # rows cut as for both grids side by side: a block's prefix sets how
-    # BLAS rounds ``tau @ psi3``, and this cut keeps ``psi_pt``'s bits
-    for part in map_blocks(censored_rows, grid_blocks(ctx.K, max(ds.n2, x_cens.size))):
+    blocks = prefix_blocks(reach)
+    for part in map_blocks(censored_rows, blocks, [(k.stop - k.start) * reach[k.stop - 1] for k in blocks]):
         A += part
     c = ck + tau_k
     M = tau_psi3 - R + 2.0 * tau_k[:, None] * q
     ckq_m = ck[:, None] * q + M
 
     def target_columns(j):
-        lt, tgt, tgt2 = model.terms(theta, ctx.tk[:, None], ds.z_target[j], 2)
+        lt, tgt = model.terms(theta, ctx.tk[:, None], ds.z_target[j], 2)
         lt -= (lqhat + math.log(ds.n2))[:, None]
         wt = np.exp(lt, out=lt)                           # the evaluation's target weights
-        v = c[:, None] * wt
-        T[j] = wt.T @ ckq_m - contract_times(tgt, v)
-        return contract_hessian(tgt, tgt2, v)
+        sums = BlockSums(tgt, c[:, None] * wt)
+        T[j] = wt.T @ ckq_m - sums.over_times()
+        return sums.hessian()
 
-    for part in map_blocks(target_columns, grid_blocks(ds.n2, ctx.K)):
+    blocks = grid_blocks(ds.n2, ctx.K)
+    for part in map_blocks(target_columns, blocks, block_cells(blocks, ctx.K)):
         A -= part
     A += ((c + tau_k)[:, None] * q).T @ q - R.T @ q - q.T @ R - psi3.T @ psi3
     A /= ds.n1

@@ -7,7 +7,7 @@ import numpy as np
 from scipy import integrate, special
 
 import lssurv as ls
-from lssurv.models import PHWeibull, SurvivalModel
+from lssurv.models import Cells, PHWeibull, SurvivalModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -17,20 +17,37 @@ class FullGradientModel(SurvivalModel):
 
     A subclass supplies ``log_density``, ``log_density_grad`` and
     ``log_density_hess`` over its full parameter vector (the last two with
-    trailing ``(d,)`` and ``(d, d)`` axes); ``terms`` factors them as a
-    zero-width regression block followed by the full gradient and Hessian
-    as the baseline block, so the likelihood and sandwich contractions run
-    unchanged."""
+    trailing ``(d,)`` and ``(d, d)`` axes).  ``terms`` writes them as the
+    ``Cells`` of the zoo contract with a unit feature and a zero-width
+    regression block: one column per distinct covariate row (its
+    indicator), and as the row basis every partial, and every entry of
+    ``Hess + grad grad^T``, as a function of t at every such covariate row.
+    The tables pick, for each slot, its own partial at the record's row, so
+    the likelihood and sandwich contractions run unchanged."""
 
     def terms(self, theta, t, z, order=0):
+        t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
         out = [self.log_density(theta, t, z)]
-        if order >= 1:
-            g = np.moveaxis(self.log_density_grad(theta, t, z), -1, 0)
-            out.append((0.0, g, np.zeros(np.shape(z)[:-1] + (0,))))
+        if order == 0:
+            return out
+        levels, which = np.unique(z.reshape(-1, z.shape[-1]), axis=0, return_inverse=True)
+        n_lev, at = levels.shape[0], t[..., None]            # every time at every level
+        g = np.moveaxis(self.log_density_grad(theta, at, levels), -1, 0)
+        d = g.shape[0]
+        parts = [g]
         if order >= 2:
-            h = np.moveaxis(self.log_density_hess(theta, t, z), (-2, -1), (0, 1))
-            out.append((0.0, (0.0,) * h.shape[0], h))
-        return out
+            h = np.moveaxis(self.log_density_hess(theta, at, levels), (-2, -1), (0, 1))
+            parts.append((h + g[:, None] * g[None]).reshape((d * d,) + g.shape[1:]))
+        rows = np.moveaxis(np.concatenate(parts), -1, 1).reshape((-1,) + t.shape)
+        cols = (which.reshape(z.shape[:-1]) == np.arange(n_lev).reshape((-1,) + (1,) * (z.ndim - 1)))
+        lev = np.arange(n_lev)
+        grad = np.zeros((1 + d, 1, rows.shape[0], n_lev))
+        curv = np.zeros((1 + d, 1 + d, 1, rows.shape[0], n_lev)) if order >= 2 else None
+        for a in range(d):
+            grad[1 + a, 0, a * n_lev + lev, lev] = 1.0
+            for b in range(d if order >= 2 else 0):
+                curv[1 + a, 1 + b, 0, (d + a * d + b) * n_lev + lev, lev] = 1.0
+        return out + [Cells(1.0, rows, cols.astype(float), np.zeros(z.shape[:-1] + (0,)), grad, curv)]
 
 
 class TwoPointLogNormal(FullGradientModel):

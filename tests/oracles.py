@@ -18,6 +18,9 @@ Each keeps its own arithmetic, apart from the array code it checks:
   (event time x censored record) rectangle, in record order;
 * ``SURVIVAL`` holds each zoo model's survival function in closed form, in
   u-space, for the log-survival kernels;
+* ``kernel_partials`` rebuilds a u-space kernel's dense cell partials
+  (orders 1 and 2) from its feature and coefficient tables, one monomial
+  at a time, and ``theta_partials`` lifts them to theta space;
 * ``DenseKernels`` is one population's pair of shift-test kernels over the
   whole (grid point x event record) grid, built once and reweighted by one
   mass vector at a time.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from lssurv.likelihood import contract_records, contract_times, grid_blocks, log_sum_weights
+from lssurv.likelihood import BlockSums, grid_blocks, log_sum_weights
 from lssurv.models import full_gradient
 
 
@@ -168,8 +171,9 @@ def qhat_T_star(ctx, theta, t):
     """Target-averaged density gradient at time(s) t (vector of length d)."""
     theta = ctx.model.check_theta(np.asarray(theta, dtype=float), ctx.dataset.d_z)
     t_col = np.asarray(t, dtype=float)[..., None]
-    lq, factors = ctx.model.terms(theta, t_col, ctx.dataset.z_target, 1)
-    return contract_records(factors, np.exp(lq)) / ctx.dataset.n2
+    lq = ctx.model.log_density(theta, t_col, ctx.dataset.z_target)
+    grad = ctx.model.log_density_grad(theta, t_col, ctx.dataset.z_target)
+    return np.einsum("...j,...jd->...d", np.exp(lq), grad) / ctx.dataset.n2
 
 
 def s_functionals(ctx, theta, x, z) -> SFunctionals:
@@ -178,9 +182,9 @@ def s_functionals(ctx, theta, x, z) -> SFunctionals:
     theta = np.asarray(theta, dtype=float)
     env = ctx._evaluate(theta, need_score=True)
     mask = ctx.tk > float(x)
-    lz, factors = ctx.model.terms(theta, ctx.tk, np.asarray(z, dtype=float), 1)
+    lz, cells = ctx.model.terms(theta, ctx.tk, np.asarray(z, dtype=float), 1)
     r = np.where(mask, ctx.w * np.exp(lz - env["lqhat"]), 0.0)
-    return SFunctionals(s0=float(r.sum()), s1=r @ full_gradient(factors), s2=r @ env["qstar_ratio"])
+    return SFunctionals(s0=float(r.sum()), s1=r @ full_gradient(cells), s2=r @ env["qstar_ratio"])
 
 
 def target_weights(ctx, env):
@@ -215,10 +219,10 @@ def rectangle_columns(ctx, theta):
     z_cens = ds.z_source[cens]
     logsum, psi3 = np.empty(cens.size), np.zeros((cens.size, theta.size))
     for m in grid_blocks(cens.size, ctx.K):
-        lc, factors = model.terms(theta, ctx.tk[:, None], z_cens[m], 1)
-        logsum[m], tw = log_sum_weights(ctx.logw[:, None] + lc - lqhat[:, None], axis=0,
-                                        mask=mask[:, m])
-        psi3[m] = contract_times(factors, tw) - tw.T @ qstar
+        lc, cells = model.terms(theta, ctx.tk[:, None], z_cens[m], 1)
+        logsum[m], tw, total = log_sum_weights(ctx.logw[:, None] + lc - lqhat[:, None], axis=0,
+                                               mask=mask[:, m])
+        psi3[m] = (BlockSums(cells, tw).over_times() - tw.T @ qstar) / total.T
     own = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 1)
     contrib = np.zeros(ds.n1)
     contrib[ctx.unc_idx] = own[0] - lqhat[ctx.k_of_unc]
@@ -238,16 +242,16 @@ def eta_q_hat(ctx, theta, x, z):
     theta, model, tk, ds = env["theta"], ctx.model, ctx.tk, ctx.dataset
     rho_tgt = target_weights(ctx, env) * ds.n2
     qstar = env["qstar_ratio"]
-    lz, factors = model.terms(theta, tk, np.asarray(z, dtype=float), 1)
-    gz = full_gradient(factors)
+    lz, cells = model.terms(theta, tk, np.asarray(z, dtype=float), 1)
+    gz = full_gradient(cells)
     wr = ctx.w * np.where(tk > float(x), np.exp(lz - env["lqhat"]), 0.0)  # w_k q(t_k,z)/qhat(t_k)
     centered = rho_tgt - 1.0                                 # (q(t_k,Z_j) - qhat)/qhat
     eta0 = -centered.T @ wr                                  # (n2,)
     eta1 = -centered.T @ (wr[:, None] * gz)
     eta2 = -(wr @ qstar)[None, :] - 2.0 * centered.T @ (wr[:, None] * qstar)
     for k in grid_blocks(ctx.K, ds.n2):
-        tgt = model.terms(theta, tk[k, None], ds.z_target, 1)[1]
-        eta2 += contract_times(tgt, wr[k, None] * rho_tgt[k])
+        tgt = model.log_density_grad(theta, tk[k, None], ds.z_target)
+        eta2 += np.einsum("kj,kjd->jd", wr[k, None] * rho_tgt[k], tgt)
     return eta0, eta1, eta2
 
 
@@ -260,6 +264,55 @@ SURVIVAL = {
     "aft-exponential": lambda t, u, lam: np.exp(-lam * t * np.exp(-u)),
     "ah-weibull": lambda t, u, lam, gam: np.exp(-lam * np.power(t, gam) * np.exp((gam - 1.0) * u)),
 }
+
+
+# -- dense partials from a kernel's feature tables -------------------------------
+
+def _monomials(poly, phi, logt, u):
+    """A u-space polynomial's cell values, summed one monomial at a time."""
+    total = 0.0
+    for (p, r, c), coef in (poly.items() if isinstance(poly, dict) else [((0, 0, 0), poly)]):
+        total = total + coef * phi**p * logt**r * u**c
+    return total
+
+
+def kernel_partials(kernel, t, u, base, order=2):
+    """The value of a u-space kernel (``u_terms`` or ``u_log_survival``) and
+    its dense cell partials rebuilt from the feature and coefficient tables:
+    the gradient slots ``g`` (S, *cells), slot 0 ``d/du`` and then the
+    baseline, and at ``order=2`` the full symmetric Hessian ``h`` (S, S,
+    *cells)."""
+    out = kernel(t, u, *base, order=order)
+    phi, logt = out[1], np.log(t)
+    shape = np.broadcast_shapes(np.shape(t), np.shape(u))
+    g = np.stack([np.broadcast_to(_monomials(p, phi, logt, u), shape) for p in out[2]])
+    if order < 2:
+        return out[0], g
+    n = g.shape[0]
+    h = np.empty((n, n) + shape)
+    for a in range(n):
+        for b in range(a, n):
+            h[a, b] = h[b, a] = np.broadcast_to(_monomials(out[3][a][b - a], phi, logt, u), shape)
+    return out[0], g, h
+
+
+def theta_partials(g, h, z):
+    """Theta-space gradient (..., d) and Hessian (..., d, d) cell arrays of
+    u-space partials ``g`` (S, ...) and ``h`` (S, S, ...), regression rows
+    ``z`` (..., d_z) entering through ``u = z @ beta``."""
+    d_z = z.shape[-1]
+    gu, gb = g[0], np.moveaxis(g[1:], 0, -1)
+    grad = np.concatenate([gu[..., None] * z, gb], axis=-1)
+    lead = grad.shape[:-1]
+    d = grad.shape[-1]
+    z = np.broadcast_to(z, lead + (d_z,))
+    hess = np.empty(lead + (d, d))
+    hess[..., :d_z, :d_z] = h[0, 0][..., None, None] * z[..., :, None] * z[..., None, :]
+    cross = np.moveaxis(h[0, 1:], 0, -1)[..., None, :] * z[..., :, None]
+    hess[..., :d_z, d_z:] = cross
+    hess[..., d_z:, :d_z] = np.swapaxes(cross, -1, -2)
+    hess[..., d_z:, d_z:] = np.moveaxis(h[1:, 1:], (0, 1), (-2, -1))
+    return grad, hess
 
 
 # -- the shift test's kernels over the whole grid ----------------------------

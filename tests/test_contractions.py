@@ -1,16 +1,18 @@
 """The (event time x record) grid contractions of the likelihood and the
-sandwich, checked against the dense ``einsum`` over the full
-``log_density_grad`` tensor, which is kept here as the oracle."""
+sandwich, checked against the dense ``einsum`` over the full gradient and
+Hessian tensors, which are kept here as the oracle: rebuilt cell by cell
+from each kernel's feature tables (``oracles.kernel_partials``)."""
 
 import numpy as np
 import pytest
 
-from lssurv.likelihood import LikelihoodContext, contract_records, contract_times
+from lssurv.likelihood import BlockSums, LikelihoodContext
 from lssurv.models import REGISTRY_ORDER, get_model
 from lssurv.variance import _psi_qz_rows, _second_order_pass
 
 from conftest import make_dataset
-from oracles import eta_q_hat, qhat_T_star, tail_weights, target_weights
+from oracles import (eta_q_hat, kernel_partials, qhat_T_star, tail_weights, target_weights,
+                     theta_partials)
 
 BASELINE = {
     "ph-weibull": [1.2, 0.8],
@@ -19,6 +21,14 @@ BASELINE = {
     "aft-exponential": [1.4],
     "ah-weibull": [1.1, 1.8],
 }
+
+
+def dense_block(model, theta, t, z):
+    """The theta-space gradient and Hessian cell arrays of a zoo model's log
+    density over the (t x z) grid, rebuilt from its kernel's tables."""
+    beta, base = model.split(theta)
+    _, g, h = kernel_partials(model.u_terms, t, z @ beta, base)
+    return theta_partials(g, h, z)
 
 
 def dense_psi_qz(ctx, env, phi, s0, c_mat, Gtgt, Gcen):
@@ -55,16 +65,16 @@ def test_grid_contractions_match_dense_einsum(name, d_z):
     assert ctx.cens_idx.size and ctx.unc_idx.size
     tcol = ctx.tk[:, None]
     z_cens = ds.z_source[ctx.cens_idx]
-    Gtgt = model.log_density_grad(theta, tcol, ds.z_target)       # (K, n2, d)
-    Gcen = model.log_density_grad(theta, tcol, z_cens)            # (K, n_c, d)
+    Gtgt = dense_block(model, theta, tcol, ds.z_target)[0]        # (K, n2, d)
+    Gcen = dense_block(model, theta, tcol, z_cens)[0]             # (K, n_c, d)
     close = dict(rtol=1e-12, atol=1e-12)
 
     rng = np.random.default_rng(3)
     W = rng.uniform(size=Gtgt.shape[:2])
     V = rng.uniform(size=Gcen.shape[:2])
-    np.testing.assert_allclose(contract_records(model.terms(theta, tcol, ds.z_target, 1)[1], W),
+    np.testing.assert_allclose(BlockSums(model.terms(theta, tcol, ds.z_target, 1)[1], W).over_records(),
                                np.einsum("kj,kjd->kd", W, Gtgt), **close)
-    np.testing.assert_allclose(contract_times(model.terms(theta, tcol, z_cens, 1)[1], V),
+    np.testing.assert_allclose(BlockSums(model.terms(theta, tcol, z_cens, 1)[1], V).over_times(),
                                np.einsum("ki,kid->id", V, Gcen), **close)
 
     env = ctx._evaluate(theta, need_score=True)
@@ -99,3 +109,60 @@ def test_grid_contractions_match_dense_einsum(name, d_z):
     eta2 = np.einsum("k,kjd->jd", wr, rho[:, :, None] * Gtgt - qstar[:, None, :]) \
         - 2.0 * np.einsum("k,kd,kj->jd", wr, qstar, rho - 1.0)
     np.testing.assert_allclose(eta_q_hat(ctx, theta, ds.x[m], ds.z_source[m])[2], eta2, **close)
+
+
+def block(name, shape):
+    """A zoo model's theta, one grid block (event-time rows t, records z)
+    and its weights V.  ``target``: every record weighted; ``staircase``:
+    records in time order, each weighted from its tail's first row on, as
+    in the censored passes; ``capped``: times and linear predictors that
+    drive the capped exponent beyond 600; ``near-one``: ph-weibull's
+    ``He = lam t**gam e**u`` within [0.8, 1.25] on every cell, where
+    ``dl/du = 1 - He`` is a small difference."""
+    rng = np.random.default_rng(41)
+    theta = np.array([0.4, -0.3] + BASELINE[name])
+    t = np.sort(rng.exponential(1.5, 12) + 0.05)[:, None]
+    z = rng.normal(0.0, 1.0, (30, 2))
+    V = rng.uniform(size=(12, 30))
+    if shape == "staircase":
+        start = np.sort(rng.integers(0, 12, 30))
+        V[np.arange(12)[:, None] < start] = 0.0
+    elif shape == "capped":
+        t[:3, 0] = [1e-3, 1.0, 1e3]
+        z[:4] = [[2000.0, 0.0], [-2000.0, 0.0], [0.0, 0.0], [0.0, 2000.0]]
+    elif shape == "near-one":
+        lam, gam = BASELINE["ph-weibull"]
+        t = rng.uniform(0.95, 1.05, (12, 1))
+        z[:, 0] = (-np.log(lam) + rng.uniform(-0.15, 0.15, 30)) / theta[0]
+        z[:, 1] = 0.0
+    return theta, t, z, V
+
+
+@pytest.mark.parametrize("shape", ["target", "staircase", "capped", "near-one"])
+@pytest.mark.parametrize("name", REGISTRY_ORDER)
+def test_block_sums_match_the_rebuilt_partials(name, shape):
+    model = get_model(name)
+    theta, t, z, V = block(name, shape)
+    if shape == "near-one" and name == "ph-weibull":
+        He = theta[-2] * t**theta[-1] * np.exp(z @ theta[:2])
+        assert np.all((He > 0.8) & (He < 1.25))
+    G, H = dense_block(model, theta, t, z)
+    close = dict(rtol=1e-12, atol=1e-12)
+    sums = BlockSums(model.terms(theta, t, z, 1)[1], V)
+    np.testing.assert_allclose(sums.over_records(), np.einsum("kj,kjd->kd", V, G), **close)
+    np.testing.assert_allclose(sums.over_times(), np.einsum("kj,kjd->jd", V, G), **close)
+    # the curvature Hess + grad grad^T overflows where a capped exponent
+    # binds: those cells get weight 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        curv = H + G[..., :, None] * G[..., None, :]
+    finite = np.all(np.isfinite(curv), axis=(-2, -1))
+    if shape == "capped" and name == "ph-weibull":
+        assert not finite.all()
+    V = np.where(finite, V, 0.0)
+    curv = np.where(finite[..., None, None], curv, 0.0)
+    sums = BlockSums(model.terms(theta, t, z, 2)[1], V)
+    np.testing.assert_allclose(sums.over_records(), np.einsum("kj,kjd->kd", V, G), **close)
+    np.testing.assert_allclose(sums.over_times(), np.einsum("kj,kjd->jd", V, G), **close)
+    with np.errstate(over="raise", invalid="raise"):
+        got = sums.hessian()
+    np.testing.assert_allclose(got, np.einsum("kj,kjab->ab", V, curv), **close)

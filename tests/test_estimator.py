@@ -378,6 +378,48 @@ def test_lognormal_location_shifts_by_log_c_on_drawn_data(seed, log10_c):
                                    rtol=1e-5, atol=1e-6)
 
 
+def _numbers(tree):
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        for item in tree:
+            yield from _numbers(item)
+    elif isinstance(tree, float):
+        yield tree
+
+
+def edge_dataset(case, seed, d_z=2, n1=40, n2=30):
+    """``d_z=0``: no covariates, so the regression block is zero-width;
+    ``tied-times``: every source record at one time, events and censorings
+    alike (one event time, no censored tail); ``tied-covariates``: every
+    record, source and target, at one covariate row."""
+    rng = np.random.default_rng(seed)
+    t, c = rng.exponential(1.0, n1), rng.exponential(2.5, n1)
+    x, delta = np.minimum(t, c), (t <= c).astype(int)
+    delta[0] = 1
+    zs, zt = rng.normal(0.0, 1.0, (n1, d_z)), rng.normal(0.3, 1.0, (n2, d_z))
+    if case == "d_z=0":
+        zs, zt = zs[:, :0], zt[:, :0]
+    elif case == "tied-times":
+        x = np.full(n1, rng.uniform(0.1, 3.0))
+    else:
+        zs, zt = np.ones_like(zs) * zs[0], np.ones_like(zt) * zs[0]
+    return ls.Dataset(x, delta, zs, zt)
+
+
+@pytest.mark.parametrize("name", REGISTRY_ORDER)
+@given(st.integers(0, 2**16), st.sampled_from(["d_z=0", "tied-times", "tied-covariates"]))
+@settings(max_examples=12, deadline=None)
+def test_degenerate_inputs_fit_or_raise_typed(name, seed, case):
+    # a zero-width regression block, one event time or one covariate row:
+    # the fit either reports finite numbers throughout or raises a typed error
+    try:
+        fr = fit(name, edge_dataset(case, seed))
+    except LssurvError:
+        return
+    assert all(math.isfinite(v) for v in _numbers(fr.to_json_dict()))
+
+
 def test_bic_penalty_arithmetic():
     L, n = -123.456, 400
     # adding an inert slot moves the criterion by exactly the log(n) penalty

@@ -1,5 +1,6 @@
-"""The exact score Jacobian: each zoo model's second-order u-space hook
-against differences of its first-order partials, and ``a_matrix`` against
+"""The exact score Jacobian: each zoo model's second-order u-space
+partials against differences of its first-order ones (both rebuilt from
+the kernel's feature tables), and ``a_matrix`` against
 a Richardson-extrapolated central-difference Jacobian of the score, which
 is kept here as the oracle."""
 
@@ -12,6 +13,7 @@ from lssurv.variance import a_matrix
 
 from conftest import make_dataset
 from fixture_models import OneSlot, TwoPointLogNormal, two_point_dataset
+from oracles import kernel_partials
 from test_contractions import BASELINE
 
 
@@ -42,16 +44,16 @@ def assert_rel(got, want, rtol):
 
 @pytest.mark.parametrize("name", REGISTRY_ORDER)
 def test_second_partials_match_differenced_partials(name):
+    # both sides are rebuilt cell by cell from the kernel's feature tables
     model = get_model(name)
     rng = np.random.default_rng(3)
     t = rng.exponential(1.5, 50) + 0.05
     u = rng.normal(0.0, 0.7, 50)
     base = np.array(BASELINE[name], dtype=float)
-    h_uu, h_ub, h_bb = model.u_terms(t, u, *base, order=2)[2]
+    exact = kernel_partials(model.u_terms, t, u, base)[2]
 
     def partials(du=0.0, dbase=np.zeros(base.size)):
-        g_u, g_b = model.u_terms(t, u + du, *(base + dbase), order=1)[1]
-        return np.broadcast_to(np.stack([g_u, *g_b]), (1 + base.size, t.size))
+        return kernel_partials(model.u_terms, t, u + du, base + dbase, order=1)[1]
 
     # column 0: d/du; column 1 + r: d/dbase_r; rows follow (g_u, g_base...)
     fd = np.empty((1 + base.size, 1 + base.size, t.size))
@@ -61,12 +63,6 @@ def test_second_partials_match_differenced_partials(name):
         e = np.zeros(base.size)
         e[r] = h * max(1.0, abs(base[r]))
         fd[:, 1 + r] = (partials(dbase=e) - partials(dbase=-e)) / (2.0 * e[r])
-    exact = np.empty_like(fd)
-    exact[0, 0] = h_uu
-    for s in range(base.size):
-        exact[0, 1 + s] = exact[1 + s, 0] = h_ub[s]
-        for r in range(base.size):
-            exact[1 + s, 1 + r] = h_bb[s][r]
     np.testing.assert_allclose(exact, fd, rtol=1e-6, atol=1e-6)
 
 

@@ -1,9 +1,11 @@
 """The u-space kernels per zoo model and the blocked grid passes.
 
-``u_terms`` gives the log density and its partials from one preamble, and
-``u_log_survival`` the log survival function and its partials from the same
-preamble; each order must repeat the lower orders' entries exactly and stay
-finite where the capped exponent binds.  The grid passes walk the (event
+``u_terms`` gives the log density, its cell feature and the coefficient
+tables of its partials from one preamble, and ``u_log_survival`` the log
+survival function in the same layout from the same preamble; each order
+must repeat the lower orders' entries exactly, and the value, the feature
+and the partials rebuilt from the tables must stay finite where the capped
+exponent binds.  The grid passes walk the (event
 time x record) grids in blocks of at most ``likelihood._BLOCK_CELLS`` cells:
 the target grid in balanced row blocks, the censored tails in column blocks
 of the staircase the time-sorted records make.  Shrinking the budget down to
@@ -27,13 +29,17 @@ from lssurv.variance import _psi_pt_rows, _psi_qz_rows, _second_order_pass, a_ma
 
 from conftest import make_dataset
 from fixture_models import OneSlot, RecordingPHWeibull, TwoPointLogNormal, two_point_dataset
-from oracles import SURVIVAL, rectangle_columns, tail_weights, target_weights
+from oracles import SURVIVAL, kernel_partials, rectangle_columns, tail_weights, target_weights
 from test_contractions import BASELINE
 from test_hessian import assert_rel
 
 
 def leaves(tree):
-    if isinstance(tree, (list, tuple)):
+    """The arrays of a kernel's output: cell arrays, and the (key,
+    coefficient) rows of each coefficient polynomial."""
+    if isinstance(tree, dict):
+        yield np.array([[*key, coef] for key, coef in sorted(tree.items())])
+    elif isinstance(tree, (list, tuple)):
         for item in tree:
             yield from leaves(item)
     else:
@@ -47,11 +53,11 @@ def test_each_order_repeats_the_entries_of_order_two(name):
     t = (rng.exponential(1.5, 30) + 0.05)[:, None]
     u = rng.normal(0.0, 0.7, 20)
     full = model.u_terms(t, u, *BASELINE[name], order=2)
-    assert len(full) == 3
-    for order in (0, 1):
+    assert len(full) == 4
+    for order, length in ((0, 1), (1, 3)):
         got = model.u_terms(t, u, *BASELINE[name], order=order)
-        assert len(got) == order + 1
-        for a, b in zip(leaves(got), leaves(full[: order + 1]), strict=True):
+        assert len(got) == length
+        for a, b in zip(leaves(got), leaves(full[:length]), strict=True):
             np.testing.assert_array_equal(a, b)
 
 
@@ -64,7 +70,8 @@ def test_capped_exponent_keeps_value_and_partials_finite(name):
     u = np.array([-800.0, 0.0, 800.0])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         out = model.u_terms(t, u, *BASELINE[name], order=2)
-    for leaf in leaves(out):
+        rebuilt = kernel_partials(model.u_terms, t, u, BASELINE[name])
+    for leaf in (*leaves(out), *rebuilt):
         assert np.all(np.isfinite(leaf))
 
 
@@ -90,10 +97,13 @@ def test_log_survival_order_one_repeats_order_zero_and_stays_finite(name):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         value = model.u_log_survival(t, u, *BASELINE[name], order=0)
         full = model.u_log_survival(t, u, *BASELINE[name], order=1)
-    assert len(full) == 2
+        _, g = kernel_partials(model.u_log_survival, t, u, BASELINE[name], order=1)
+    assert len(full) == 3
     np.testing.assert_array_equal(full[0], value[0])
-    for leaf in leaves(full):
+    for leaf in (full[0], full[1], *g):
         assert leaf.shape == (4, 3) and np.all(np.isfinite(leaf))
+    for leaf in leaves(full[2]):
+        assert np.all(np.isfinite(leaf))
 
 
 def test_grid_blocks_are_balanced():
@@ -267,8 +277,10 @@ def test_map_blocks_from_a_pool_thread_runs_serially(monkeypatch):
     # a pool thread that waited on its own pool would never return
     monkeypatch.setattr(lik, "_threads", 2)
     inner, got = list(range(4)), []
+    full = lik._BLOCK_CELLS
     caller = threading.Thread(target=lambda: got.append(lik.map_blocks(
-        lambda b: (b, lik.map_blocks(lambda c: c * b, inner)), list(range(6)))), daemon=True)
+        lambda b: (b, lik.map_blocks(lambda c: c * b, inner, [full] * 4)), list(range(6)),
+        [full] * 6)), daemon=True)
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive()
@@ -280,7 +292,7 @@ def test_pool_size_is_logged_once_on_creation(monkeypatch, caplog):
     monkeypatch.setattr(lik, "_threads", 3)
     with caplog.at_level(logging.DEBUG, logger="lssurv"):
         for _ in range(2):
-            assert lik.map_blocks(abs, list(range(-6, 0))) == [6, 5, 4, 3, 2, 1]
+            assert lik.map_blocks(abs, list(range(-6, 0)), [lik._BLOCK_CELLS] * 6) == [6, 5, 4, 3, 2, 1]
     lik._pool.shutdown()
     assert [r.getMessage() for r in caplog.records if "grid pool" in r.getMessage()] == [
         "grid pool: 2 worker thread(s) beside the caller"]
@@ -301,7 +313,8 @@ def test_map_blocks_keeps_block_order_under_switch_stress(monkeypatch):
     got, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        caller = threading.Thread(target=lambda: got.append(lik.map_blocks(fill, blocks)), daemon=True)
+        caller = threading.Thread(target=lambda: got.append(
+            lik.map_blocks(fill, blocks, [lik._BLOCK_CELLS] * len(blocks))), daemon=True)
         caller.start()
         caller.join(timeout=60)
     finally:
