@@ -78,7 +78,7 @@ def _exp_clip(row, col):
     log-densities stay NaN-free.  The cap costs a pass over the cells only
     where the largest row and column terms can reach it."""
     a = np.add(row, col)
-    if np.max(row, initial=-np.inf) + np.max(col, initial=-np.inf) > 600.0:
+    if np.asarray(row).max(initial=-np.inf) + np.asarray(col).max(initial=-np.inf) > 600.0:
         return a, np.exp(np.minimum(a, 600.0))
     return a, np.exp(a)
 
