@@ -18,7 +18,7 @@ class ParseError(LssurvError):
 
 
 class SchemaError(LssurvError):
-    """A CSV header does not match the expected schema."""
+    """A CSV header or a fit document does not match the expected schema."""
 
 
 class NoEvents(LssurvError):

@@ -28,10 +28,12 @@ from .errors import (
     NonConvergence,
     NumericalUnderflow,
     QuadratureFailure,
+    SchemaError,
     ValidationError,
 )
 from .likelihood import LikelihoodContext
 from .models import REGISTRY_ORDER, SurvivalModel, full_gradient, get_model
+from .schemas import FIT_SCHEMA
 from .variance import VarianceParts, a_matrix, asymptotic_variance
 
 Z975 = 1.96
@@ -87,17 +89,24 @@ class FitResult:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FitResult":
+        conv_keys = FIT_SCHEMA["properties"]["convergence"]["required"]
+        missing = [key for key in FIT_SCHEMA["required"] if key not in doc] or [
+            f"convergence.{key}" for key in conv_keys if key not in doc["convergence"]]
+        if missing:
+            raise SchemaError(f"fit document lacks {', '.join(missing)}")
         d = doc["d_theta"]
-        sigma = np.array(doc["sigma"]).reshape(d, d) if doc.get("sigma") is not None else None
+        sigma = None if doc["sigma"] is None else np.array(doc["sigma"], dtype=float)
+        if sigma is not None and sigma.size != d * d:
+            raise SchemaError(f"fit document's sigma holds {sigma.size} entries, not {d} x {d}")
         conv = doc["convergence"]
         return cls(
             model_name=doc["model"],
             param_names=list(doc["params"]),
             theta_hat=np.array(doc["theta"], dtype=float),
             loglik=float(doc["loglik"]),
-            sigma_hat=sigma,
-            se=np.array(doc["se"], dtype=float) if doc.get("se") is not None else None,
-            ci=np.array(doc["ci"], dtype=float) if doc.get("ci") is not None else None,
+            sigma_hat=None if sigma is None else sigma.reshape(d, d),
+            se=np.array(doc["se"], dtype=float) if doc["se"] is not None else None,
+            ci=np.array(doc["ci"], dtype=float) if doc["ci"] is not None else None,
             converged=conv["converged"],
             iterations=conv["iterations"],
             grad_norm=conv["grad_norm"],
@@ -306,6 +315,9 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
         raise ValidationError("fit result carries no covariance; rerun without skip_variance")
     theta = fit_result.theta_hat
     z = np.asarray(z, dtype=float)
+    d_z = theta.shape[0] - model.d_theta(0)
+    if z.shape != (d_z,) or not np.all(np.isfinite(z)):
+        raise ValidationError(f"z must be {d_z} finite covariate values, got {z.tolist()}")
 
     def integrand(t):
         return g(t) * float(np.exp(model.log_density(theta, t, z)))

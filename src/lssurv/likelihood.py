@@ -14,14 +14,14 @@ the gradient is exact and stable.
 
 Both (event time x record) grids are walked in blocks of at most
 ``_BLOCK_CELLS`` cells, one ``terms`` call per block, each contracted at
-once: the target grid in blocks of event-time rows (``grid_blocks``), since
-its log-sums run over records, and the censored grid in blocks of record
-columns (``tail_blocks``), since its tail log-sums run over event times.  The
-kept censored records are sorted by time, so each one's tail is a suffix of
-the event-time rows and a column block starts at its first record's tail
-row: only that staircase is evaluated, not the whole rectangle.  Every
-block's log-sum is complete, so the block size changes no formula.  An
-evaluation keeps no grid: only the per-row and per-record results.
+once: the target grid in blocks of event-time rows, since its log-sums run
+over records, and the censored grid in blocks of record columns, since its
+tail log-sums run over event times.  The kept censored records are sorted
+by time, so each one's tail is a suffix of the event-time rows (the one tail
+rule, ``LikelihoodContext.tail_start``) and a column block starts at its
+first record's tail row: only that staircase is evaluated, not the whole
+rectangle.  Every block's log-sum is complete, so the block size changes no
+formula.  An evaluation keeps no grid, only per-row and per-record results.
 
 A block is contracted through its ``Cells`` (``BlockSums``), not through a
 cell array per partial: every partial is a polynomial in the block's one
@@ -33,8 +33,9 @@ then act on those (rows x a few) or (a few x records) sums.  The weights
 ``V`` are the max-shifted ``exp`` of the log-sums, unnormalized: a block
 divides its weighted sums by the weights' totals instead.
 
-A pass hands its blocks and their cell counts to ``map_blocks``, which
-splits them into contiguous chunks of about equal cell counts, one per
+Every grid pass hands ``map_blocks`` the cell width of each item it walks;
+the one cutter, ``_blocks``, cuts the blocks from them, and ``map_blocks``
+splits those into contiguous chunks of about equal cell counts, one per
 thread and at most one per started ``_BLOCK_CELLS`` cells: the calling
 thread runs chunk 0 and a pool of ``threads - 1`` workers, created on first
 use, runs the rest.  ``threads`` is the number of CPUs the process may run on
@@ -77,43 +78,30 @@ _BLOCK_CELLS = 1 << 16
 _BLOCK_TEMPORARIES = 16
 
 
-def grid_blocks(n_rows, n_cols):
-    """Slices of at most ``_BLOCK_CELLS`` cells, and at least one row, over
-    the rows of an (n_rows, n_cols) grid: as few blocks as that budget
-    allows, their row counts differing by at most one."""
-    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
-    n_blocks = -(-n_rows // step)
-    return [slice(n_rows * i // n_blocks, n_rows * (i + 1) // n_blocks) for i in range(n_blocks)]
-
-
-def block_cells(blocks, width):
-    """Cell counts of slices over one axis of a grid ``width`` cells across."""
-    return [(b.stop - b.start) * width for b in blocks]
-
-
-def tail_blocks(tail_start, n_rows):
-    """Slices over records whose tails are the rows from ``tail_start``
-    (non-decreasing) to ``n_rows``: each block covers the rows from its
-    first record's tail start, at most ``_BLOCK_CELLS`` cells of them and at
-    least one record."""
-    blocks, a = [], 0
-    while a < len(tail_start):
-        b = a + max(1, _BLOCK_CELLS // (n_rows - int(tail_start[a])))
-        blocks.append(slice(a, min(b, len(tail_start))))
-        a = b
-    return blocks
-
-
-def prefix_blocks(reach):
-    """Slices over rows whose cells are the columns before ``reach``
-    (non-decreasing): each block covers its last row's columns, at most
-    ``_BLOCK_CELLS`` cells of them and at least one row."""
-    blocks, b = [], len(reach)
-    while b > 0:
-        a = max(0, b - max(1, _BLOCK_CELLS // max(int(reach[b - 1]), 1)))
-        blocks.append(slice(a, b))
-        b = a
-    return blocks[::-1]
+def _blocks(widths):
+    """Contiguous slices over the items of a grid pass, item ``i``
+    ``widths[i]`` cells wide (monotone), and their cells at each block's
+    widest item: at most ``_BLOCK_CELLS`` cells or one item per block.  The
+    cuts run from the widest end; where the budget there allows a new item
+    count, the items left are split evenly into as few blocks as it allows,
+    so equal widths give item counts differing by at most one."""
+    widths = np.asarray(widths, dtype=np.int64)
+    n = widths.size
+    backward = n > 0 and widths[-1] > widths[0]
+    walk = widths[::-1] if backward else widths
+    cuts, step = [0], 0
+    while cuts[-1] < n:
+        a = cuts[-1]
+        fits = max(1, _BLOCK_CELLS // max(walk[a], 1))         # items the budget allows at a
+        if fits != step:
+            step, start, left, j = fits, a, n - a, 0
+        j += 1
+        cuts.append(start + left * j // -(-left // step))
+    cuts = np.array(cuts)
+    cells = np.diff(cuts) * walk[cuts[:-1]]
+    if backward:
+        cuts, cells = n - cuts[::-1], cells[::-1]
+    return [slice(a, b) for a, b in zip(cuts.tolist(), cuts[1:].tolist())], cells
 
 
 def usable_cores():
@@ -164,9 +152,9 @@ def _run_chunk(fn, chunk):
     return [fn(b) for b in chunk]
 
 
-def map_blocks(fn, blocks, cells):
-    """``[fn(b) for b in blocks]``, in block order; ``cells[i]`` is the cell
-    count of block ``i``.
+def map_blocks(fn, widths):
+    """``[fn(b) for b in _blocks(widths)[0]]``, in block order, item ``i`` of
+    the pass ``widths[i]`` cells wide.
 
     When the blocks hold more than one budget of ``_BLOCK_CELLS`` cells, they
     are split into contiguous chunks of about equal cell counts, one per
@@ -176,8 +164,8 @@ def map_blocks(fn, blocks, cells):
     ``np.errstate`` holds in every chunk.  Every chunk runs to its end
     before the first exception, in chunk order, is raised as it is.
     Otherwise, and when called from a pool thread, this is the plain loop."""
+    blocks, cells = _blocks(widths)
     threads = _threads or usable_cores()
-    cells = np.asarray(cells, dtype=float)
     total = cells.sum()
     n_chunks = min(threads, len(blocks), math.ceil(total / _BLOCK_CELLS))
     if n_chunks < 2 or getattr(_in_pool, "active", False):
@@ -209,13 +197,10 @@ def _check(logs, what):
         raise NumericalUnderflow(f"{what} underflow")
 
 
-def log_sum_weights(a, axis, mask=None):
+def log_sum_weights(a, axis):
     """``log sum exp(a)`` along ``axis``, the weights ``exp(a - max)`` from
     one max-shifted ``exp``, formed in ``a`` itself, and their sums (kept
-    dimension), by which a weighted sum is divided to normalize it; entries
-    outside ``mask`` count as ``-inf`` (weight 0)."""
-    if mask is not None:
-        np.copyto(a, -np.inf, where=~mask)
+    dimension), by which a weighted sum is divided to normalize it."""
     m = np.max(a, axis=axis, keepdims=True)
     a -= m
     np.exp(a, out=a)
@@ -302,7 +287,8 @@ class LikelihoodContext:
     of the last evaluated theta.
 
     The kept censored records (``cens_idx``) run in time order, so record
-    m's tail is the event-time rows from ``tail_start[m]`` on.  The
+    m's tail is the event-time rows from ``tail_start[m]`` on, and the
+    tails that reach row k are those of the first ``reach[k]`` records.  The
     evaluation at the maximizer is also the state the sandwich variance
     reads: beside the product-limit fit and the kept censored records, it
     keeps ``lqhat`` and the tail log-sums ``cens_logsum`` (from which the
@@ -322,11 +308,13 @@ class LikelihoodContext:
 
         delta = dataset.delta
         self.unc_idx = np.flatnonzero(delta == 1)
-        self.cens_idx_all = np.flatnonzero(delta == 0)
+        cens_idx_all = np.flatnonzero(delta == 0)
         self.k_of_unc = np.searchsorted(self.tk, dataset.x[self.unc_idx])
-        # censored records with at least one event time strictly beyond them
-        tail_ok = dataset.x[self.cens_idx_all] < self.tk[-1]
-        kept = self.cens_idx_all[tail_ok]
+        # the one tail rule: record m's tail holds event-time row k iff t_k > x_m;
+        # a censored record with no such row is dropped
+        tail_start = np.searchsorted(self.tk, dataset.x[cens_idx_all], side="right")
+        tail_ok = tail_start < self.K
+        kept = cens_idx_all[tail_ok]
         self.n_dropped = int((~tail_ok).sum())
         if self.n_dropped:
             logger.debug(
@@ -336,8 +324,8 @@ class LikelihoodContext:
             raise EmptyTail("no usable source contribution")
         by_time = np.argsort(dataset.x[kept], kind="stable")
         self.cens_idx = kept[by_time]
-        # first event time strictly beyond each kept censored record
-        self.tail_start = np.searchsorted(self.tk, dataset.x[self.cens_idx], side="right")
+        self.tail_start = tail_start[tail_ok][by_time]
+        self.reach = np.searchsorted(self.tail_start, np.arange(self.K), side="right")
         self.cens_by_record = np.argsort(by_time)
         self._cache_key = None
         self._cache_val = None
@@ -348,6 +336,10 @@ class LikelihoodContext:
         # back to the kernel and faulted in again.  This is the package's one
         # heap rule, in Monte Carlo worker processes as in the caller's.
         np.empty(_BLOCK_TEMPORARIES * _BLOCK_CELLS)
+
+    def in_tail(self, k, m):
+        """Whether kept record ``m``'s tail holds row ``k`` (slices), per cell."""
+        return np.arange(k.start, k.stop)[:, None] >= self.tail_start[m]
 
     # -- per-theta evaluation ------------------------------------------------
 
@@ -373,30 +365,27 @@ class LikelihoodContext:
             if need_score:
                 qstar_ratio[k] = BlockSums(block[1], wt).over_records() / total
 
-        blocks = grid_blocks(K, ds.n2)
-        map_blocks(target_rows, blocks, block_cells(blocks, ds.n2))
+        map_blocks(target_rows, np.full(K, ds.n2))
 
         own = model.terms(theta, ds.x[self.unc_idx], ds.z_source[self.unc_idx], order)
         _check(own[0], "event density")
 
         # censored grid in blocks of record columns, each from its first
         # record's tail row on: each tail log-sum is complete within its block
-        x_cens, z_cens = ds.x[self.cens_idx], ds.z_source[self.cens_idx]
+        z_cens = ds.z_source[self.cens_idx]
         cens_logsum, psi3 = np.empty(n_c), np.zeros((n_c, d))
 
         def censored_columns(m):
             k = slice(self.tail_start[m.start], K)
             block = model.terms(theta, self.tk[k, None], z_cens[m], order)
-            cens_logsum[m], tw, total = log_sum_weights(
-                self.logw[k, None] + block[0] - lqhat[k, None], axis=0,
-                mask=self.tk[k, None] > x_cens[m])
+            lc = self.logw[k, None] + block[0] - lqhat[k, None]
+            np.copyto(lc, -np.inf, where=~self.in_tail(k, m))
+            cens_logsum[m], tw, total = log_sum_weights(lc, axis=0)
             _check(cens_logsum[m], "censored tail")
             if need_score:
                 psi3[m] = (BlockSums(block[1], tw).over_times() - tw.T @ qstar_ratio[k]) / total.T
 
-        blocks = tail_blocks(self.tail_start, K)
-        map_blocks(censored_columns, blocks,
-                   [(K - self.tail_start[m.start]) * (m.stop - m.start) for m in blocks])
+        map_blocks(censored_columns, K - self.tail_start)
 
         contrib = np.zeros(ds.n1)
         contrib[self.unc_idx] = own[0] - lqhat[self.k_of_unc]

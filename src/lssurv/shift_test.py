@@ -23,10 +23,11 @@ grid rows then builds both kernels of each population for those rows only,
 turns every mass column into ratio estimates with two matrix products and
 sums the squared differences per column: ``T_n`` and every ``T*_k`` come
 from that one pass, and no (grid point x record) kernel is kept.  Both
-passes run through ``likelihood.map_blocks`` (contiguous chunks of blocks
-on every usable core once each chunk gets two blocks) and join their block
-results in block order, so the statistics do not depend on the thread
-count.
+passes hand ``likelihood.map_blocks``, the one block cutter, one width per
+item (the records a replicate or a grid row spans); their blocks run in
+contiguous chunks on every usable core once each chunk gets two blocks, and
+their results join in block order, so the statistics do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateBandwidth, NoEvents, ValidationError
-from .likelihood import block_cells, grid_blocks, map_blocks
+from .likelihood import map_blocks
 from .nonparam import product_limit
 
 _DENOM_FLOOR = 1e-10
@@ -66,7 +67,10 @@ def _population(x, delta, z):
     (a (d_z, n) array is transposed)."""
     x = np.asarray(x, dtype=float)
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    return x, np.asarray(delta), (z.T if z.shape[0] != x.shape[0] else z)
+    n = x.shape[0]
+    if n not in z.shape:
+        raise ValidationError(f"covariates of shape {z.shape} have neither {n} rows nor {n} columns")
+    return x, np.asarray(delta), (z.T if z.shape[0] != n else z)
 
 
 def stute_joint_cdf(x, delta, z):
@@ -144,10 +148,9 @@ def ratio_estimate(x, delta, z, bandwidths="auto", grid=None) -> RatioEstimate:
         grid_z = np.atleast_2d(np.asarray(grid_z, dtype=float))
         grid_t = np.asarray(grid_t, dtype=float)
     h_z, h_t = _bandwidths(bandwidths, z_atoms, t_atoms)
-    blocks = grid_blocks(grid_t.shape[0], t_atoms.shape[0])
     values = np.concatenate(map_blocks(
         lambda g: _ratio_rows(t_atoms, z_atoms, grid_z[g], grid_t[g], h_z, h_t, masses),
-        blocks, block_cells(blocks, t_atoms.shape[0])))
+        np.full(grid_t.shape[0], t_atoms.shape[0])))
     return RatioEstimate(
         grid_z=grid_z, grid_t=grid_t, values=values, bandwidth_z=h_z, bandwidth_t=h_t
     )
@@ -211,18 +214,14 @@ def _statistics(pops, own_masses, grid_z, grid_t, h_z, h_t, K, seed):
             m[:, block.start + 1:block.stop + 1] = _product_limit_masses(x, delta, counts)[ev]
         return sum(r for rng_draws in draws for _, r in rng_draws)
 
-    width = max(x.shape[0] for x, _, _ in pops)
-    blocks = grid_blocks(K, width)
-    redraws = sum(map_blocks(replicates, blocks, block_cells(blocks, width)))
+    redraws = sum(map_blocks(replicates, np.full(K, max(x.shape[0] for x, _, _ in pops))))
 
     def grid_rows(g):
         rp, rq = (_ratio_rows(x[ev], z[ev], grid_z[g], grid_t[g], h_z, h_t, m)
                   for (x, _, z), ev, m in zip(pops, events, masses))
         return np.sum((rp - rq) ** 2, axis=0)
 
-    width = max(ev.size for ev in events)
-    blocks = grid_blocks(grid_t.shape[0], width)
-    sums = sum(map_blocks(grid_rows, blocks, block_cells(blocks, width)))
+    sums = sum(map_blocks(grid_rows, np.full(grid_t.shape[0], max(ev.size for ev in events))))
     stats = sums / grid_t.shape[0]
     return float(stats[0]), stats[1:], redraws
 
@@ -240,6 +239,8 @@ def label_shift_test(
     """
     if K < 50:
         raise ValidationError("bootstrap needs K >= 50 replicates")
+    if not 0 < alpha < 1:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     pops = [_population(*pop) for pop in (pop_p, pop_q)]
     if pops[0][2].shape[1] != pops[1][2].shape[1]:
         raise ValidationError("populations disagree on covariate dimension")

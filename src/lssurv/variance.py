@@ -15,22 +15,22 @@ through ratios against itself).
 
 Every input comes from the fit's own ``LikelihoodContext`` evaluated at
 theta-hat: its product-limit fit, its kept censored records in time order
-(one empty-tail rule), ``lqhat``, the tail log-sums and the per-record score
-rows.  ``_second_order_pass`` walks each grid once, one second-order
-``terms`` call per block, in the evaluation's shape: every block writes only
-its own rows or columns and returns one (d x d) Hessian term, the
-curvature ``Hess + grad grad^T`` of its ``Cells`` summed against its
-weights (``likelihood.BlockSums``, which shares the block's weighted
-feature powers with its gradient sums).  The censored
-grid runs in blocks of event-time rows (``likelihood.prefix_blocks``), each
-against the censored records whose tails reach it, a prefix in time order;
-it writes the tail weight ``tau_k``, ``tau @ psi3`` and ``R`` per row.  The
-target grid then runs in blocks of record columns, its weights
+with the one tail rule (``tail_start``, ``reach``, ``in_tail``), ``lqhat``,
+the tail log-sums and the per-record score rows.  ``_second_order_pass``
+walks each grid once, one second-order ``terms`` call per block, in the
+evaluation's shape: every block writes only its own rows or columns and
+returns one (d x d) Hessian term, the curvature ``Hess + grad grad^T`` of
+its ``Cells`` summed against its weights (``likelihood.BlockSums``, which
+shares the block's weighted feature powers with its gradient sums).  The
+censored grid runs in blocks of event-time rows, each against the censored
+records whose tails reach it (``reach``, a prefix in time order); it writes
+the tail weight ``tau_k``, ``tau @ psi3`` and ``R`` per row.  The target
+grid then runs in blocks of record columns, its weights
 ``exp(l - lqhat - log n2)`` read from the evaluation's ``lqhat``; it writes
 the target sum ``T_j`` per record.  So ``_psi_pt_rows`` and ``_psi_qz_rows``
 work in d columns, and no (K, n), (K, n, d) or (K, n, d, d) array is formed.
-The blocks run through ``likelihood.map_blocks``, chunked by their cell
-counts, and their Hessian terms are added in block order, so no output
+Both passes hand ``likelihood.map_blocks`` their item widths (``reach`` and
+``K`` per record) and add their Hessian terms in block order, so no output
 depends on the thread count.
 """
 
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularA
-from .likelihood import (BlockSums, LikelihoodContext, block_cells, grid_blocks, map_blocks,
-                         prefix_blocks)
+from .likelihood import BlockSums, LikelihoodContext, map_blocks
 from .models import expand, full_gradient, theta_hessian
 
 
@@ -70,22 +69,19 @@ def _second_order_pass(ctx: LikelihoodContext, theta):
     theta, model, ds = env["theta"], ctx.model, ctx.dataset
     q, psi3, lqhat, cens_logsum = env["qstar_ratio"], env["psi3_cens"], env["lqhat"], env["cens_logsum"]
     ck = ctx.km.event_counts.astype(float)
-    x_cens, z_cens = ds.x[ctx.cens_idx], ds.z_source[ctx.cens_idx]
+    z_cens = ds.z_source[ctx.cens_idx]
     _, own = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 2)
     g_own = full_gradient(own)
     A = theta_hessian(expand(own.curv, own), own.z) - g_own.T @ g_own
     tau_k, tau_psi3, R = np.empty(ctx.K), np.empty_like(q), np.empty_like(q)
     T = np.empty((ds.n2, q.shape[1]))
 
-    reach = np.searchsorted(x_cens, ctx.tk)               # records whose tails reach each row
-
     def censored_rows(k):
-        t = ctx.tk[k, None]
-        p = reach[k.stop - 1]
-        lc, cen = model.terms(theta, t, z_cens[:p], 2)
+        p = ctx.reach[k.stop - 1]
+        lc, cen = model.terms(theta, ctx.tk[k, None], z_cens[:p], 2)
         lc += (ctx.logw[k] - lqhat[k])[:, None]
         lc -= cens_logsum[:p]
-        np.copyto(lc, -np.inf, where=t <= x_cens[:p])
+        np.copyto(lc, -np.inf, where=~ctx.in_tail(k, slice(0, p)))
         tau = np.exp(lc, out=lc)
         tau_k[k] = tau.sum(axis=1)
         tau_psi3[k] = tau @ psi3[:p]
@@ -93,8 +89,7 @@ def _second_order_pass(ctx: LikelihoodContext, theta):
         R[k] = sums.over_records()
         return sums.hessian()
 
-    blocks = prefix_blocks(reach)
-    for part in map_blocks(censored_rows, blocks, [(k.stop - k.start) * reach[k.stop - 1] for k in blocks]):
+    for part in map_blocks(censored_rows, ctx.reach):
         A += part
     c = ck + tau_k
     M = tau_psi3 - R + 2.0 * tau_k[:, None] * q
@@ -108,8 +103,7 @@ def _second_order_pass(ctx: LikelihoodContext, theta):
         T[j] = wt.T @ ckq_m - sums.over_times()
         return sums.hessian()
 
-    blocks = grid_blocks(ds.n2, ctx.K)
-    for part in map_blocks(target_columns, blocks, block_cells(blocks, ctx.K)):
+    for part in map_blocks(target_columns, np.full(ds.n2, ctx.K)):
         A -= part
     A += ((c + tau_k)[:, None] * q).T @ q - R.T @ q - q.T @ R - psi3.T @ psi3
     A /= ds.n1
@@ -141,19 +135,19 @@ def _psi_pt_rows(ctx: LikelihoodContext, tau_psi3):
     # tau_km = w_k phi_m(t_k) / s0_m, phi @ c = (tau @ psi3) / w
     ds, km = ctx.dataset, ctx.km
     n1, d = ds.n1, tau_psi3.shape[1]
-    tk, g0e = ctx.tk, km.g0_at_events
+    g0e = km.g0_at_events
     phi_c = tau_psi3 / ctx.w[:, None]                                     # (K, d)
     b = (km.event_counts * g0e)[:, None] * phi_c / n1
-    suffix = np.vstack([np.cumsum(b[::-1], axis=0)[::-1], np.zeros((1, d))])
+    tail = np.cumsum(b[::-1], axis=0)[::-1][ctx.tail_start]               # (n_c, d)
 
-    # compensator: prefix over censored records v of dv * tail(v)
-    tail_at_v = suffix[np.searchsorted(tk, km.censor_times, side="right")]
-    cp = np.vstack([np.zeros((1, d)), np.cumsum(km.dv[:, None] * tail_at_v, axis=0)])
-    eta0p = -cp[np.searchsorted(km.censor_times, ds.x, side="left")]     # (n1, d)
-    ku, cens_all = ctx.k_of_unc, ctx.cens_idx_all
+    # compensator: prefix over the kept censored records v, in time order, of
+    # dv * tail(v); the dropped records, last in that order, have no tail
+    n_c = ctx.tail_start.size
+    cp = np.vstack([np.zeros((1, d)), np.cumsum(km.dv[:n_c, None] * tail, axis=0)])
+    eta0p = -cp[np.searchsorted(km.censor_times[:n_c], ds.x, side="left")]  # (n1, d)
+    ku = ctx.k_of_unc
     eta0p[ctx.unc_idx] += phi_c[ku] * g0e[ku, None]
-    tail_at_x = suffix[np.searchsorted(tk, ds.x[cens_all], side="right")]
-    eta0p[cens_all] += tail_at_x / km.at_risk[cens_all, None]
+    eta0p[ctx.cens_idx] += tail / km.at_risk[ctx.cens_idx, None]
     return -eta0p / n1
 
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from lssurv.likelihood import BlockSums, grid_blocks, log_sum_weights
+import lssurv.likelihood as lik
+from lssurv.likelihood import BlockSums, log_sum_weights
 from lssurv.models import full_gradient
 
 
@@ -218,10 +219,12 @@ def rectangle_columns(ctx, theta):
     mask = ctx.tk[:, None] > ds.x[cens][None, :]
     z_cens = ds.z_source[cens]
     logsum, psi3 = np.empty(cens.size), np.zeros((cens.size, theta.size))
-    for m in grid_blocks(cens.size, ctx.K):
+    step = max(1, lik._BLOCK_CELLS // ctx.K)
+    for m in (slice(a, a + step) for a in range(0, cens.size, step)):
         lc, cells = model.terms(theta, ctx.tk[:, None], z_cens[m], 1)
-        logsum[m], tw, total = log_sum_weights(ctx.logw[:, None] + lc - lqhat[:, None], axis=0,
-                                               mask=mask[:, m])
+        lc = ctx.logw[:, None] + lc - lqhat[:, None]
+        lc[~mask[:, m]] = -np.inf
+        logsum[m], tw, total = log_sum_weights(lc, axis=0)
         psi3[m] = (BlockSums(cells, tw).over_times() - tw.T @ qstar) / total.T
     own = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 1)
     contrib = np.zeros(ds.n1)
@@ -249,7 +252,7 @@ def eta_q_hat(ctx, theta, x, z):
     eta0 = -centered.T @ wr                                  # (n2,)
     eta1 = -centered.T @ (wr[:, None] * gz)
     eta2 = -(wr @ qstar)[None, :] - 2.0 * centered.T @ (wr[:, None] * qstar)
-    for k in grid_blocks(ctx.K, ds.n2):
+    for k in (slice(a, a + 64) for a in range(0, ctx.K, 64)):
         tgt = model.log_density_grad(theta, tk[k, None], ds.z_target)
         eta2 += np.einsum("kj,kjd->jd", wr[k, None] * rho_tgt[k], tgt)
     return eta0, eta1, eta2

@@ -189,3 +189,35 @@ def test_run_cli_in_process(csv_pair, capsys):
     assert code == 0
     table = capsys.readouterr().out
     assert "param" in table and "lambda" in table
+
+
+def _population_csv(path, rng):
+    x, d, z = gen_censored_population(rng, 60)
+    with open(path, "w") as fh:
+        fh.write("x,delta,z1\n")
+        for i in range(len(x)):
+            fh.write(f"{float(x[i])!r},{int(d[i])},{float(z[i, 0])!r}\n")
+    return str(path)
+
+
+def test_bad_alpha_is_a_domain_error(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    pops = [_population_csv(tmp_path / name, rng) for name in ("p.csv", "q.csv")]
+    code = run_cli(["shift-test", "--pop-p", pops[0], "--pop-q", pops[1], "--alpha", "1.5"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: ValidationError: alpha must lie in (0, 1), got 1.5\n"
+
+
+def test_malformed_fit_document_is_a_domain_error(tmp_path, capsys):
+    doc = {"model": "ph-weibull", "params": ["beta1", "beta2", "lambda", "gamma"],
+           "theta": [0.0, 0.0, 1.0, 1.5], "se": None, "ci": None, "loglik": 0.0,
+           "sigma": list(np.eye(4).ravel()), "d_theta": 4, "d_z": 2, "n0": 100}
+    for bad, message in ((doc, "fit document lacks convergence"),
+                         (dict(doc, sigma=[1.0], convergence={
+                             "converged": True, "iterations": 1, "grad_norm": 0.0, "warnings": []}),
+                          "fit document's sigma holds 1 entries, not 4 x 4")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code = run_cli(["predict", "--fit", str(path), "--z", "0,1", "--g", "mean"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: SchemaError: {message}\n"

@@ -12,6 +12,7 @@ from lssurv.errors import (
     LssurvError,
     NonConvergence,
     QuadratureFailure,
+    SchemaError,
     SingularA,
     ValidationError,
 )
@@ -322,6 +323,10 @@ def test_conditional_functional_requires_covariance_before_quadrature(fitted, mo
     monkeypatch.setattr(integrate, "quad", no_quad)
     with pytest.raises(ValidationError):
         conditional_functional("ph-weibull", bare, np.zeros(2), lambda t: t)
+    # and the covariate point before quadrature: its length and finiteness
+    for z in (np.zeros(3), np.array([0.0, np.nan]), np.zeros((1, 2)), 0.0):
+        with pytest.raises(ValidationError, match="z must be 2 finite"):
+            conditional_functional("ph-weibull", fr, z, lambda t: t)
 
 
 def _rescaled_back(name, theta, c):
@@ -495,6 +500,18 @@ def test_fit_result_json_roundtrip(fitted):
     np.testing.assert_array_equal(back.theta_hat, fr.theta_hat)
     np.testing.assert_array_equal(back.sigma_hat, fr.sigma_hat)
     assert back.model_name == fr.model_name and back.n0 == fr.n0
+
+
+def test_malformed_fit_document_names_its_fault(fitted):
+    _, fr = fitted
+    doc = fr.to_json_dict()
+    conv = {k: v for k, v in doc["convergence"].items() if k != "grad_norm"}
+    for bad, message in (({k: v for k, v in doc.items() if k != "convergence"}, "lacks convergence"),
+                         ({k: v for k, v in doc.items() if k not in ("theta", "se")}, "lacks theta, se"),
+                         (dict(doc, convergence=conv), "lacks convergence.grad_norm"),
+                         (dict(doc, sigma=doc["sigma"][:-1]), "sigma holds 15 entries, not 4 x 4")):
+        with pytest.raises(SchemaError, match=message):
+            FitResult.from_json_dict(bad)
 
 
 def test_domain_escape_transform_guard():

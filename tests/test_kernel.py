@@ -6,12 +6,14 @@ survival function in the same layout from the same preamble; each order
 must repeat the lower orders' entries exactly, and the value, the feature
 and the partials rebuilt from the tables must stay finite where the capped
 exponent binds.  The grid passes walk the (event
-time x record) grids in blocks of at most ``likelihood._BLOCK_CELLS`` cells:
-the target grid in balanced row blocks, the censored tails in column blocks
-of the staircase the time-sorted records make.  Shrinking the budget down to
-single rows and single columns must not move any output, running the blocks
-on two threads must not move any bit of it, and walking only the tails must
-give the bits of the whole masked rectangle."""
+time x record) grids in blocks of at most ``likelihood._BLOCK_CELLS`` cells,
+cut by one cutter from the items' widths: the target grid in balanced row
+blocks, the censored tails in column blocks of the staircase the time-sorted
+records make, the sandwich's censored rows in blocks of its transpose.
+Shrinking the budget down to single rows and single columns must not move
+any output, running the blocks on two threads must not move any bit of it,
+and walking only the tails must give the bits of the whole masked
+rectangle."""
 
 import logging
 import sys
@@ -106,22 +108,6 @@ def test_log_survival_order_one_repeats_order_zero_and_stays_finite(name):
         assert np.all(np.isfinite(leaf))
 
 
-def test_grid_blocks_are_balanced():
-    budget = lik._BLOCK_CELLS
-    for n_rows, n_cols in [(200, 1000), (721, 500), (1428, 2000), (5, 1), (3, budget * 2), (0, 10)]:
-        blocks = lik.grid_blocks(n_rows, n_cols)
-        sizes = [b.stop - b.start for b in blocks]
-        step = max(1, budget // n_cols)
-        assert len(blocks) == -(-n_rows // step)
-        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
-        assert sum(sizes) == n_rows
-        if sizes:
-            assert blocks[0].start == 0
-            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= step
-    # the shift test's 200 replicates at n = 1000: four blocks of 50
-    assert [b.stop - b.start for b in lik.grid_blocks(200, 1000)] == [50] * 4
-
-
 def tail_dataset():
     """Censored times that tie event times and each other, one censored
     record whose tail is the last event time alone, and censored records at
@@ -175,21 +161,48 @@ def test_tail_dataset_has_its_edge_cases():
     np.testing.assert_array_equal(ctx.tail_start, np.searchsorted(ctx.tk, x_cens, side="right"))
 
 
-@pytest.mark.parametrize("cells", [1, 7, 64, 500, 1 << 16])
-def test_tail_blocks_cut_the_staircase(cells, monkeypatch):
-    monkeypatch.setattr(lik, "_BLOCK_CELLS", cells)
+def test_tail_indices_are_the_time_comparison():
+    ds = tail_dataset()
+    ctx = LikelihoodContext(get_model("ph-weibull"), ds)
+    n_c = ctx.cens_idx.size
+    want = ctx.tk[:, None] > ds.x[ctx.cens_idx]
+    np.testing.assert_array_equal(ctx.in_tail(slice(0, ctx.K), slice(0, n_c)), want)
+    np.testing.assert_array_equal(ctx.reach, want.sum(axis=1))
+    for k, m in [(slice(0, 1), slice(0, n_c)), (slice(9, 12), slice(2, 6)),
+                 (slice(ctx.K - 1, ctx.K), slice(n_c - 2, n_c))]:
+        np.testing.assert_array_equal(ctx.in_tail(k, m), want[k, m])
+
+
+def _pass_widths(cells):
+    """Item widths of every shape a grid pass hands the cutter, and the
+    block count of equal widths: rectangles, the tail staircase
+    (non-increasing, ties included) and the prefix staircase (non-decreasing,
+    leading zeros)."""
+    for n_rows, n_cols in [(200, 1000), (721, 500), (1428, 2000), (5, 1), (3, 2 * cells), (0, 10)]:
+        yield np.full(n_rows, n_cols), -(-n_rows // max(1, cells // n_cols))
     for ds in (tail_dataset(), make_dataset(seed=3, n1=300, n2=5)):
         ctx = LikelihoodContext(get_model("ph-weibull"), ds)
-        blocks = lik.tail_blocks(ctx.tail_start, ctx.K)
-        assert blocks[0].start == 0 and blocks[-1].stop == ctx.cens_idx.size
-        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
-        assert all(b.stop > b.start for b in blocks)
-        for b in blocks:
-            rows = ctx.K - ctx.tail_start[b.start]
-            assert rows * (b.stop - b.start) <= cells or b.stop - b.start == 1
-            # every record's tail lies within its block's rows
-            assert np.all(ctx.tail_start[b] >= ctx.tail_start[b.start])
-    assert lik.tail_blocks(np.array([], dtype=int), 5) == []
+        yield ctx.K - ctx.tail_start, None
+        yield ctx.reach, None
+    yield np.array([0, 0, 0, 1, 1, 5, 9, 9, 30, 400]), None
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, 500, 1 << 16])
+def test_the_cutter_covers_every_item_within_the_budget(cells, monkeypatch):
+    monkeypatch.setattr(lik, "_BLOCK_CELLS", cells)
+    for widths, n_equal in _pass_widths(cells):
+        blocks, counts = lik._blocks(widths)
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(sizes)
+        assert [0, *(b.stop for b in blocks)] == [*(b.start for b in blocks), widths.size]
+        for b, n_cells in zip(blocks, counts, strict=True):
+            # counted at the widest item: a column block's rows hold every
+            # tail in it, a row block's columns every record that reaches it
+            assert n_cells == (b.stop - b.start) * widths[b].max()
+            assert n_cells <= cells or b.stop - b.start == 1
+        if n_equal is not None:
+            assert len(blocks) == n_equal
+            assert not sizes or max(sizes) - min(sizes) <= 1
 
 
 @pytest.mark.parametrize("cells", [2048, 1 << 16])
@@ -228,10 +241,10 @@ def test_block_budget_moves_no_output(case, monkeypatch):
     want = grid_outputs(model, ds, theta)
     ctx = LikelihoodContext(model, ds)
     assert ctx.cens_idx.size and ctx.unc_idx.size
-    assert len(lik.grid_blocks(ctx.K, ds.n2)) == 1
+    assert len(lik._blocks(np.full(ctx.K, ds.n2))[0]) == 1
     for cells in (1, 7, 64):
         monkeypatch.setattr(lik, "_BLOCK_CELLS", cells)
-        assert len(lik.tail_blocks(ctx.tail_start, ctx.K)) > 1
+        assert len(lik._blocks(ctx.K - ctx.tail_start)[0]) > 1
         monkeypatch.setattr(lik, "_threads", 1)
         serial = grid_outputs(model, ds, theta)
         for key, ref in want.items():
@@ -279,8 +292,8 @@ def test_map_blocks_from_a_pool_thread_runs_serially(monkeypatch):
     inner, got = list(range(4)), []
     full = lik._BLOCK_CELLS
     caller = threading.Thread(target=lambda: got.append(lik.map_blocks(
-        lambda b: (b, lik.map_blocks(lambda c: c * b, inner, [full] * 4)), list(range(6)),
-        [full] * 6)), daemon=True)
+        lambda b: (b.start, lik.map_blocks(lambda c: c.start * b.start, np.full(4, full))),
+        np.full(6, full))), daemon=True)
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive()
@@ -292,7 +305,7 @@ def test_pool_size_is_logged_once_on_creation(monkeypatch, caplog):
     monkeypatch.setattr(lik, "_threads", 3)
     with caplog.at_level(logging.DEBUG, logger="lssurv"):
         for _ in range(2):
-            assert lik.map_blocks(abs, list(range(-6, 0)), [lik._BLOCK_CELLS] * 6) == [6, 5, 4, 3, 2, 1]
+            assert lik.map_blocks(lambda b: 6 - b.start, np.full(6, lik._BLOCK_CELLS)) == [6, 5, 4, 3, 2, 1]
     lik._pool.shutdown()
     assert [r.getMessage() for r in caplog.records if "grid pool" in r.getMessage()] == [
         "grid pool: 2 worker thread(s) beside the caller"]
@@ -303,6 +316,7 @@ def test_map_blocks_keeps_block_order_under_switch_stress(monkeypatch):
     # to its own slice once and the results keep block order
     monkeypatch.setattr(lik, "_pool", None)
     monkeypatch.setattr(lik, "_threads", 4)
+    monkeypatch.setattr(lik, "_BLOCK_CELLS", 50)
     out = np.zeros(400)
     blocks = [slice(i, i + 5) for i in range(0, 400, 5)]
 
@@ -314,7 +328,7 @@ def test_map_blocks_keeps_block_order_under_switch_stress(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         caller = threading.Thread(target=lambda: got.append(
-            lik.map_blocks(fill, blocks, [lik._BLOCK_CELLS] * len(blocks))), daemon=True)
+            lik.map_blocks(fill, np.full(400, 10))), daemon=True)
         caller.start()
         caller.join(timeout=60)
     finally:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lssurv import shift_test
 from lssurv.errors import DegenerateBandwidth, ValidationError
 from lssurv.shift_test import (
     label_shift_test,
@@ -128,3 +129,19 @@ def test_input_validation():
     pq = (pp[0], pp[1], np.hstack([pp[2], pp[2]]))
     with pytest.raises(ValidationError):
         label_shift_test(pp, pq, K=60)
+
+
+def test_bad_alpha_and_covariate_rows_fail_before_the_bootstrap(monkeypatch):
+    def no_bootstrap(*args):
+        raise AssertionError("the bootstrap ran before the input checks")
+
+    monkeypatch.setattr(shift_test, "_statistics", no_bootstrap)
+    rng = np.random.default_rng(9)
+    pp = gen_censored_population(rng, 100)
+    for alpha in (1.5, 0.0, 1.0, float("nan")):
+        with pytest.raises(ValidationError, match="alpha must lie in"):
+            label_shift_test(pp, pp, K=60, alpha=alpha)
+    bad = (pp[0], pp[1], np.zeros((101, 2)))
+    for pops in ((bad, bad), (bad, pp), (pp, bad)):
+        with pytest.raises(ValidationError, match="neither 100 rows nor 100 columns"):
+            label_shift_test(*pops, K=60)
