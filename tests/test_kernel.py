@@ -173,36 +173,50 @@ def test_tail_indices_are_the_time_comparison():
         np.testing.assert_array_equal(ctx.in_tail(k, m), want[k, m])
 
 
-def _pass_widths(cells):
-    """Item widths of every shape a grid pass hands the cutter, and the
-    block count of equal widths: rectangles, the tail staircase
-    (non-increasing, ties included) and the prefix staircase (non-decreasing,
-    leading zeros)."""
-    for n_rows, n_cols in [(200, 1000), (721, 500), (1428, 2000), (5, 1), (3, 2 * cells), (0, 10)]:
-        yield np.full(n_rows, n_cols), -(-n_rows // max(1, cells // n_cols))
-    for ds in (tail_dataset(), make_dataset(seed=3, n1=300, n2=5)):
-        ctx = LikelihoodContext(get_model("ph-weibull"), ds)
-        yield ctx.K - ctx.tail_start, None
-        yield ctx.reach, None
-    yield np.array([0, 0, 0, 1, 1, 5, 9, 9, 30, 400]), None
+def _cut(widths, cells):
+    """The cutter's blocks over items ``widths``: in order over every item,
+    none empty, each within ``cells`` at its widest item or one item wide."""
+    blocks, counts = lik._blocks(widths)
+    assert all(b.stop > b.start for b in blocks)
+    assert [0, *(b.stop for b in blocks)] == [*(b.start for b in blocks), len(widths)]
+    for b, n_cells in zip(blocks, counts, strict=True):
+        # counted at the widest item: a column block's rows hold every tail
+        # in it, a row block's columns every record that reaches it
+        assert n_cells == (b.stop - b.start) * widths[b].max()
+        assert n_cells <= cells or b.stop - b.start == 1
+    return blocks
+
+
+def test_grid_blocks_are_balanced(monkeypatch):
+    # equal widths, the target grid's rows: as few blocks as the budget
+    # allows, their row counts differing by at most one
+    for cells in (lik._BLOCK_CELLS, 1, 7, 64, 500, 1 << 16):
+        monkeypatch.setattr(lik, "_BLOCK_CELLS", cells)
+        for n_rows, n_cols in [(200, 1000), (721, 500), (1428, 2000), (5, 1), (3, cells * 2), (0, 10)]:
+            blocks = _cut(np.full(n_rows, n_cols), cells)
+            sizes = [b.stop - b.start for b in blocks]
+            step = max(1, cells // n_cols)
+            assert len(blocks) == -(-n_rows // step)
+            if sizes:
+                assert max(sizes) - min(sizes) <= 1 and max(sizes) <= step
+    monkeypatch.undo()
+    # the shift test's 200 replicates at n = 1000: four blocks of 50
+    assert [b.stop - b.start for b in lik._blocks(np.full(200, 1000))[0]] == [50] * 4
 
 
 @pytest.mark.parametrize("cells", [1, 7, 64, 500, 1 << 16])
-def test_the_cutter_covers_every_item_within_the_budget(cells, monkeypatch):
+def test_tail_blocks_cut_the_staircase(cells, monkeypatch):
+    # the tail staircase (non-increasing, ties included), its transpose and
+    # a prefix staircase (non-decreasing, leading zeros)
     monkeypatch.setattr(lik, "_BLOCK_CELLS", cells)
-    for widths, n_equal in _pass_widths(cells):
-        blocks, counts = lik._blocks(widths)
-        sizes = [b.stop - b.start for b in blocks]
-        assert all(sizes)
-        assert [0, *(b.stop for b in blocks)] == [*(b.start for b in blocks), widths.size]
-        for b, n_cells in zip(blocks, counts, strict=True):
-            # counted at the widest item: a column block's rows hold every
-            # tail in it, a row block's columns every record that reaches it
-            assert n_cells == (b.stop - b.start) * widths[b].max()
-            assert n_cells <= cells or b.stop - b.start == 1
-        if n_equal is not None:
-            assert len(blocks) == n_equal
-            assert not sizes or max(sizes) - min(sizes) <= 1
+    for ds in (tail_dataset(), make_dataset(seed=3, n1=300, n2=5)):
+        ctx = LikelihoodContext(get_model("ph-weibull"), ds)
+        for b in _cut(ctx.K - ctx.tail_start, cells):
+            # every record's tail lies within its block's rows
+            assert np.all(ctx.tail_start[b] >= ctx.tail_start[b.start])
+        _cut(ctx.reach, cells)
+    _cut(np.array([0, 0, 0, 1, 1, 5, 9, 9, 30, 400]), cells)
+    assert lik._blocks(np.array([], dtype=int))[0] == []
 
 
 @pytest.mark.parametrize("cells", [2048, 1 << 16])
