@@ -238,10 +238,7 @@ def _cmd_simulate(args):
         f"wrote {source_path} (n1={ds.n1}, censoring "
         f"{doc['censoring_fraction']:.1%}) and {target_path} (n2={ds.n2})"
     )
-    print(json.dumps(doc, indent=2) if args.json else human)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
+    _emit(args, doc, human)
     return 0
 
 

@@ -98,6 +98,8 @@ class FitResult:
         sigma = None if doc["sigma"] is None else np.array(doc["sigma"], dtype=float)
         if sigma is not None and sigma.size != d * d:
             raise SchemaError(f"fit document's sigma holds {sigma.size} entries, not {d} x {d}")
+        if not (type(doc["n0"]) is int and doc["n0"] >= 1):
+            raise SchemaError(f"fit document's n0 is {doc['n0']!r}, not a positive integer")
         conv = doc["convergence"]
         return cls(
             model_name=doc["model"],
@@ -111,8 +113,8 @@ class FitResult:
             iterations=conv["iterations"],
             grad_norm=conv["grad_norm"],
             warnings=list(conv["warnings"]),
-            n0=int(doc.get("n0", 0)),
-            d_z=int(doc.get("d_z", 0)),
+            n0=int(doc["n0"]),
+            d_z=int(doc["d_z"]),
         )
 
 
@@ -307,7 +309,9 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
     delta-method standard error.
 
     Returns (zeta_hat, se, ci).  ``points`` marks integrand breakpoints
-    (indicator or kink locations) to split the quadrature at.
+    (indicator or kink locations) to split the quadrature at.  One kept
+    ``terms`` call per node gives ``g q`` and ``g q grad log q`` to the zeta
+    quadrature and the d gradient quadratures, which mostly share nodes.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -319,8 +323,11 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
     if z.shape != (d_z,) or not np.all(np.isfinite(z)):
         raise ValidationError(f"z must be {d_z} finite covariate values, got {z.tolist()}")
 
-    def integrand(t):
-        return g(t) * float(np.exp(model.log_density(theta, t, z)))
+    @functools.lru_cache(maxsize=None)
+    def node(t):
+        lq, cells = model.terms(theta, t, z, 1)
+        gq = g(t) * float(np.exp(lq))
+        return gq, gq * full_gradient(cells)
 
     def checked(f, what):
         val = err = 0.0
@@ -336,18 +343,10 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
             raise QuadratureFailure(f"{what} {val:.6g} with error estimate {err:.3g}")
         return val
 
-    zeta = checked(integrand, "integral")
-
-    @functools.lru_cache(maxsize=None)
-    def weighted_gradient(t):
-        # the d integrands at one node, shared by the d quadratures, which
-        # mostly visit the same nodes
-        lq, cells = model.terms(theta, t, z, 1)
-        return g(t) * float(np.exp(lq)) * full_gradient(cells)
-
+    zeta = checked(lambda t: node(t)[0], "integral")
     gamma = np.empty(theta.shape[0])
     for s in range(gamma.size):
-        gamma[s] = checked(lambda t, s=s: float(weighted_gradient(t)[s]), f"gradient integral {s}")
+        gamma[s] = checked(lambda t, s=s: float(node(t)[1][s]), f"gradient integral {s}")
     var = float(gamma @ fit_result.sigma_hat @ gamma) / fit_result.n0
     se = math.sqrt(max(var, 0.0))
     return zeta, se, (zeta - Z975 * se, zeta + Z975 * se)

@@ -53,6 +53,7 @@ mass there).
 from __future__ import annotations
 
 import contextvars
+import itertools
 import logging
 import math
 import os
@@ -387,10 +388,7 @@ class LikelihoodContext:
 
         map_blocks(censored_columns, K - self.tail_start)
 
-        contrib = np.zeros(ds.n1)
-        contrib[self.unc_idx] = own[0] - lqhat[self.k_of_unc]
-        contrib[self.cens_idx] = cens_logsum
-        loglik = math.fsum(contrib) / ds.n1
+        loglik = math.fsum(itertools.chain(own[0] - lqhat[self.k_of_unc], cens_logsum)) / ds.n1
 
         env = {
             "theta": theta,

@@ -4,7 +4,8 @@ _NUM_ARRAY = {"type": "array", "items": {"type": "number"}}
 
 FIT_SCHEMA = {
     "type": "object",
-    "required": ["model", "params", "theta", "se", "ci", "loglik", "sigma", "d_theta", "convergence"],
+    "required": ["model", "params", "theta", "se", "ci", "loglik", "sigma", "d_theta", "d_z", "n0",
+                 "convergence"],
     "properties": {
         "model": {"type": "string"},
         "params": {"type": "array", "items": {"type": "string"}},
@@ -21,7 +22,7 @@ FIT_SCHEMA = {
         "sigma": {"anyOf": [_NUM_ARRAY, {"type": "null"}]},
         "d_theta": {"type": "integer"},
         "d_z": {"type": "integer"},
-        "n0": {"type": "integer"},
+        "n0": {"type": "integer", "minimum": 1},
         "convergence": {
             "type": "object",
             "required": ["converged", "iterations", "grad_norm", "warnings"],

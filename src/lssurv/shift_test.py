@@ -237,6 +237,8 @@ def label_shift_test(
     rule-of-thumb choice with a fixed (h_z, h_t) pair.  A resample with no
     event is drawn again; ``NoEvents`` after ``_MAX_REDRAWS`` such draws.
     """
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
+        raise ValidationError(f"bootstrap needs an integer K, got {K!r}")
     if K < 50:
         raise ValidationError("bootstrap needs K >= 50 replicates")
     if not 0 < alpha < 1:

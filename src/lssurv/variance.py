@@ -27,11 +27,12 @@ records whose tails reach it (``reach``, a prefix in time order); it writes
 the tail weight ``tau_k``, ``tau @ psi3`` and ``R`` per row.  The target
 grid then runs in blocks of record columns, its weights
 ``exp(l - lqhat - log n2)`` read from the evaluation's ``lqhat``; it writes
-the target sum ``T_j`` per record.  So ``_psi_pt_rows`` and ``_psi_qz_rows``
-work in d columns, and no (K, n), (K, n, d) or (K, n, d, d) array is formed.
-Both passes hand ``likelihood.map_blocks`` their item widths (``reach`` and
-``K`` per record) and add their Hessian terms in block order, so no output
-depends on the thread count.
+the target sum ``T_j`` per record.  The pass returns ``A`` and the rows it
+feeds, ``psi``, ``psi_pt`` (``_psi_pt_rows`` on ``tau @ psi3``) and
+``psi_qz`` (closed form in those sums), all in d columns: no (K, n), (K, n,
+d) or (K, n, d, d) array is formed.  Both passes hand ``map_blocks`` their
+item widths (``reach`` and ``K`` per record) and add their Hessian terms in
+block order, so no output depends on the thread count.
 """
 
 from __future__ import annotations
@@ -60,11 +61,13 @@ class VarianceParts:
 # -- the two grid passes -------------------------------------------------------
 
 def _second_order_pass(ctx: LikelihoodContext, theta):
-    """The evaluation at theta, ``A`` and the passes' sums over the kept
-    censored records: ``tau_k`` (K,) the tail weight at ``t_k``,
-    ``tau_psi3 = tau @ psi3`` (K, d), ``M_k = tau_psi3_k - R_k + 2 tau_k
-    q_k`` (K, d) with ``R_k = sum_m tau_km grad l(t_k, Z_m)``, and the target
-    sum ``T_j = sum_k Wt_kj (ck_k q_k + M_k - c_k grad l(t_k, z_j))`` (n2, d)."""
+    """``A, psi, psi_pt, psi_qz`` at theta.  Over the kept censored records
+    the censored pass sums ``tau_k`` (K,), the tail weight at ``t_k``,
+    ``tau_psi3 = tau @ psi3`` (K, d), which ``_psi_pt_rows`` reads, and
+    ``R_k = sum_m tau_km grad l(t_k, Z_m)``; with ``M_k = tau_psi3_k - R_k +
+    2 tau_k q_k`` the target pass sums ``T_j = sum_k Wt_kj (ck_k q_k + M_k -
+    c_k grad l(t_k, z_j))`` (n2, d), and ``psi_qz = (tau_k @ q - sum_k M_k
+    + n2 T) / n1``."""
     env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
     theta, model, ds = env["theta"], ctx.model, ctx.dataset
     q, psi3, lqhat, cens_logsum = env["qstar_ratio"], env["psi3_cens"], env["lqhat"], env["cens_logsum"]
@@ -107,7 +110,8 @@ def _second_order_pass(ctx: LikelihoodContext, theta):
         A -= part
     A += ((c + tau_k)[:, None] * q).T @ q - R.T @ q - q.T @ R - psi3.T @ psi3
     A /= ds.n1
-    return env, 0.5 * (A + A.T), tau_k, tau_psi3, M, T
+    psi_qz = (ds.n2 * T + (tau_k @ q - M.sum(axis=0))) / ds.n1
+    return 0.5 * (A + A.T), env["psi"], _psi_pt_rows(ctx, tau_psi3), psi_qz
 
 
 def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
@@ -119,10 +123,10 @@ def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
     ``c_k`` times the Hessian of ``log qhat(t_k)``, plus the
     ``tau``-weighted censored Hessians and outer products of
     ``grad l(t_k, Z_m) - qstar_ratio_k``, minus each censored score row's
-    outer product.  It comes from the second-order grid passes, which also
-    give the sandwich its per-row and per-record sums.
+    outer product.  It is the first output of the second-order pass, which
+    also forms the sandwich's influence rows.
     """
-    return _second_order_pass(ctx, theta)[1]
+    return _second_order_pass(ctx, theta)[0]
 
 
 # -- event-CDF estimation component -------------------------------------------
@@ -151,26 +155,11 @@ def _psi_pt_rows(ctx: LikelihoodContext, tau_psi3):
     return -eta0p / n1
 
 
-# -- covariate-distribution component -----------------------------------------
-
-def _psi_qz_rows(ctx: LikelihoodContext, env, tau_k, M, T):
-    # closed form in the passes' per-row and per-record sums: the rows are
-    # tau_k @ q - sum_k M_k + n2 T, over n1
-    ds = ctx.dataset
-    rows = ds.n2 * T
-    rows += tau_k @ env["qstar_ratio"] - M.sum(axis=0)
-    return rows / ds.n1
-
-
 def asymptotic_variance(ctx: LikelihoodContext, theta_hat):
     """Sandwich covariance of sqrt(n0) (theta_hat - theta0) and its parts,
     read from ``ctx`` (the context the fit maximized) at ``theta_hat``."""
-    env, A, tau_k, tau_psi3, M, T = _second_order_pass(ctx, theta_hat)
+    A, psi, psi_pt, psi_qz = _second_order_pass(ctx, theta_hat)
     dataset = ctx.dataset
-    psi = env["psi"]
-    psi_pt = _psi_pt_rows(ctx, tau_psi3)
-    psi_qz = _psi_qz_rows(ctx, env, tau_k, M, T)
-
     pi_n = dataset.pi_n
     v_p = np.cov(psi + psi_pt, rowvar=False, ddof=1)
     v_q = np.cov(psi_qz, rowvar=False, ddof=1) if dataset.n2 > 1 else np.zeros_like(v_p)

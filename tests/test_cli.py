@@ -102,6 +102,18 @@ def test_simulate_fit_predict_select_pipeline(tmp_path):
     jsonschema.validate(doc, RESULT_SCHEMAS["simulate"])
     src, tgt = doc["source_path"], doc["target_path"]
 
+    # like every subcommand, --out takes the report and stdout stays silent
+    sim_path = tmp_path / "sim.json"
+    code, out, err = run([
+        "simulate", "--model", "ph-weibull", "--theta", "1,1,1,1.5", "--n1", "260",
+        "--n2", "240", "--seed", "12", "--out-prefix", prefix, "--json", "--out", str(sim_path),
+    ])
+    assert code == 0, err
+    assert out == ""
+    sim_doc = json.loads(sim_path.read_text())
+    jsonschema.validate(sim_doc, RESULT_SCHEMAS["simulate"])
+    assert sim_doc == doc
+
     fit_path = str(tmp_path / "fit.json")
     code, out, err = run(["fit", "--model", "ph-weibull", "--source", src,
                           "--target", tgt, "--json", "--out", fit_path])
@@ -212,10 +224,16 @@ def test_malformed_fit_document_is_a_domain_error(tmp_path, capsys):
     doc = {"model": "ph-weibull", "params": ["beta1", "beta2", "lambda", "gamma"],
            "theta": [0.0, 0.0, 1.0, 1.5], "se": None, "ci": None, "loglik": 0.0,
            "sigma": list(np.eye(4).ravel()), "d_theta": 4, "d_z": 2, "n0": 100}
+    conv = {"converged": True, "iterations": 1, "grad_norm": 0.0, "warnings": []}
+    no_n0 = {k: v for k, v in doc.items() if k != "n0"}
     for bad, message in ((doc, "fit document lacks convergence"),
-                         (dict(doc, sigma=[1.0], convergence={
-                             "converged": True, "iterations": 1, "grad_norm": 0.0, "warnings": []}),
-                          "fit document's sigma holds 1 entries, not 4 x 4")):
+                         (dict(doc, sigma=[1.0], convergence=conv),
+                          "fit document's sigma holds 1 entries, not 4 x 4"),
+                         (dict(no_n0, convergence=conv), "fit document lacks n0"),
+                         (dict(doc, n0=0, convergence=conv),
+                          "fit document's n0 is 0, not a positive integer"),
+                         (dict(doc, n0=None, convergence=conv),
+                          "fit document's n0 is None, not a positive integer")):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         code = run_cli(["predict", "--fit", str(path), "--z", "0,1", "--g", "mean"])

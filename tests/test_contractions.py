@@ -8,7 +8,7 @@ import pytest
 
 from lssurv.likelihood import BlockSums, LikelihoodContext
 from lssurv.models import REGISTRY_ORDER, get_model
-from lssurv.variance import _psi_qz_rows, _second_order_pass
+from lssurv.variance import _second_order_pass
 
 from conftest import make_dataset
 from oracles import (eta_q_hat, kernel_partials, qhat_T_star, tail_weights, target_weights,
@@ -92,13 +92,12 @@ def test_grid_contractions_match_dense_einsum(name, d_z):
                                np.einsum("mj,mjd->md", np.exp(lq), G) / ds.n2, **close)
 
     # at d_z = 0 the objective is flat in theta (A is singular), so the rows
-    # are taken from the sandwich's own assembly step
+    # are taken from the second-order pass, not from asymptotic_variance
     mask = ctx.tk[:, None] > ds.x[ctx.cens_idx]
     phi = np.where(mask, np.exp(model.log_density(theta, tcol, z_cens) - env["lqhat"][:, None]), 0.0)
     s0 = np.exp(env["cens_logsum"])
     c_mat = env["psi3_cens"] / s0[:, None]
-    _, _, tau_k, _, M, T = _second_order_pass(ctx, theta)
-    np.testing.assert_allclose(_psi_qz_rows(ctx, env, tau_k, M, T),
+    np.testing.assert_allclose(_second_order_pass(ctx, theta)[3],
                                dense_psi_qz(ctx, env, phi, s0, c_mat, Gtgt, Gcen),
                                rtol=1e-10, atol=1e-12)
 

@@ -26,7 +26,7 @@ from lssurv.estimator import (
     source_only_mle,
 )
 from lssurv.likelihood import LikelihoodContext, approx_loglik, score
-from lssurv.models import REGISTRY_ORDER, get_model
+from lssurv.models import REGISTRY_ORDER, PHWeibull, get_model
 from lssurv.variance import a_matrix, asymptotic_variance
 
 from fixture_models import FullGradientModel, OneSlot, TwoPointLogNormal, two_point_dataset
@@ -243,6 +243,35 @@ def test_conditional_functional_weibull_mean():
     zeta, se, _ = conditional_functional("ph-weibull", fr, np.zeros(2), lambda t: t)
     assert zeta == pytest.approx(math.gamma(5.0 / 3.0), abs=1e-6)
     assert se > 0
+
+
+class NodeLog(PHWeibull):
+    """ph-weibull recording the ``t`` of every ``terms`` and ``log_density`` call."""
+
+    def __init__(self):
+        self.terms_t, self.log_density_t = [], []
+
+    def terms(self, theta, t, z, order=0):
+        self.terms_t.append(float(t))
+        return super().terms(theta, t, z, order)
+
+    def log_density(self, theta, t, z):
+        self.log_density_t.append(float(t))
+        return super().log_density(theta, t, z)
+
+
+def test_conditional_functional_evaluates_each_node_once():
+    # zeta and the d gradient quadratures read one terms call per node
+    fr = FitResult(
+        model_name="ph-weibull", param_names=["b1", "b2", "lambda", "gamma"],
+        theta_hat=np.array([0.2, -0.4, 1.0, 1.5]), loglik=0.0, sigma_hat=np.eye(4), se=None,
+        ci=None, converged=True, iterations=0, grad_norm=0.0, n0=100, d_z=2,
+    )
+    for g, points in (((lambda t: t), None), ((lambda t: min(t, 2.0)), [2.0])):
+        model = NodeLog()
+        conditional_functional(model, fr, np.array([0.3, -0.8]), g, points=points)
+        assert model.log_density_t == []
+        assert len(model.terms_t) == len(set(model.terms_t)) > 0
 
 
 def _functional_at(name, theta, sigma, z, g, points):

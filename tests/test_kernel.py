@@ -27,7 +27,7 @@ import lssurv.likelihood as lik
 from lssurv.errors import NumericalUnderflow
 from lssurv.likelihood import LikelihoodContext
 from lssurv.models import REGISTRY_ORDER, get_model
-from lssurv.variance import _psi_pt_rows, _psi_qz_rows, _second_order_pass, a_matrix
+from lssurv.variance import _second_order_pass, a_matrix
 
 from conftest import make_dataset
 from fixture_models import OneSlot, RecordingPHWeibull, TwoPointLogNormal, two_point_dataset
@@ -126,13 +126,12 @@ def tail_dataset():
 
 def grid_outputs(model, ds, theta):
     ctx = LikelihoodContext(model, ds)
-    env, A, tau_k, tau_psi3, M, T = _second_order_pass(ctx, theta)
-    out = {key: env[key] for key in ("loglik", "score", "psi", "qstar_ratio", "cens_logsum")}
+    A, psi, psi_pt, psi_qz = _second_order_pass(ctx, theta)
+    env = ctx._evaluate(theta, need_score=True)             # the evaluation the pass read
+    out = {key: env[key] for key in ("loglik", "score", "qstar_ratio", "cens_logsum")}
     out["Wt"] = target_weights(ctx, env)
     out["tail_w"] = tail_weights(ctx, env)
-    out["a_matrix"] = A
-    out["psi_pt"] = _psi_pt_rows(ctx, tau_psi3)
-    out["psi_qz"] = _psi_qz_rows(ctx, env, tau_k, M, T)
+    out.update(psi=psi, a_matrix=A, psi_pt=psi_pt, psi_qz=psi_qz)
     return out
 
 

@@ -141,6 +141,11 @@ def test_bad_alpha_and_covariate_rows_fail_before_the_bootstrap(monkeypatch):
     for alpha in (1.5, 0.0, 1.0, float("nan")):
         with pytest.raises(ValidationError, match="alpha must lie in"):
             label_shift_test(pp, pp, K=60, alpha=alpha)
+    for K in (60.0, True):
+        with pytest.raises(ValidationError, match="needs an integer K"):
+            label_shift_test(pp, pp, K=K)
+    with pytest.raises(AssertionError, match="the bootstrap ran"):        # a numpy integer passes
+        label_shift_test(pp, pp, K=np.int64(60))
     bad = (pp[0], pp[1], np.zeros((101, 2)))
     for pops in ((bad, bad), (bad, pp), (pp, bad)):
         with pytest.raises(ValidationError, match="neither 100 rows nor 100 columns"):
