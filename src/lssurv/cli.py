@@ -20,6 +20,7 @@ from .errors import LssurvError, ParseError, SchemaError, ValidationError
 from .estimator import FitOptions, FitResult, bic_select, conditional_functional, fit
 from .likelihood import usable_cores
 from .models import REGISTRY_ORDER, get_model
+from .schemas import plain
 from .shift_test import label_shift_test
 from .simulation import QzSpec, SimConfig, generate_dataset, run_mc_study
 
@@ -259,8 +260,7 @@ def _cmd_predict(args):
     model = get_model(fr.model_name)
     g, points = _g_from_menu(args.g)
     zeta, se, ci = conditional_functional(model, fr, args.z, g, points=points)
-    doc = {"zeta": zeta, "se": se, "ci": [ci[0], ci[1]], "g": args.g,
-           "z": [float(v) for v in args.z]}
+    doc = plain({"zeta": zeta, "se": se, "ci": ci, "g": args.g, "z": args.z})
     human = f"zeta = {zeta:.6f}   SE = {se:.6f}   CI = [{ci[0]:.6f}, {ci[1]:.6f}]"
     _emit(args, doc, human)
     return 0

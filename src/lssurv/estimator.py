@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import integrate, optimize
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .likelihood import LikelihoodContext
 from .models import REGISTRY_ORDER, SurvivalModel, full_gradient, get_model
-from .schemas import FIT_SCHEMA
+from .schemas import FIT_SCHEMA, plain
 from .variance import VarianceParts, a_matrix, asymptotic_variance
 
 Z975 = 1.96
@@ -67,25 +67,14 @@ class FitResult:
     variance_parts: VarianceParts | None = None
 
     def to_json_dict(self) -> dict:
-        d = len(self.theta_hat)
-        return {
-            "model": self.model_name,
-            "params": list(self.param_names),
-            "theta": [float(v) for v in self.theta_hat],
-            "se": [float(v) for v in self.se] if self.se is not None else None,
-            "ci": [[float(a), float(b)] for a, b in self.ci] if self.ci is not None else None,
-            "loglik": float(self.loglik),
-            "sigma": [float(v) for v in self.sigma_hat.ravel()] if self.sigma_hat is not None else None,
-            "d_theta": d,
-            "d_z": int(self.d_z),
-            "n0": int(self.n0),
-            "convergence": {
-                "converged": bool(self.converged),
-                "iterations": int(self.iterations),
-                "grad_norm": float(self.grad_norm),
-                "warnings": list(self.warnings),
-            },
-        }
+        sigma = None if self.sigma_hat is None else self.sigma_hat.ravel()
+        return plain({
+            "model": self.model_name, "params": self.param_names, "theta": self.theta_hat,
+            "se": self.se, "ci": self.ci, "loglik": self.loglik, "sigma": sigma,
+            "d_theta": len(self.theta_hat), "d_z": self.d_z, "n0": self.n0,
+            "convergence": {"converged": self.converged, "iterations": self.iterations,
+                            "grad_norm": self.grad_norm, "warnings": self.warnings},
+        })
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FitResult":
@@ -368,15 +357,7 @@ class SelectionReport:
     warnings: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "criteria": {k: (None if v is None else float(v)) for k, v in self.criteria.items()},
-            "chosen": self.chosen,
-            "split_seed": self.split_seed,
-            "split_frac": self.split_frac,
-            "inference_source_idx": [int(i) for i in self.inference_source_idx],
-            "inference_target_idx": [int(i) for i in self.inference_target_idx],
-            "warnings": list(self.warnings),
-        }
+        return plain(asdict(self))
 
 
 def bic_select(models, dataset: Dataset, split_frac: float = 0.2, seed=None) -> SelectionReport:

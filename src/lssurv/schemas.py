@@ -1,4 +1,20 @@
-"""JSON schemas for the machine-readable CLI outputs."""
+"""JSON schemas for the machine-readable CLI outputs, and ``plain``, the one
+conversion of a result document's numpy values to JSON types."""
+
+import numpy as np
+
+
+def plain(obj):
+    """``obj`` with each numpy array and scalar inside its dicts, lists and
+    tuples (tuples become lists) made a Python list or number; the rest as is."""
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
+
 
 _NUM_ARRAY = {"type": "array", "items": {"type": "number"}}
 

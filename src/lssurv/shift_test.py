@@ -33,7 +33,7 @@ thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
@@ -41,6 +41,7 @@ from scipy import special
 from .errors import DegenerateBandwidth, NoEvents, ValidationError
 from .likelihood import map_blocks
 from .nonparam import product_limit
+from .schemas import plain
 
 _DENOM_FLOOR = 1e-10
 # draws per population and replicate before a resample with no event is an error
@@ -170,18 +171,7 @@ class ShiftTestResult:
     bandwidth_t: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "t_n": float(self.t_n),
-            "critical_value": float(self.critical_value),
-            "p_value": float(self.p_value),
-            "reject": bool(self.reject),
-            "K": int(self.K),
-            "alpha": float(self.alpha),
-            "seed": self.seed,
-            "redraws": int(self.redraws),
-            "bandwidth_z": [float(h) for h in self.bandwidth_z],
-            "bandwidth_t": float(self.bandwidth_t),
-        }
+        return plain(asdict(self))
 
 
 def _draw_counts(delta, rng):

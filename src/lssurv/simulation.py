@@ -28,6 +28,7 @@ from .errors import EnvelopeFailure, LssurvError, TooManyFailures, ValidationErr
 from .estimator import FitOptions, fit
 from .likelihood import _set_threads, usable_cores
 from .models import SurvivalModel, evaluate, get_model
+from .schemas import plain
 
 _LOG_HALF = math.log(0.5)
 _MAX_ROUNDS = 1000   # rejection rounds before the Metropolis-Hastings chains
@@ -259,23 +260,15 @@ class McReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "params": list(self.param_names),
-            "theta_true": [float(v) for v in self.theta_true],
-            "mse": [float(v) for v in self.mse],
-            "bias": [float(v) for v in self.bias],
-            "se": [float(v) for v in self.se],
-            "se_hat": [float(v) for v in self.se_hat_mean],
-            "cp": [float(v) for v in self.cp],
+        return plain({
+            "params": self.param_names, "theta_true": self.theta_true, "mse": self.mse,
+            "bias": self.bias, "se": self.se, "se_hat": self.se_hat_mean, "cp": self.cp,
             "diagnostics": {
-                "n_reps": self.n_reps,
-                "n_failed": self.n_failed,
-                "failures": self.failures,
+                "n_reps": self.n_reps, "n_failed": self.n_failed, "failures": self.failures,
                 "failure_counts": self.failure_counts,
                 "empty_tail_warnings": self.empty_tail_warnings,
-                "mean_censoring": self.mean_censoring,
-            },
-        }
+                "mean_censoring": self.mean_censoring},
+        })
 
 
 def _run_one_rep(config: SimConfig, rep: int):
