@@ -24,7 +24,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--model", default="ph-weibull")
     ap.add_argument("--theta", default="1,1,1,1.5")
-    ap.add_argument("--qz", default="n:0,n:1")
+    ap.add_argument("--qz", default="n:0,n:1", help="covariate slots, comma-separated: "
+                    "n:mean[:sd], e:rate, b:p or const:value")
     ap.add_argument("--reps", type=int, default=500)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--threads", type=int, default=usable_cores())

@@ -131,11 +131,12 @@ def _theta_arg(text):
 def _g_from_menu(name: str):
     if name == "mean":
         return (lambda t: t), []
-    if name.startswith("survival-at:"):
+    if name.startswith(("survival-at:", "restricted-mean:")):
         t0 = float(name.split(":", 1)[1])
-        return (lambda t: 1.0 if t > t0 else 0.0), [t0]
-    if name.startswith("restricted-mean:"):
-        t0 = float(name.split(":", 1)[1])
+        if not t0 > 0:
+            raise ValidationError(f"g-function {name!r} needs a time t > 0")
+        if name.startswith("survival-at:"):
+            return (lambda t: 1.0 if t > t0 else 0.0), [t0]
         return (lambda t: min(t, t0)), [t0]
     raise ValidationError(
         f"unknown g-function {name!r}; use mean, survival-at:<t> or restricted-mean:<t>"
@@ -159,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n2", type=int, required=True)
         if reps:
             sp.add_argument("--reps", type=int, required=True)
-        sp.add_argument("--qz", default="n:0,n:1")
+        sp.add_argument("--qz", default="n:0,n:1", help="covariate slots, comma-separated: "
+                        "n:mean[:sd], e:rate, b:p or const:value")
         sp.add_argument("--pt-rate", type=float, default=1.0)
         sp.add_argument("--pc-rate", type=float, default=0.4)
 

@@ -48,6 +48,12 @@ class FitOptions:
     max_iter: int = 500
     skip_variance: bool = False
 
+    def __post_init__(self):
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValidationError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+
 
 @dataclass
 class FitResult:
@@ -371,6 +377,8 @@ def bic_select(models, dataset: Dataset, split_frac: float = 0.2, seed=None) -> 
     models = [get_model(m) if isinstance(m, str) else m for m in models]
     if len(models) < 2:
         raise ValidationError("need at least two candidate models")
+    if not 0 < split_frac < 1:
+        raise ValidationError(f"split_frac must lie in (0, 1), got {split_frac}")
     rng = np.random.default_rng(seed)
     n1, n2 = dataset.n1, dataset.n2
     n1_sel = max(int(round(split_frac * n1)), 2)

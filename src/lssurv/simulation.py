@@ -35,6 +35,15 @@ _MAX_ROUNDS = 1000   # rejection rounds before the Metropolis-Hastings chains
 _PROPOSAL_SD = 0.5   # the chains' random-walk step
 
 
+_SLOT_RULES = {
+    "normal": (2, lambda sd: sd > 0, "mean and sd > 0"),
+    "exp": (1, lambda rate: rate > 0, "rate > 0"),
+    "bern": (1, lambda p: 0 < p < 1, "p in (0, 1)"),
+    "const": (1, lambda value: True, "value"),
+}
+_SLOT_CODES = {"n": "normal", "e": "exp", "b": "bern", "const": "const"}
+
+
 @dataclass(frozen=True)
 class QzSpec:
     """Independent-slot covariate distribution: normal, exponential,
@@ -42,28 +51,30 @@ class QzSpec:
 
     slots: tuple = (("normal", 0.0, 1.0), ("normal", 1.0, 1.0))
 
+    def __post_init__(self):
+        for kind, *args in self.slots:
+            if kind not in _SLOT_RULES:
+                raise ValidationError(f"unknown covariate slot kind {kind!r}")
+            arity, keeps, takes = _SLOT_RULES[kind]
+            if len(args) != arity or not all(map(math.isfinite, args)) or not keeps(args[-1]):
+                raise ValidationError(f"{kind} slot needs a finite {takes}, got {args}")
+
     @property
     def d(self) -> int:
         return len(self.slots)
 
     @classmethod
     def from_string(cls, text: str) -> "QzSpec":
-        """Parse e.g. ``"n:0,n:1,e:1,b:0.5"`` (normal mean[,sd], exp rate,
-        bernoulli p, const value)."""
+        """Parse comma-separated slots, e.g. ``"n:0,n:1:2,e:1,b:0.5,const:3"``:
+        ``n:mean[:sd]`` normal (sd 1 unless given), ``e:rate`` exponential,
+        ``b:p`` Bernoulli, ``const:value`` point mass."""
         slots = []
         for part in text.split(","):
-            bits = part.strip().split(":")
-            kind, args = bits[0], [float(b) for b in bits[1:]]
-            if kind == "n":
-                slots.append(("normal", args[0], args[1] if len(args) > 1 else 1.0))
-            elif kind == "e":
-                slots.append(("exp", args[0]))
-            elif kind == "b":
-                slots.append(("bern", args[0]))
-            elif kind == "const":
-                slots.append(("const", args[0]))
-            else:
-                raise ValidationError(f"unknown covariate slot kind {kind!r}")
+            code, *args = part.strip().split(":")
+            if code not in _SLOT_CODES:
+                raise ValidationError(f"unknown covariate slot kind {code!r}")
+            sd = [1.0] if code == "n" and len(args) == 1 else []  # the default sd
+            slots.append((_SLOT_CODES[code], *map(float, args), *sd))
         return cls(tuple(slots))
 
     def sample(self, rng, n: int) -> np.ndarray:
@@ -78,37 +89,31 @@ class QzSpec:
                 cols.append(rng.binomial(1, slot[1], size=n).astype(float))
             elif kind == "const":
                 cols.append(np.full(n, slot[1]))
-            else:
-                raise ValidationError(f"unknown slot {kind!r}")
         return np.column_stack(cols) if cols else np.empty((n, 0))
 
     def log_pdf(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
         out = np.zeros(z.shape[0])
-        for j, slot in enumerate(self.slots):
-            kind = slot[0]
-            col = z[:, j]
+        for col, (kind, *args) in zip(z.T, self.slots):
             if kind == "normal":
-                mu, sd = slot[1], slot[2]
+                mu, sd = args
                 out += -0.5 * math.log(2 * math.pi) - math.log(sd) - (col - mu) ** 2 / (2 * sd**2)
             elif kind == "exp":
-                rate = slot[1]
+                rate = args[0]
                 out += np.where(col >= 0, math.log(rate) - rate * col, -np.inf)
             elif kind == "bern":
-                p = slot[1]
-                out += np.where(
-                    col == 1.0, math.log(p), np.where(col == 0.0, math.log1p(-p), -np.inf)
-                )
+                p = args[0]
+                out += np.where(col == 1.0, math.log(p),
+                                np.where(col == 0.0, math.log1p(-p), -np.inf))
             elif kind == "const":
-                out += np.where(col == slot[1], 0.0, -np.inf)
+                out += np.where(col == args[0], 0.0, -np.inf)
         return out
 
     def propose(self, z: np.ndarray, rng) -> np.ndarray:
         """Symmetric random-walk proposal: Gaussian steps of ``_PROPOSAL_SD``
         on continuous slots, probability-0.3 flips on Bernoulli slots."""
         z = np.array(z, dtype=float)
-        for j, slot in enumerate(self.slots):
-            kind = slot[0]
+        for j, (kind, *_) in enumerate(self.slots):
             if kind in ("normal", "exp"):
                 z[:, j] += rng.normal(0.0, _PROPOSAL_SD, size=z.shape[0])
             elif kind == "bern":
@@ -128,6 +133,10 @@ class SimConfig:
     pc_rate: float = 0.4   # exponential censoring, "mean 2.5" reading
     n_reps: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        if not all(math.isfinite(r) and r > 0 for r in (self.pt_rate, self.pc_rate)):
+            raise ValidationError(f"need finite rates > 0: pt {self.pt_rate}, pc {self.pc_rate}")
 
     def theta(self) -> np.ndarray:
         return np.asarray(self.theta_true, dtype=float)
@@ -295,8 +304,8 @@ def run_mc_study(config: SimConfig, n_jobs: int = 1) -> McReport:
     Per-replication seeds are derived from ``(config.seed, rep)`` so the
     study is reproducible and order-independent under any parallel schedule.
     """
-    if config.n1 < 10 or config.n2 < 10:
-        raise ValidationError("Monte Carlo runs need n1, n2 >= 10")
+    if config.n1 < 10 or config.n2 < 10 or config.n_reps < 2:
+        raise ValidationError("Monte Carlo runs need n1, n2 >= 10 and n_reps >= 2")
     model = get_model(config.model)
     theta0 = config.theta()
     model.check_theta(theta0, config.qz.d)

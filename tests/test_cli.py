@@ -239,3 +239,53 @@ def test_malformed_fit_document_is_a_domain_error(tmp_path, capsys):
         code = run_cli(["predict", "--fit", str(path), "--z", "0,1", "--g", "mean"])
         assert code == 1
         assert capsys.readouterr().err == f"error: SchemaError: {message}\n"
+
+
+_SIMULATE = ["simulate", "--model", "ph-weibull", "--theta", "1,1,1,1.5", "--n1", "60",
+             "--n2", "60", "--seed", "7", "--out-prefix", "{out}/sim"]
+_MC = ["mc", "--model", "ph-weibull", "--theta", "1,1,1,1.5", "--n1", "60", "--n2", "60",
+       "--seed", "7", "--threads", "1"]
+_FIT = ["fit", "--model", "ph-weibull", "--source", "{src}", "--target", "{tgt}"]
+_SELECT = ["select", "--source", "{src}", "--target", "{tgt}", "--seed", "4"]
+_PREDICT = ["predict", "--fit", "{fit}", "--z", "0,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SIMULATE + ["--qz", "n"],
+    _SIMULATE + ["--qz", "n:0,e:0"],
+    _SIMULATE + ["--qz", "n:0,e:-1"],
+    _SIMULATE + ["--qz", "n:0,b:1.5"],
+    _SIMULATE + ["--qz", "n:0,b:0"],
+    _SIMULATE + ["--qz", "n:0,n:1:0"],
+    _SIMULATE + ["--pt-rate", "0"],
+    _SIMULATE + ["--pt-rate", "-1"],
+    _SIMULATE + ["--pc-rate", "0"],
+    _MC + ["--reps", "0"],
+    _MC + ["--reps", "1"],
+    _FIT + ["--grad-tol", "-1"],
+    _FIT + ["--grad-tol", "nan"],
+    _FIT + ["--max-iter", "-5"],
+    _SELECT + ["--split", "0"],
+    _SELECT + ["--split", "nan"],
+    _PREDICT + ["--g", "survival-at:-1"],
+    _PREDICT + ["--g", "restricted-mean:nan"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_option_values_fail_before_any_work(argv, csv_pair, tmp_path, capsys):
+    _, src, tgt = csv_pair
+    fit_doc = {"model": "ph-weibull", "params": ["beta1", "beta2", "lambda", "gamma"],
+               "theta": [0.5, 0.5, 1.0, 1.5], "se": None, "ci": None, "loglik": -1.0,
+               "sigma": list(np.eye(4).ravel()), "d_theta": 4, "d_z": 2, "n0": 80,
+               "convergence": {"converged": True, "iterations": 9, "grad_norm": 1e-8,
+                               "warnings": []}}
+    fit_path = tmp_path / "fit.json"
+    fit_path.write_text(json.dumps(fit_doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.format(out=out, src=src, tgt=tgt, fit=fit_path) for a in argv]
+    code = run_cli(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValidationError: ")
+    assert captured.err.count("\n") == 1
+    assert list(out.iterdir()) == []
