@@ -3,7 +3,7 @@
 The model contract.  Every zoo model depends on the covariates only through
 the linear predictor ``u = z @ beta``, so it is written once, in u-space.  A
 zoo model declares its baseline slot names (``baseline``), the ones
-constrained to (0, inf) (``positive``), and supplies three functions of
+constrained to (0, inf) (``positive``), and supplies four functions of
 ``(t, u, *base)``, ``base`` being the baseline scalars:
 
 * ``u_terms(t, u, *base, order)``, one kernel for the log density ``l``,
@@ -24,7 +24,9 @@ constrained to (0, inf) (``positive``), and supplies three functions of
   and capped ``exp`` as ``u_terms``, so it stays finite wherever
   ``u_terms`` does;
 * ``u_inverse_survival``: the inverse of the survival function in ``t`` at
-  level ``v``.
+  level ``v``;
+* ``u_mode(t, *base)``: the u at which the log density peaks, the zero of
+  its feature (every zoo kernel is concave in u), in closed form.
 
 Picking the feature.  The feature is the one cell array the partials need
 beyond ``log t`` and ``u``: the capped ``exp`` term, or an affine map of
@@ -47,8 +49,8 @@ row basis) and of ``u`` (the column basis).  Also ``log_survival_terms``,
 its log-survival counterpart, which gives the source-only start its exact
 gradient, plus ``log_density``, ``log_density_grad`` (regression block
 ``(dl/du) * z``), ``survival`` (``exp(log S)``) and ``inverse_survival``.
-Per-record rows (own events, quadrature nodes, the envelope's Newton step)
-expand the tables through ``expand``.
+Per-record rows (own events, quadrature nodes) expand the tables through
+``expand``.
 
 A model that is not a function of a linear predictor overrides the layout
 (``d_theta``, ``param_names``, ``positive_mask``), ``survival`` and
@@ -211,12 +213,6 @@ def expand(table, cells):
     return flat.reshape(lead + shape)
 
 
-def evaluate(polys, phi, t, u):
-    """The cell values of u-space polynomials at the feature ``phi``."""
-    (table,) = _tables(polys)
-    return expand(table, Cells(phi, *_bases(t, u, table), None, table))
-
-
 def theta_rows(slots, z):
     """Theta-space rows (..., d) of u-space slot values (S, ...): the
     regression block ``slots[0] * z``, then the baseline slots."""
@@ -363,6 +359,9 @@ class PHWeibull(SurvivalModel):
     def u_inverse_survival(self, v, u, lam, gam):
         return (-np.log(v) / (lam * np.exp(u))) ** (1.0 / gam)
 
+    def u_mode(self, t, lam, gam):
+        return -(gam * np.log(t) + math.log(lam))                 # He = 1
+
     def default_init(self, x, delta, z):
         return np.concatenate([np.zeros(z.shape[1]), [delta.sum() / x.sum(), 1.0]])
 
@@ -402,6 +401,9 @@ class POLogLogistic(SurvivalModel):
 
     def u_inverse_survival(self, v, u, mu, sigma):
         return np.exp(mu + sigma * (np.log1p(-v) - np.log(v) - u))
+
+    def u_mode(self, t, mu, sigma):
+        return (mu - np.log(t)) / sigma                           # log H + u = 0
 
     def default_init(self, x, delta, z):
         logs = np.log(x[delta == 1])
@@ -444,6 +446,9 @@ class AFTLogNormal(SurvivalModel):
     def u_inverse_survival(self, v, u, mu, sigma):
         return np.exp(mu + u - sigma * special.ndtri(v))
 
+    def u_mode(self, t, mu, sigma):
+        return np.log(t) - mu                                     # s = 0
+
     def default_init(self, x, delta, z):
         logs = np.log(x[delta == 1])
         sigma = max(float(np.std(logs)), 0.1)
@@ -479,13 +484,16 @@ class AFTExponential(SurvivalModel):
     def u_inverse_survival(self, v, u, lam):
         return -np.log(v) * np.exp(u) / lam
 
+    def u_mode(self, t, lam):
+        return math.log(lam) + np.log(t)                          # lam t e^-u = 1
+
     def default_init(self, x, delta, z):
         return np.concatenate([np.zeros(z.shape[1]), [delta.sum() / x.sum()]])
 
 
 class AHWeibull(SurvivalModel):
     """Accelerated hazards with Weibull baseline: the hazard at ``t`` is the
-    baseline hazard evaluated at ``t * exp(u)``, giving cumulative hazard
+    baseline hazard taken at ``t * exp(u)``, giving cumulative hazard
     ``lam * t**gam * exp((gam - 1) * u)``.  ``gam = 1`` collapses the
     covariate effect entirely and is excluded (guard band 1e-6).
     """
@@ -526,6 +534,9 @@ class AHWeibull(SurvivalModel):
 
     def u_inverse_survival(self, v, u, lam, gam):
         return (-np.log(v) / (lam * np.exp((gam - 1.0) * u))) ** (1.0 / gam)
+
+    def u_mode(self, t, lam, gam):
+        return -(gam * np.log(t) + math.log(lam)) / (gam - 1.0)  # H = 1
 
     def default_init(self, x, delta, z):
         return np.concatenate([np.zeros(z.shape[1]), [delta.sum() / x.sum(), 1.3]])

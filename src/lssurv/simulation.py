@@ -1,17 +1,15 @@
 """Two-population data generation and the Monte Carlo study harness.
 
-Source events and censoring times are exponential; the source covariate is
-drawn conditionally on the latent event time with density proportional to
-``q(t, z; theta_true) * q_Z(z)``, which is exactly what makes the marginal
-response distributions differ between populations while the conditional
-covariate law stays shared.  Target covariates come straight from q_Z.
+Source event and censoring times are exponential.  The source covariate is
+drawn given the latent event time t, with density proportional to
+``q(t, z; theta_true) * q_Z(z)``: the law of T differs between populations
+while the law of Z given T stays shared.  Target covariates come from q_Z.
 
-The conditional draw uses rejection sampling with an envelope over the
-linear predictor: all zoo models touch z only through ``u = z @ beta``, and
-each zoo log density is concave in u, so the envelope is the u-space log
-density at its mode, found for every time at once by bracketed Newton steps.
-A short random-walk Metropolis-Hastings chain takes the draws whose
-acceptance stalls.
+The conditional draw is by rejection from q_Z.  Every zoo model touches z
+only through ``u = z @ beta`` and is concave in u, so the envelope at t is
+the log density at the model's closed-form mode ``u_mode``.  A short
+random-walk Metropolis-Hastings chain takes the draws whose acceptance
+stalls.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .data import Dataset
 from .errors import EnvelopeFailure, LssurvError, TooManyFailures, ValidationError
 from .estimator import FitOptions, fit
 from .likelihood import _set_threads, usable_cores
-from .models import SurvivalModel, evaluate, get_model
+from .models import SurvivalModel, get_model
 from .schemas import plain
 
 _LOG_HALF = math.log(0.5)
@@ -149,29 +147,11 @@ def _rep_rng(seed: int, rep: int):
 
 def _envelope(model, theta, ts):
     """Per-time log-supremum of the conditional density over the linear
-    predictor.  The argmax of a coarse grid on [-60, 60] brackets each
-    (concave) u-space mode to one grid step; Newton steps on the kernel's
-    u-partials, clipped to the brackets, refine every time at once.  A time
-    whose ``d2l/du2`` is not negative (it underflows to 0 at a mode clamped
-    to the grid's edge) keeps its bracketed value."""
+    predictor on [-60, 60]: each zoo log density is concave in u, so it is
+    the log density at the model's mode ``u_mode``, clipped to that range."""
     _, base = model.split(theta)
     ts = np.asarray(ts, dtype=float)
-    grid = np.linspace(-60.0, 60.0, 121)
-    vals = model.u_terms(ts[:, None], grid, *base, order=0)[0]
-    best = np.argmax(vals, axis=1)
-    lo = grid[np.maximum(best - 1, 0)]
-    hi = grid[np.minimum(best + 1, grid.size - 1)]
-    u = grid[best]
-    for _ in range(50):
-        val, phi, grad, hess = model.u_terms(ts, u, *base, order=2)
-        g_u, h_uu = evaluate((grad[0], hess[0][0]), phi, ts, u)
-        with np.errstate(over="ignore"):  # a flat curvature: to the bracket's edge
-            step = -g_u / np.where(h_uu < 0, h_uu, -np.inf)
-        nxt = np.clip(u + step, lo, hi)
-        if np.all(np.abs(nxt - u) <= 1e-12 * np.maximum(1.0, np.abs(u))):
-            break
-        u = nxt
-    return np.fmax(val, vals[np.arange(ts.size), best]) + 1e-10
+    return model.u_terms(ts, np.clip(model.u_mode(ts, *base), -60.0, 60.0), *base)[0] + 1e-10
 
 
 def _mh_conditional(model, theta, qz: QzSpec, ts, rng, steps=50):

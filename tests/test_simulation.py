@@ -7,6 +7,7 @@ from scipy import optimize, stats
 
 import lssurv as ls
 from lssurv import likelihood, simulation
+from oracles import kernel_partials
 from lssurv.errors import TooManyFailures, ValidationError
 from lssurv.simulation import (
     QzSpec,
@@ -295,3 +296,13 @@ def test_envelope_bounds_the_density_at_extreme_times(name):
     assert np.all(got >= _scalar_envelope(model, theta, ts))
     dense = np.linspace(-60.0, 60.0, 24001)
     assert np.all(got >= model.u_terms(ts[:, None], dense, *base, order=0)[0].max(axis=1))
+
+
+@pytest.mark.parametrize("name", list(ZOO_THETA))
+def test_u_mode_is_the_zero_of_dl_du(name):
+    # the envelope reads each model's closed-form mode
+    model = ls.get_model(name)
+    _, base = model.split(np.array(ZOO_THETA[name]))
+    t = np.geomspace(1e-8, 1e8, 33)
+    _, g = kernel_partials(model.u_terms, t, model.u_mode(t, *base), base, order=1)
+    np.testing.assert_allclose(g[0], 0.0, atol=1e-12)
