@@ -46,11 +46,7 @@ def main():
                         qz=QzSpec.from_string(args.qz), pc_rate=args.pc_rate,
                         n_reps=args.reps, seed=args.seed)
         rep = run_mc_study(cfg, n_jobs=args.threads)
-        for i, name in enumerate(rep.param_names):
-            rows.append(
-                f"{n1},{n2},{name},{rep.mse[i]:.6f},{rep.bias[i]:.6f},"
-                f"{rep.se[i]:.6f},{rep.se_hat_mean[i]:.6f},{rep.cp[i]:.4f}"
-            )
+        rows += [f"{n1},{n2},{line}" for line in rep.to_csv().splitlines()[1:]]
         print(f"done {n1}/{n2}: failures {rep.n_failed}, "
               f"mean censoring {rep.mean_censoring:.3f}", file=sys.stderr)
     with open(args.out, "w") as fh:

@@ -11,6 +11,17 @@ import numpy as np
 from .errors import EmptyTarget, ValidationError
 
 
+def check_records(x, delta, *zs):
+    """Finite positive times, 0/1 indicators and finite covariates, else
+    ``ValidationError``: the record checks of every sample entry point."""
+    if not np.all(np.isfinite(x)) or np.any(x <= 0):
+        raise ValidationError("observed times must be finite and positive")
+    if not np.all(np.isin(delta, (0, 1))):
+        raise ValidationError("delta entries must be 0 or 1")
+    if not all(np.all(np.isfinite(z)) for z in zs):
+        raise ValidationError("covariates must be finite")
+
+
 @dataclass(frozen=True)
 class SourceRecord:
     """One follow-up observation: ``x = min(event, censoring)`` with its
@@ -73,12 +84,6 @@ class Dataset:
             raise ValidationError("need at least two source records")
         if n2 < 1:
             raise EmptyTarget("need at least one target record")
-        if not np.all(np.isfinite(x)) or np.any(x <= 0):
-            raise ValidationError("observed times must be finite and positive")
-        if not np.all(np.isin(delta, (0, 1))):
-            raise ValidationError("delta entries must be 0 or 1")
-        if not np.any(delta == 1):
-            raise ValidationError("at least one source record must be an event")
         if z_source.shape[0] != n1:
             raise ValidationError("z_source row count must equal len(x)")
         if z_source.shape[1] != z_target.shape[1]:
@@ -86,8 +91,9 @@ class Dataset:
                 f"covariate dimension mismatch: source d_z={z_source.shape[1]}, "
                 f"target d_z={z_target.shape[1]}"
             )
-        if not (np.all(np.isfinite(z_source)) and np.all(np.isfinite(z_target))):
-            raise ValidationError("covariates must be finite")
+        check_records(x, delta, z_source, z_target)
+        if not np.any(delta == 1):
+            raise ValidationError("at least one source record must be an event")
         delta = delta.astype(np.int64)
         for a in (x, delta, z_source, z_target):
             a.flags.writeable = False

@@ -310,6 +310,8 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
     """
     if isinstance(model, str):
         model = get_model(model)
+    if model.name != fit_result.model_name:
+        raise ValidationError(f"a {fit_result.model_name} fit read as {model.name}")
     if fit_result.sigma_hat is None:
         raise ValidationError("fit result carries no covariance; rerun without skip_variance")
     theta = fit_result.theta_hat
@@ -381,13 +383,16 @@ def bic_select(models, dataset: Dataset, split_frac: float = 0.2, seed=None) -> 
         raise ValidationError(f"split_frac must lie in (0, 1), got {split_frac}")
     rng = np.random.default_rng(seed)
     n1, n2 = dataset.n1, dataset.n2
-    n1_sel = max(int(round(split_frac * n1)), 2)
-    n2_sel = max(int(round(split_frac * n2)), 1)
+    n1_sel, n2_sel = int(round(split_frac * n1)), int(round(split_frac * n2))
     perm1 = rng.permutation(n1)
     perm2 = rng.permutation(n2)
     sel1, inf1 = np.sort(perm1[:n1_sel]), np.sort(perm1[n1_sel:])
     sel2, inf2 = np.sort(perm2[:n2_sel]), np.sort(perm2[n2_sel:])
-    if dataset.delta[sel1].sum() < 2 or dataset.delta[inf1].sum() < 2:
+    events, d_max = int(dataset.delta[sel1].sum()), max(m.d_theta(dataset.d_z) for m in models)
+    if n2_sel == 0 or events <= d_max:
+        raise ValidationError(f"split {split_frac} selects on {n2_sel} target records and {events} "
+                              f"source events; need one and more than {d_max}")
+    if dataset.delta[inf1].sum() < 2:
         raise ValidationError("split leaves fewer than 2 source events in a part")
     sel_data = dataset.take(sel1, sel2)
     n_sel_total = n1_sel + n2_sel

@@ -58,7 +58,7 @@ import logging
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -177,19 +177,12 @@ def map_blocks(fn, widths):
     pool = _grid_pool(threads - 1)
     futures = [pool.submit(contextvars.copy_context().run, _run_chunk, fn, chunk)
                for chunk in chunks[1:]]
-    results, errors = [], []
     try:
-        results += _run_chunk(fn, chunks[0])
-    except Exception as exc:
-        errors.append(exc)
+        results = _run_chunk(fn, chunks[0])
+    finally:
+        wait(futures)
     for future in futures:
-        exc = future.exception()
-        if exc is None:
-            results += future.result()
-        else:
-            errors.append(exc)
-    if errors:
-        raise errors[0]
+        results += future.result()
     return results
 
 

@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import special
 
+from .data import check_records
 from .errors import DegenerateBandwidth, NoEvents, ValidationError
 from .likelihood import map_blocks
 from .nonparam import product_limit
@@ -65,13 +66,14 @@ def stute_masses(x, delta) -> np.ndarray:
 
 def _population(x, delta, z):
     """Float times, the indicators and the covariates as an (n, d_z) array
-    (a (d_z, n) array is transposed)."""
-    x = np.asarray(x, dtype=float)
+    (a (d_z, n) array is transposed), checked as a ``Dataset`` checks them."""
+    x, delta = np.asarray(x, dtype=float), np.asarray(delta)
     z = np.atleast_2d(np.asarray(z, dtype=float))
     n = x.shape[0]
     if n not in z.shape:
         raise ValidationError(f"covariates of shape {z.shape} have neither {n} rows nor {n} columns")
-    return x, np.asarray(delta), (z.T if z.shape[0] != n else z)
+    check_records(x, delta, z)
+    return x, delta, (z.T if z.shape[0] != n else z)
 
 
 def stute_joint_cdf(x, delta, z):

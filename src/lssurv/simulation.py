@@ -15,6 +15,7 @@ stalls.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -54,7 +55,8 @@ class QzSpec:
             if kind not in _SLOT_RULES:
                 raise ValidationError(f"unknown covariate slot kind {kind!r}")
             arity, keeps, takes = _SLOT_RULES[kind]
-            if len(args) != arity or not all(map(math.isfinite, args)) or not keeps(args[-1]):
+            finite = all(isinstance(a, numbers.Real) and math.isfinite(a) for a in args)
+            if len(args) != arity or not finite or not keeps(args[-1]):
                 raise ValidationError(f"{kind} slot needs a finite {takes}, got {args}")
 
     @property

@@ -358,6 +358,19 @@ def test_conditional_functional_requires_covariance_before_quadrature(fitted, mo
             conditional_functional("ph-weibull", fr, z, lambda t: t)
 
 
+def test_conditional_functional_rejects_another_models_fit(fitted, monkeypatch):
+    # a ph-weibull theta read through another kernel gives a plausible number
+    _, fr = fitted
+
+    def no_quad(*args, **kw):
+        raise AssertionError("quadrature ran before the model check")
+
+    monkeypatch.setattr(integrate, "quad", no_quad)
+    for name in ("aft-lognormal", "ah-weibull"):
+        with pytest.raises(ValidationError, match=f"a ph-weibull fit read as {name}"):
+            conditional_functional(name, fr, np.zeros(2), lambda t: t)
+
+
 def _rescaled_back(name, theta, c):
     """A fit on times multiplied by ``c`` mapped back to the original scale."""
     back = theta.copy()
@@ -520,6 +533,21 @@ def test_bic_select_split_preconditions():
     tiny = ls.Dataset(x, np.array([1, 1, 0, 0]), np.zeros((4, 1)), np.zeros((4, 1)))
     with pytest.raises(ValidationError):
         bic_select(["ph-weibull", "aft-exponential"], tiny, split_frac=0.25, seed=0)
+
+
+def test_bic_select_needs_a_selection_part_it_can_fit(monkeypatch):
+    # 300 records at split 0.001 select on none; at 0.01, on 3 source
+    # records, no more events than the 4 parameters of ph-weibull
+    import lssurv.estimator as est
+
+    def no_fit(*args, **kw):
+        raise AssertionError("a candidate was fit before the split checks")
+
+    monkeypatch.setattr(est, "fit", no_fit)
+    ds = sim_dataset(seed=31, n1=300, n2=300)
+    for split in (0.001, 0.01):
+        with pytest.raises(ValidationError, match=f"split {split} selects on"):
+            bic_select(["ph-weibull", "ah-weibull"], ds, split_frac=split, seed=0)
 
 
 def test_fit_result_json_roundtrip(fitted):

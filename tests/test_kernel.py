@@ -18,6 +18,7 @@ rectangle."""
 import logging
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -311,6 +312,29 @@ def test_map_blocks_from_a_pool_thread_runs_serially(monkeypatch):
     caller.join(timeout=60)
     assert not caller.is_alive()
     assert got == [[(b, [c * b for c in inner]) for b in range(6)]]
+
+
+def test_map_blocks_raises_chunk_zeros_error_after_every_chunk_ends(monkeypatch):
+    # three chunks of two 10-cell blocks: chunk 0 raises at once, chunk 1 at
+    # its last block, and the pool's blocks are slow enough to be cut short
+    monkeypatch.setattr(lik, "_pool", None)
+    monkeypatch.setattr(lik, "_threads", 3)
+    monkeypatch.setattr(lik, "_BLOCK_CELLS", 10)
+    ran = []
+
+    def fn(b):
+        if b.start == 0:
+            raise ValueError("chunk 0")
+        time.sleep(0.05)
+        ran.append(b.start)
+        if b.start == 30:
+            raise RuntimeError("chunk 1")
+        return b.start
+
+    with pytest.raises(ValueError, match="chunk 0"):
+        lik.map_blocks(fn, np.ones(60))
+    lik._pool.shutdown()
+    assert sorted(ran) == [20, 30, 40, 50]
 
 
 def test_pool_size_is_logged_once_on_creation(monkeypatch, caplog):

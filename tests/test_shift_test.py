@@ -131,6 +131,36 @@ def test_input_validation():
         label_shift_test(pp, pq, K=60)
 
 
+BAD_RECORDS = [
+    (0, np.nan, "observed times must be finite and positive"),
+    (0, np.inf, "observed times must be finite and positive"),
+    (0, -1.0, "observed times must be finite and positive"),
+    (0, 0.0, "observed times must be finite and positive"),
+    (1, 2, "delta entries must be 0 or 1"),
+    (1, -1, "delta entries must be 0 or 1"),
+    (2, np.nan, "covariates must be finite"),
+    (2, -np.inf, "covariates must be finite"),
+]
+
+
+@pytest.mark.parametrize("entry", ["label_shift_test", "stute_joint_cdf", "ratio_estimate"])
+@pytest.mark.parametrize("slot, value, message", BAD_RECORDS)
+def test_bad_records_raise_before_any_work(monkeypatch, entry, slot, value, message):
+    # one bad entry in one array, on every entry point of the shift test
+    def no_work(*args):
+        raise AssertionError("the masses were computed before the input checks")
+
+    monkeypatch.setattr(shift_test, "stute_masses", no_work)
+    pp = gen_censored_population(np.random.default_rng(10), 100)
+    bad = [np.array(a, dtype=float) for a in pp]
+    bad[slot].flat[7] = value
+    call = {"label_shift_test": lambda: label_shift_test(pp, tuple(bad), K=60),
+            "stute_joint_cdf": lambda: stute_joint_cdf(*bad),
+            "ratio_estimate": lambda: ratio_estimate(*bad)}[entry]
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_bad_alpha_and_covariate_rows_fail_before_the_bootstrap(monkeypatch):
     def no_bootstrap(*args):
         raise AssertionError("the bootstrap ran before the input checks")

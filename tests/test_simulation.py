@@ -40,6 +40,18 @@ def test_qzspec_parsing_and_sampling():
     assert qz.log_pdf(bad)[0] == -np.inf
 
 
+@pytest.mark.parametrize("slots", [
+    (("normal", "0", 1.0),),
+    (("normal", 0.0, None),),
+    (("normal", 0.0),),
+    (("gamma", 1.0),),
+], ids=str)
+def test_qzspec_rejects_bad_slots(slots):
+    # built directly, not from a --qz string
+    with pytest.raises(ValidationError):
+        QzSpec(slots)
+
+
 def test_point_mass_covariate_returns_the_point():
     qz = QzSpec((("const", 2.5), ("const", -1.0)))
     z = sample_z_given_t_batch(
