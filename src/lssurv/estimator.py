@@ -393,7 +393,7 @@ def bic_select(models, dataset: Dataset, split_frac: float = 0.2, seed=None) -> 
         raise ValidationError(f"split {split_frac} selects on {n2_sel} target records and {events} "
                               f"source events; need one and more than {d_max}")
     if dataset.delta[inf1].sum() < 2:
-        raise ValidationError("split leaves fewer than 2 source events in a part")
+        raise ValidationError("split leaves fewer than 2 source events to infer on")
     sel_data = dataset.take(sel1, sel2)
     n_sel_total = n1_sel + n2_sel
 

@@ -3,8 +3,8 @@
 The model contract.  Every zoo model depends on the covariates only through
 the linear predictor ``u = z @ beta``, so it is written once, in u-space.  A
 zoo model declares its baseline slot names (``baseline``), the ones
-constrained to (0, inf) (``positive``), and supplies four functions of
-``(t, u, *base)``, ``base`` being the baseline scalars:
+constrained to (0, inf) (``positive``), and supplies four functions,
+``base`` being the baseline scalars:
 
 * ``u_terms(t, u, *base, order)``, one kernel for the log density ``l``,
   ``[l]`` at ``order=0``, a cell array (the broadcast shape of ``t`` and
@@ -23,8 +23,8 @@ constrained to (0, inf) (``positive``), and supplies four functions of
   same layout up to ``order=1`` (its own feature), from the same preamble
   and capped ``exp`` as ``u_terms``, so it stays finite wherever
   ``u_terms`` does;
-* ``u_inverse_survival``: the inverse of the survival function in ``t`` at
-  level ``v``;
+* ``u_inverse_survival(v, u, *base)``: the inverse of the survival
+  function in ``t`` at level ``v``;
 * ``u_mode(t, *base)``: the u at which the log density peaks, the zero of
   its feature (every zoo kernel is concave in u), in closed form.
 
