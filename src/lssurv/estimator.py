@@ -2,13 +2,11 @@
 
 Positive parameter slots are log-transformed so the search is unconstrained;
 the analytic score is mapped through the chain rule.  One BFGS run from the
-source-only start is followed, when its gradient is still above tolerance,
-by Newton steps on the score: each is the least-squares solution against
-the sandwich's own exact Hessian ``variance.a_matrix``, halved until the
-score's sup-norm strictly falls.  Convergence reads the score slot by slot,
-a positive slot below 1 in log coordinates.  There is no restart.  Both use
-the one ``LikelihoodContext`` built per fit, which the variance then reads
-at the maximizer.
+source-only start decides: its end point converges when the score, read slot
+by slot with a positive slot below 1 in log coordinates, is within
+tolerance, and raises ``NonConvergence`` otherwise.  There is no restart and
+no second optimizer.  Both use the one ``LikelihoodContext`` built per fit,
+which the variance then reads at the maximizer.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .errors import (
 from .likelihood import LikelihoodContext
 from .models import REGISTRY_ORDER, SurvivalModel, full_gradient, get_model
 from .schemas import FIT_SCHEMA, plain
-from .variance import VarianceParts, a_matrix, asymptotic_variance
+from .variance import VarianceParts, asymptotic_variance
 
 Z975 = 1.96
 
@@ -224,21 +222,6 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
         rounding floor of about n * eps / theta."""
         return float(np.max(np.abs(sc) * np.minimum(1.0, jac_diag(theta))))
 
-    def try_step(theta, sc, step):
-        """Halve ``step`` until it strictly lowers the score's sup-norm."""
-        scale = 1.0
-        for _ in range(25):
-            cand = theta + scale * step
-            try:
-                ll_c, sc_c = ctx.value_and_score(cand)
-            except _UNEVALUABLE:
-                scale *= 0.5
-                continue
-            if np.max(np.abs(sc_c)) < np.max(np.abs(sc)):
-                return cand, ll_c, sc_c
-            scale *= 0.5
-        return None
-
     res = optimize.minimize(
         neg,
         to_eta(theta0),
@@ -252,21 +235,6 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
         ll, sc = ctx.value_and_score(theta)
     except _UNEVALUABLE as exc:
         raise DomainEscape(f"optimizer left the parameter domain: {exc}") from exc
-    # lstsq, not solve: with a rate near 1e-13 cond(A) reaches 1e27, and
-    # lstsq's cutoff drops the singular directions a solve fills with rounding;
-    # a Jacobian that overflowed (a rate whose square underflows) ends the steps
-    for _ in range(min(40, max(opts.max_iter - iterations, 0))):
-        if stationarity(theta, sc) <= opts.grad_tol:
-            break
-        A = a_matrix(ctx, theta)
-        if not np.all(np.isfinite(A)):
-            break
-        step = np.linalg.lstsq(A, -sc, rcond=None)[0]
-        iterations += 1
-        hit = try_step(theta, sc, step)
-        if hit is None:
-            break
-        theta, ll, sc = hit
     grad_norm = stationarity(theta, sc)
     converged = grad_norm <= opts.grad_tol
     if not converged:
