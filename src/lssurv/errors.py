@@ -58,7 +58,7 @@ class EnvelopeFailure(LssurvError):
 
 
 class DegenerateBandwidth(LssurvError):
-    """Automatic bandwidth selection produced a zero bandwidth."""
+    """A shift-test bandwidth, chosen or given, is not finite and positive."""
 
 
 class TooManyFailures(LssurvError):

@@ -106,12 +106,14 @@ def silverman_bandwidths(z_atoms, t_atoms) -> tuple:
 
 def _bandwidths(bandwidths, z_atoms, t_atoms) -> tuple:
     """The rule of thumb on the given points for ``None`` or "auto", else the
-    given (h_z, h_t) pair; both must be positive."""
+    given (h_z, h_t) pair: one h_z per covariate, all finite and positive."""
     if bandwidths is None or (isinstance(bandwidths, str) and bandwidths == "auto"):
         h_z, h_t = silverman_bandwidths(z_atoms, t_atoms)
     else:
         h_z, h_t = np.asarray(bandwidths[0], dtype=float), float(bandwidths[1])
-    if h_t <= 0 or np.any(h_z <= 0):
+    if h_z.shape != (z_atoms.shape[1],):
+        raise ValidationError(f"h_z of shape {h_z.shape} for {z_atoms.shape[1]} covariate(s)")
+    if not (math.isfinite(h_t) and h_t > 0 and np.all(np.isfinite(h_z) & (h_z > 0))):
         raise DegenerateBandwidth(f"bandwidths h_z={h_z}, h_t={h_t}")
     return h_z, h_t
 

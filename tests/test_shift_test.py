@@ -161,6 +161,35 @@ def test_bad_records_raise_before_any_work(monkeypatch, entry, slot, value, mess
         call()
 
 
+BAD_BANDWIDTHS = [
+    ((np.array([np.nan]), 1.0), DegenerateBandwidth),
+    ((np.array([np.inf]), 1.0), DegenerateBandwidth),
+    ((np.array([0.0]), 1.0), DegenerateBandwidth),
+    ((np.array([0.5]), np.inf), DegenerateBandwidth),
+    ((np.array([0.5]), np.nan), DegenerateBandwidth),
+    ((np.array([0.5]), -1.0), DegenerateBandwidth),
+    ((np.array([0.5, 0.5]), 1.0), ValidationError),
+    ((np.array([]), 1.0), ValidationError),
+    ((0.5, 1.0), ValidationError),
+]
+
+
+@pytest.mark.parametrize("entry", ["label_shift_test", "ratio_estimate"])
+@pytest.mark.parametrize("bandwidths, error", BAD_BANDWIDTHS)
+def test_bad_bandwidths_raise_before_any_kernel(monkeypatch, entry, bandwidths, error):
+    # one h_z per covariate (d_z = 1 here), every bandwidth finite and > 0
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built before the bandwidth checks")
+
+    monkeypatch.setattr(shift_test, "_statistics", no_kernel)
+    monkeypatch.setattr(shift_test, "_ratio_rows", no_kernel)
+    pp = gen_censored_population(np.random.default_rng(11), 100)
+    call = {"label_shift_test": lambda: label_shift_test(pp, pp, K=60, bandwidths=bandwidths),
+            "ratio_estimate": lambda: ratio_estimate(*pp, bandwidths=bandwidths)}[entry]
+    with pytest.raises(error):
+        call()
+
+
 def test_bad_alpha_and_covariate_rows_fail_before_the_bootstrap(monkeypatch):
     def no_bootstrap(*args):
         raise AssertionError("the bootstrap ran before the input checks")
