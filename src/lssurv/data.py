@@ -3,7 +3,6 @@ covariates alone on the other."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +32,7 @@ class SourceRecord:
 
     def __post_init__(self):
         z = np.atleast_1d(np.asarray(self.z, dtype=float))
-        if not math.isfinite(self.x) or self.x <= 0:
-            raise ValidationError(f"x must be finite and positive, got {self.x}")
-        if self.delta not in (0, 1):
-            raise ValidationError(f"delta must be 0 or 1, got {self.delta}")
-        if not np.all(np.isfinite(z)):
-            raise ValidationError("covariates must be finite")
+        check_records(self.x, self.delta, z)
         z.flags.writeable = False
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "delta", int(self.delta))
