@@ -3,7 +3,9 @@
 
 Writes one CSV block per (n1, n2) cell with the per-parameter MSE, bias,
 empirical SE, mean estimated SE and coverage, mirroring the layout used in
-the package's reference tables.
+the package's reference tables.  Each block is written as soon as its cell
+finishes, so a later cell with too many failed replications ends the script
+with a non-zero exit and leaves the finished cells on disk.
 
 Example:
     python scripts/run_simulation_grid.py --model ph-weibull \
@@ -40,17 +42,17 @@ def main():
     if args.cells:
         cells = [tuple(int(v) for v in c.split("x")) for c in args.cells.split(",")]
 
-    rows = ["n1,n2,param,MSE,Bias,SE,SE_hat,CP"]
-    for n1, n2 in cells:
-        cfg = SimConfig(model=args.model, theta_true=theta, n1=n1, n2=n2,
-                        qz=QzSpec.from_string(args.qz), pc_rate=args.pc_rate,
-                        n_reps=args.reps, seed=args.seed)
-        rep = run_mc_study(cfg, n_jobs=args.threads)
-        rows += [f"{n1},{n2},{line}" for line in rep.to_csv().splitlines()[1:]]
-        print(f"done {n1}/{n2}: failures {rep.n_failed}, "
-              f"mean censoring {rep.mean_censoring:.3f}", file=sys.stderr)
     with open(args.out, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("n1,n2,param,MSE,Bias,SE,SE_hat,CP\n")
+        for n1, n2 in cells:
+            cfg = SimConfig(model=args.model, theta_true=theta, n1=n1, n2=n2,
+                            qz=QzSpec.from_string(args.qz), pc_rate=args.pc_rate,
+                            n_reps=args.reps, seed=args.seed)
+            rep = run_mc_study(cfg, n_jobs=args.threads)
+            fh.writelines(f"{n1},{n2},{line}\n" for line in rep.to_csv().splitlines()[1:])
+            fh.flush()
+            print(f"done {n1}/{n2}: failures {rep.n_failed}, "
+                  f"mean censoring {rep.mean_censoring:.3f}", file=sys.stderr)
     print(f"wrote {args.out}")
 
 

@@ -32,3 +32,17 @@ def test_simulation_grid_writes_one_row_per_parameter(tmp_path):
     # ph-weibull with two covariate slots: beta1, beta2, lambda, gamma
     assert len(lines) == 5
     assert all(line.startswith("60,60,") for line in lines[1:])
+
+
+def test_simulation_grid_keeps_finished_cells_when_a_later_one_fails(tmp_path):
+    # the 120x80 cell fails 1 of its 4 replications, more than the 10% a
+    # study tolerates; the 200x200 cell before it is already on disk
+    csv = tmp_path / "grid.csv"
+    out = run_script("run_simulation_grid.py", "--cells", "200x200,120x80", "--reps", "4",
+                     "--threads", "1", "--out", str(csv), cwd=tmp_path)
+    assert out.returncode != 0
+    assert "TooManyFailures" in out.stderr
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "n1,n2,param,MSE,Bias,SE,SE_hat,CP"
+    assert len(lines) == 5
+    assert all(line.startswith("200,200,") for line in lines[1:])
