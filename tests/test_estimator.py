@@ -171,7 +171,7 @@ def test_single_target_record():
     ("ph-weibull", 120, 80, 0, 11),      # gamma -> 0, beta -> 0
     ("aft-lognormal", 120, 80, 0, 16),   # sigma runs away towards 1e5
     ("ah-weibull", 120, 80, 0, 0),       # gamma at the gamma = 1 guard
-    ("ah-weibull", 200, 200, 7, 10),     # gamma at the guard, beta -> 0
+    ("ah-weibull", 200, 200, 7, 10),     # gamma -> 0, beta -> 0
 ])
 def test_boundary_fits_raise_nonconvergence(name, n1, n2, seed, rep):
     # BFGS stops short of the score tolerance on these drawn datasets while
