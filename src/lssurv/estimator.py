@@ -32,7 +32,7 @@ from .errors import (
 from .likelihood import LikelihoodContext
 from .models import REGISTRY_ORDER, SurvivalModel, full_gradient, get_model
 from .schemas import FIT_SCHEMA, plain
-from .variance import VarianceParts, asymptotic_variance
+from .variance import asymptotic_variance
 
 Z975 = 1.96
 
@@ -68,7 +68,6 @@ class FitResult:
     warnings: list = field(default_factory=list)
     n0: int = 0
     d_z: int = 0
-    variance_parts: VarianceParts | None = None
 
     def to_json_dict(self) -> dict:
         sigma = None if self.sigma_hat is None else self.sigma_hat.ravel()
@@ -244,9 +243,8 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
         )
 
     sigma = se = ci = None
-    parts = None
     if not opts.skip_variance:
-        sigma, parts = asymptotic_variance(ctx, theta)
+        sigma, _ = asymptotic_variance(ctx, theta)
         se = np.sqrt(np.maximum(np.diag(sigma), 0.0) / dataset.n0)
         ci = np.stack([theta - Z975 * se, theta + Z975 * se], axis=1)
     return FitResult(
@@ -263,7 +261,6 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
         warnings=warnings,
         n0=dataset.n0,
         d_z=dataset.d_z,
-        variance_parts=parts,
     )
 
 

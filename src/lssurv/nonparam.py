@@ -5,8 +5,9 @@ column of record copies, the events, the copies at risk and the survival
 level.  ``kaplan_meier`` reads the unit-count column into a ``KmFit``: the
 jumps the likelihood weights its event times by, and the pieces the
 sandwich needs for the first-order expansion of a jump-weighted integral
-(Stute 1995): the at-risk fraction at each record, ``gamma0`` at the event
-times and the compensator weights ``dv`` of the censored records.
+(Stute 1995): the at-risk fraction at each record and ``gamma0`` at the
+event times.  The censored records' time order is not kept here: the
+likelihood context owns it (``LikelihoodContext.cens_idx``).
 """
 
 from __future__ import annotations
@@ -51,18 +52,15 @@ class KmFit:
     event_times: np.ndarray     # (K,) distinct uncensored times, sorted
     event_counts: np.ndarray    # (K,) tied events per event time
     jumps: np.ndarray           # (K,) jump of the product-limit CDF per event time
-    censor_times: np.ndarray    # censored records' times, sorted
     at_risk: np.ndarray         # (n1,) fraction of records with time >= each record's
     g0_at_events: np.ndarray    # (K,) gamma0 at the event times
-    dv: np.ndarray              # (1/n1) / at_risk^2 per censored record, sorted
 
 
 def kaplan_meier(x, delta) -> KmFit:
     """Product-limit fit of the event-time distribution.
 
     ``gamma0(t) = exp{ sum_{censored v < t} (1/n1) / risk(v) }`` over the
-    strict past, 1 at or before the first censoring; ``dv`` weighs the
-    compensator's outer integral over the censored records.
+    strict past, 1 at or before the first censoring.
     """
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta, dtype=np.int64)
@@ -72,15 +70,10 @@ def kaplan_meier(x, delta) -> KmFit:
     is_event = d > 0
     censored = np.bincount(time_of[delta == 0], minlength=times.size)
     gamma0 = np.exp(np.concatenate(([0.0], np.cumsum(censored / n1 / (y / n1))[:-1])))
-    risk = y[time_of] / n1
-    cens = np.flatnonzero(delta == 0)
-    cens = cens[np.argsort(x[cens], kind="stable")]
     return KmFit(
         event_times=times[is_event],
         event_counts=d[is_event],
         jumps=-np.diff(s, prepend=1.0)[is_event],
-        censor_times=x[cens],
-        at_risk=risk,
+        at_risk=y[time_of] / n1,
         g0_at_events=gamma0[is_event],
-        dv=(1.0 / n1) / risk[cens] ** 2,
     )

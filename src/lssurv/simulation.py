@@ -288,14 +288,18 @@ def run_mc_study(config: SimConfig, n_jobs: int = 1) -> McReport:
     """
     if config.n1 < 10 or config.n2 < 10 or config.n_reps < 2:
         raise ValidationError("Monte Carlo runs need n1, n2 >= 10 and n_reps >= 2")
+    if not (isinstance(n_jobs, (int, np.integer)) and n_jobs >= 1):
+        raise ValidationError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     model = get_model(config.model)
     theta0 = config.theta()
     model.check_theta(theta0, config.qz.d)
     reps = range(config.n_reps)
-    if n_jobs > 1:
+    # the pool starts all its workers at once, so it gets no more than reps
+    workers = min(n_jobs, config.n_reps)
+    if workers > 1:
         # each worker's grid passes get its share of the cores
-        share = max(1, usable_cores() // n_jobs)
-        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_set_threads,
+        share = max(1, usable_cores() // workers)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
                                  initargs=(share,)) as ex:
             results = list(ex.map(_run_one_rep, [config] * config.n_reps, reps, chunksize=1))
     else:

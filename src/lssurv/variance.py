@@ -1,10 +1,11 @@
 """Plug-in asymptotic covariance of the maximizer.
 
 The sandwich is ``A^{-1} S A^{-T}`` where ``A``, the Jacobian of the mean
-source score, is the exact Hessian of the approximated log-likelihood
-(``a_matrix``) and the meat ``S`` combines the per-source influence (score
-plus the event-CDF estimation term) with the per-target influence (the
-covariate-distribution estimation term), weighted by the sampling fraction:
+source score, is the exact Hessian of the approximated log-likelihood (the
+first output of ``_second_order_pass``) and the meat ``S`` combines the
+per-source influence (score plus the event-CDF estimation term) with the
+per-target influence (the covariate-distribution estimation term), weighted
+by the sampling fraction:
 
     S = min(1/pi, 1/(1-pi)) * [(1-pi) Var_src(psi + psi_pt) + pi Var_tgt(psi_qz)]
 
@@ -15,7 +16,8 @@ through ratios against itself).
 
 Every input comes from the fit's own ``LikelihoodContext`` evaluated at
 theta-hat: its product-limit fit, its kept censored records in time order
-with the one tail rule (``tail_start``, ``reach``, ``in_tail``), ``lqhat``,
+(``cens_idx``, the one owner of that order, which ``psi_pt``'s compensator
+also reads) with the one tail rule (``tail_start``, ``reach``, ``in_tail``), ``lqhat``,
 the tail log-sums and the per-record score rows.  ``_second_order_pass``
 walks each grid once, one second-order ``terms`` call per block, in the
 evaluation's shape: every block writes only its own rows or columns and
@@ -61,13 +63,22 @@ class VarianceParts:
 # -- the two grid passes -------------------------------------------------------
 
 def _second_order_pass(ctx: LikelihoodContext, theta):
-    """``A, psi, psi_pt, psi_qz`` at theta.  Over the kept censored records
-    the censored pass sums ``tau_k`` (K,), the tail weight at ``t_k``,
-    ``tau_psi3 = tau @ psi3`` (K, d), which ``_psi_pt_rows`` reads, and
-    ``R_k = sum_m tau_km grad l(t_k, Z_m)``; with ``M_k = tau_psi3_k - R_k +
-    2 tau_k q_k`` the target pass sums ``T_j = sum_k Wt_kj (ck_k q_k + M_k -
-    c_k grad l(t_k, z_j))`` (n2, d), and ``psi_qz = (tau_k @ q - sum_k M_k
-    + n2 T) / n1``."""
+    """``A, psi, psi_pt, psi_qz`` at theta.
+
+    ``A`` is the exact Hessian of ``approx_loglik`` at theta, the Jacobian
+    of the mean source score.  With ``c_k`` the events at ``t_k`` plus the
+    tail weight ``sum_m tau_km`` of the censored records at ``t_k``, it is
+    the own-record Hessians, minus ``c_k`` times the Hessian of
+    ``log qhat(t_k)``, plus the ``tau``-weighted censored Hessians and outer
+    products of ``grad l(t_k, Z_m) - qstar_ratio_k``, minus each censored
+    score row's outer product.
+
+    Over the kept censored records the censored pass sums ``tau_k`` (K,),
+    the tail weight at ``t_k``, ``tau_psi3 = tau @ psi3`` (K, d), which
+    ``_psi_pt_rows`` reads, and ``R_k = sum_m tau_km grad l(t_k, Z_m)``;
+    with ``M_k = tau_psi3_k - R_k + 2 tau_k q_k`` the target pass sums
+    ``T_j = sum_k Wt_kj (ck_k q_k + M_k - c_k grad l(t_k, z_j))`` (n2, d),
+    and ``psi_qz = (tau_k @ q - sum_k M_k + n2 T) / n1``."""
     env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
     theta, model, ds = env["theta"], ctx.model, ctx.dataset
     q, psi3, lqhat, cens_logsum = env["qstar_ratio"], env["psi3_cens"], env["lqhat"], env["cens_logsum"]
@@ -114,21 +125,6 @@ def _second_order_pass(ctx: LikelihoodContext, theta):
     return 0.5 * (A + A.T), env["psi"], _psi_pt_rows(ctx, tau_psi3), psi_qz
 
 
-def a_matrix(ctx: LikelihoodContext, theta) -> np.ndarray:
-    """Exact Hessian of ``approx_loglik`` at theta, the Jacobian of the mean
-    source score.
-
-    With ``c_k`` the events at ``t_k`` plus the tail weight ``sum_m tau_km``
-    of the censored records at ``t_k``, it is the own-record Hessians, minus
-    ``c_k`` times the Hessian of ``log qhat(t_k)``, plus the
-    ``tau``-weighted censored Hessians and outer products of
-    ``grad l(t_k, Z_m) - qstar_ratio_k``, minus each censored score row's
-    outer product.  It is the first output of the second-order pass, which
-    also forms the sandwich's influence rows.
-    """
-    return _second_order_pass(ctx, theta)[0]
-
-
 # -- event-CDF estimation component -------------------------------------------
 
 def _psi_pt_rows(ctx: LikelihoodContext, tau_psi3):
@@ -144,14 +140,16 @@ def _psi_pt_rows(ctx: LikelihoodContext, tau_psi3):
     b = (km.event_counts * g0e)[:, None] * phi_c / n1
     tail = np.cumsum(b[::-1], axis=0)[::-1][ctx.tail_start]               # (n_c, d)
 
-    # compensator: prefix over the kept censored records v, in time order, of
-    # dv * tail(v); the dropped records, last in that order, have no tail
-    n_c = ctx.tail_start.size
-    cp = np.vstack([np.zeros((1, d)), np.cumsum(km.dv[:n_c, None] * tail, axis=0)])
-    eta0p = -cp[np.searchsorted(km.censor_times[:n_c], ds.x, side="left")]  # (n1, d)
+    # compensator: prefix over the kept censored records v, in the context's
+    # time order, of dv * tail(v) with dv = (1/n1) / at_risk(v)^2; the
+    # dropped records, all beyond the last event time, have no tail
+    risk = km.at_risk[ctx.cens_idx]
+    dv = (1.0 / n1) / risk**2
+    cp = np.vstack([np.zeros((1, d)), np.cumsum(dv[:, None] * tail, axis=0)])
+    eta0p = -cp[np.searchsorted(ds.x[ctx.cens_idx], ds.x, side="left")]  # (n1, d)
     ku = ctx.k_of_unc
     eta0p[ctx.unc_idx] += phi_c[ku] * g0e[ku, None]
-    eta0p[ctx.cens_idx] += tail / km.at_risk[ctx.cens_idx, None]
+    eta0p[ctx.cens_idx] += tail / risk[:, None]
     return -eta0p / n1
 
 

@@ -195,6 +195,13 @@ def test_mc_cli_csv_and_seed_reproducibility(tmp_path):
     )
 
 
+def test_mc_cli_rejects_zero_threads(capsys):
+    code = run_cli(["mc", "--model", "ph-weibull", "--theta", "1,1,1,1.5", "--n1", "60",
+                    "--n2", "60", "--reps", "3", "--threads", "0"])
+    assert code == 1
+    assert "n_jobs must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_run_cli_in_process(csv_pair, capsys):
     _, src, tgt = csv_pair
     code = run_cli(["fit", "--model", "ph-weibull", "--source", src, "--target", tgt])

@@ -28,7 +28,7 @@ from lssurv.estimator import (
 )
 from lssurv.likelihood import LikelihoodContext, approx_loglik, score
 from lssurv.models import REGISTRY_ORDER, PHWeibull, get_model
-from lssurv.variance import a_matrix, asymptotic_variance
+from lssurv.variance import _second_order_pass, asymptotic_variance
 
 from fixture_models import FullGradientModel, OneSlot, TwoPointLogNormal, two_point_dataset
 from oracles import (eta_q_hat, influence_context, influence_evaluator, s_functionals,
@@ -124,7 +124,7 @@ def test_a_matrix_is_loglik_hessian(fitted):
     ds, fr = fitted
     model = get_model("ph-weibull")
     ctx = LikelihoodContext(model, ds)
-    A = a_matrix(ctx, fr.theta_hat)
+    A = _second_order_pass(ctx, fr.theta_hat)[0]
     d = fr.theta_hat.size
     H = np.empty((d, d))
     h = 1e-4
@@ -190,18 +190,13 @@ def test_psi_pt_vanishes_without_censoring():
     np.testing.assert_array_equal(parts.psi_pT_per_source, 0.0)
 
 
-def test_psi_pt_column_against_reference_influence(fitted):
-    # the vectorized event-CDF rows agree with the reference one-integrand
-    # path, assembled column by column over the kept censored records
-    ds, fr = fitted
-    model = get_model("ph-weibull")
-    theta = fr.theta_hat
-    ctx = LikelihoodContext(model, ds)
-    _, parts = asymptotic_variance(ctx, theta)
+def _reference_psi_pt(ctx, theta):
+    """ψ_pT from the reference one-integrand path, assembled column by column
+    over the kept censored records."""
+    ds, model = ctx.dataset, ctx.model
     lqhat = ctx._evaluate(theta, need_score=True)["lqhat"]
     infl = influence_context(ds.x, ds.delta)
-
-    got = np.zeros_like(parts.psi_pT_per_source)
+    got = np.zeros((ds.n1, theta.size))
     for m in ctx.cens_idx:
         x_m, z_m = ds.x[m], ds.z_source[m]
 
@@ -214,8 +209,36 @@ def test_psi_pt_column_against_reference_influence(fitted):
         sf = s_functionals(ctx, theta, x_m, z_m)
         c_m = (sf.s1 - sf.s2) / sf.s0**2
         got -= np.outer(influence_evaluator(infl, phi)(ds.x, ds.delta), c_m) / ds.n1
-    expect = parts.psi_pT_per_source
-    np.testing.assert_allclose(got, expect, atol=1e-12)
+    return got
+
+
+def test_psi_pt_column_against_reference_influence(fitted):
+    # the vectorized event-CDF rows agree with the reference one-integrand
+    # path, assembled column by column over the kept censored records
+    ds, fr = fitted
+    ctx = LikelihoodContext(get_model("ph-weibull"), ds)
+    _, parts = asymptotic_variance(ctx, fr.theta_hat)
+    np.testing.assert_allclose(_reference_psi_pt(ctx, fr.theta_hat), parts.psi_pT_per_source,
+                               atol=1e-12)
+
+
+def test_psi_pt_against_reference_influence_with_ties_and_dropped_records():
+    # times on a 0.1 grid: censorings tied with events, three censorings tied
+    # with the last event time and ten beyond it, all thirteen dropped; the
+    # compensator runs over the kept records in the context's time order
+    rng = np.random.default_rng(5)
+    n1, n2 = 120, 90
+    x = rng.integers(1, 40, n1) / 10.0
+    delta = (rng.random(n1) >= 0.35).astype(int)
+    delta[x > 3.6] = 0
+    x[:3], delta[:3] = 3.6, (1, 0, 0)
+    ds = ls.Dataset(x, delta, rng.normal(size=(n1, 2)), rng.normal(0.3, 1.0, (n2, 2)))
+    ctx = LikelihoodContext(get_model("ph-weibull"), ds)
+    assert ctx.tk[-1] == 3.6 and ctx.n_dropped == 13
+    assert len(np.unique(ds.x[ctx.cens_idx])) < ctx.cens_idx.size
+    theta = np.array([0.4, -0.3, 0.8, 1.3])
+    np.testing.assert_allclose(_reference_psi_pt(ctx, theta), _second_order_pass(ctx, theta)[2],
+                               atol=1e-12)
 
 
 def test_se_scales_with_root_n(fitted):

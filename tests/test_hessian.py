@@ -1,6 +1,7 @@
 """The exact score Jacobian: each zoo model's second-order u-space
 partials against differences of its first-order ones (both rebuilt from
-the kernel's feature tables), and ``a_matrix`` against
+the kernel's feature tables), and ``A`` (the first output of
+``_second_order_pass``) against
 a Richardson-extrapolated central-difference Jacobian of the score, which
 is kept here as the oracle."""
 
@@ -9,7 +10,7 @@ import pytest
 
 from lssurv.likelihood import LikelihoodContext, score
 from lssurv.models import REGISTRY_ORDER, get_model
-from lssurv.variance import a_matrix
+from lssurv.variance import _second_order_pass
 
 from conftest import make_dataset
 from fixture_models import OneSlot, TwoPointLogNormal, two_point_dataset
@@ -74,7 +75,7 @@ def test_a_matrix_matches_score_jacobian(name, d_z):
     theta = np.array([0.4, -0.3, 0.2][:d_z] + BASELINE[name])
     ctx = LikelihoodContext(model, ds)
     assert ctx.cens_idx.size and ctx.unc_idx.size
-    assert_rel(a_matrix(ctx, theta), fd_score_jacobian(ctx, theta), 1e-6)
+    assert_rel(_second_order_pass(ctx, theta)[0], fd_score_jacobian(ctx, theta), 1e-6)
 
 
 def test_a_matrix_of_models_without_linear_predictor():
@@ -88,4 +89,4 @@ def test_a_matrix_of_models_without_linear_predictor():
     for model, ds, theta, rtol in cases:
         ctx = LikelihoodContext(model, ds)
         assert ctx.cens_idx.size and ctx.unc_idx.size
-        assert_rel(a_matrix(ctx, theta), fd_score_jacobian(ctx, theta), rtol)
+        assert_rel(_second_order_pass(ctx, theta)[0], fd_score_jacobian(ctx, theta), rtol)

@@ -28,7 +28,7 @@ import lssurv.likelihood as lik
 from lssurv.errors import NumericalUnderflow
 from lssurv.likelihood import LikelihoodContext
 from lssurv.models import REGISTRY_ORDER, get_model
-from lssurv.variance import _second_order_pass, a_matrix
+from lssurv.variance import _second_order_pass
 
 from conftest import make_dataset
 from fixture_models import OneSlot, RecordingPHWeibull, TwoPointLogNormal, two_point_dataset
@@ -294,7 +294,7 @@ def test_callers_error_state_holds_in_every_block(monkeypatch):
     theta = np.array([0.4, -0.3, 1.0, 1.5])
     with np.errstate(over="raise"):
         ctx.value_and_score(theta)
-        a_matrix(ctx, theta)
+        _second_order_pass(ctx, theta)
     assert len(model.calls) > 10
     assert all(err["over"] == "raise" for _, err, _ in model.calls)
     assert any(name.startswith("lssurv-grid") for name, _, _ in model.calls)

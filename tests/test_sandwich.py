@@ -127,19 +127,19 @@ import numpy as np
 import lssurv as ls
 import lssurv.likelihood as lik
 from lssurv.models import get_model
-from lssurv.variance import a_matrix
+from lssurv.variance import _second_order_pass
 
 lik._set_threads(1)
 theta = np.array([1.0, 1.0, 1.0, 1.5])
 ds = ls.generate_dataset(ls.SimConfig(n1=500, n2=500, seed=1), np.random.default_rng(1))
 ctx = lik.LikelihoodContext(get_model("ph-weibull"), ds)
 ctx.value_and_score(theta)
-a_matrix(ctx, theta)
+_second_order_pass(ctx, theta)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for step in (1, 2, 3):
     moved = theta * (1 + 1e-3 * step)
     ctx.value_and_score(moved)
-    a_matrix(ctx, moved)
+    _second_order_pass(ctx, moved)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -147,7 +147,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap thresholds")
 def test_block_temporaries_stay_in_the_heap():
     # a fresh process, since the heap of this one depends on the tests run
-    # before; at n1 = n2 = 500 one value_and_score and one a_matrix fault
+    # before; at n1 = n2 = 500 one value_and_score and one second-order pass fault
     # in about 3K and 8K pages when glibc trims the freed block temporaries
     # after each block, and none when the context's freed array has raised
     # its thresholds; the probe runs its passes on one grid thread, as a

@@ -190,6 +190,26 @@ def test_bad_bandwidths_raise_before_any_kernel(monkeypatch, entry, bandwidths, 
         call()
 
 
+def test_bad_ratio_grid_raises_before_any_kernel(monkeypatch):
+    # grid_z must be (m, d_z) and grid_t (m,), both finite (d_z = 2 here)
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built before the grid checks")
+
+    monkeypatch.setattr(shift_test, "_ratio_rows", no_kernel)
+    rng = np.random.default_rng(12)
+    x, delta, z = gen_censored_population(rng, 80)
+    z = np.hstack([z, rng.normal(size=(80, 1))])
+    gz, gt = rng.normal(size=(5, 2)), np.linspace(0.2, 1.0, 5)
+    nan_t = gt.copy()
+    nan_t[2] = np.nan
+    for grid, message in [((gz[:, :1], gt), "shapes"), ((np.hstack([gz, gz[:, :1]]), gt), "shapes"),
+                          ((gz, gt[:4]), "shapes"), ((gz, nan_t), "finite")]:
+        with pytest.raises(ValidationError, match=message):
+            ratio_estimate(x, delta, z, grid=grid)
+    with pytest.raises(AssertionError, match="a kernel was built"):      # a good grid passes
+        ratio_estimate(x, delta, z, grid=(gz, gt))
+
+
 def test_bad_alpha_and_covariate_rows_fail_before_the_bootstrap(monkeypatch):
     def no_bootstrap(*args):
         raise AssertionError("the bootstrap ran before the input checks")

@@ -174,6 +174,42 @@ def test_mc_parallel_matches_serial(monkeypatch):
     assert got[0].to_json_dict() == a.to_json_dict()
 
 
+def test_mc_pool_starts_at_most_n_reps_workers(monkeypatch):
+    # the pool forks all its workers when it starts: 64 asked for, 3 reps, 3
+    # workers, each with its share of 4 cores; this pool starts no process
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            seen.append((max_workers, initargs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulation, "usable_cores", lambda: 4)
+    cfg = SimConfig(n1=60, n2=60, n_reps=3, seed=5)
+    got = run_mc_study(cfg, n_jobs=64)
+    assert seen == [(3, (1,))]
+    assert got.to_json_dict() == run_mc_study(cfg, n_jobs=1).to_json_dict()
+
+
+@pytest.mark.parametrize("n_jobs", [0, -2, 2.0, "2", None])
+def test_mc_rejects_a_bad_n_jobs_before_any_draw(monkeypatch, n_jobs):
+    def no_draw(*args):
+        raise AssertionError("a dataset was drawn before the n_jobs check")
+
+    monkeypatch.setattr(simulation, "generate_dataset", no_draw)
+    with pytest.raises(ValidationError, match="n_jobs must be an integer >= 1"):
+        run_mc_study(SimConfig(n1=60, n2=60, n_reps=3, seed=5), n_jobs=n_jobs)
+
+
 def test_mc_requires_minimum_sizes():
     with pytest.raises(ValidationError):
         run_mc_study(SimConfig(n1=5, n2=50, n_reps=4, seed=0))
