@@ -38,7 +38,6 @@ from .models import (
     get_model,
     log_density_grad,
     ratio_depends_on_z,
-    sample_event_time,
     survival,
 )
 from .nonparam import KmFit, kaplan_meier

@@ -86,28 +86,49 @@ class FitResult:
             f"convergence.{key}" for key in conv_keys if key not in doc["convergence"]]
         if missing:
             raise SchemaError(f"fit document lacks {', '.join(missing)}")
+        for key, low in (("d_theta", 1), ("d_z", 0), ("n0", 1)):
+            if not (type(doc[key]) is int and doc[key] >= low):
+                raise SchemaError(f"fit document's {key} is {doc[key]!r}, "
+                                  f"not a {('non-negative', 'positive')[low]} integer")
         d = doc["d_theta"]
-        sigma = None if doc["sigma"] is None else np.array(doc["sigma"], dtype=float)
-        if sigma is not None and sigma.size != d * d:
-            raise SchemaError(f"fit document's sigma holds {sigma.size} entries, not {d} x {d}")
-        if not (type(doc["n0"]) is int and doc["n0"] >= 1):
-            raise SchemaError(f"fit document's n0 is {doc['n0']!r}, not a positive integer")
+        if len(doc["params"]) != d:
+            raise SchemaError(f"fit document's params holds {len(doc['params'])} entries, not {d}")
+        theta, sigma, se, ci = (_document_array(doc, key, shape) for key, shape in (
+            ("theta", (d,)), ("sigma", (d, d)), ("se", (d,)), ("ci", (d, 2))))
         conv = doc["convergence"]
         return cls(
             model_name=doc["model"],
             param_names=list(doc["params"]),
-            theta_hat=np.array(doc["theta"], dtype=float),
+            theta_hat=theta,
             loglik=float(doc["loglik"]),
-            sigma_hat=None if sigma is None else sigma.reshape(d, d),
-            se=np.array(doc["se"], dtype=float) if doc["se"] is not None else None,
-            ci=np.array(doc["ci"], dtype=float) if doc["ci"] is not None else None,
+            sigma_hat=sigma,
+            se=se,
+            ci=ci,
             converged=conv["converged"],
             iterations=conv["iterations"],
             grad_norm=conv["grad_norm"],
             warnings=list(conv["warnings"]),
-            n0=int(doc["n0"]),
-            d_z=int(doc["d_z"]),
+            n0=doc["n0"],
+            d_z=doc["d_z"],
         )
+
+
+def _document_array(doc: dict, key: str, shape: tuple):
+    """A fit document's array ``doc[key]`` of ``shape`` finite numbers
+    (``sigma`` is stored flat), or None where an optional one is null."""
+    if doc[key] is None and key != "theta":
+        return None
+    try:
+        arr = np.array(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"fit document's {key} is not an array of numbers") from None
+    if arr.size != math.prod(shape) or (key != "sigma" and arr.shape != shape):
+        held = " x ".join(map(str, arr.shape or (1,)))
+        raise SchemaError(f"fit document's {key} holds {held} entries, not "
+                          f"{' x '.join(map(str, shape))}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"fit document's {key} holds a non-finite number")
+    return arr.reshape(shape)
 
 
 def _transforms(model: SurvivalModel, d_z: int):
@@ -269,9 +290,9 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
     delta-method standard error.
 
     Returns (zeta_hat, se, ci).  ``points`` marks integrand breakpoints
-    (indicator or kink locations) to split the quadrature at.  One kept
-    ``terms`` call per node gives ``g q`` and ``g q grad log q`` to the zeta
-    quadrature and the d gradient quadratures, which mostly share nodes.
+    (indicator or kink locations, each finite and > 0) to split the
+    quadrature at.  One kept ``terms`` call per node gives ``g q`` and ``g q
+    grad log q`` to the zeta quadrature and the d gradient quadratures.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -279,11 +300,15 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
         raise ValidationError(f"a {fit_result.model_name} fit read as {model.name}")
     if fit_result.sigma_hat is None:
         raise ValidationError("fit result carries no covariance; rerun without skip_variance")
-    theta = fit_result.theta_hat
+    d_z = fit_result.d_z
+    theta = model.check_theta(fit_result.theta_hat, d_z)
     z = np.asarray(z, dtype=float)
-    d_z = theta.shape[0] - model.d_theta(0)
     if z.shape != (d_z,) or not np.all(np.isfinite(z)):
         raise ValidationError(f"z must be {d_z} finite covariate values, got {z.tolist()}")
+    points = sorted(float(p) for p in ([] if points is None else points))
+    if not all(math.isfinite(p) and p > 0 for p in points):
+        raise ValidationError(f"breakpoints must be finite and > 0, got {points}")
+    edges = [0.0] + points + [np.inf]
 
     @functools.lru_cache(maxsize=None)
     def node(t):
@@ -294,7 +319,6 @@ def conditional_functional(model, fit_result: FitResult, z, g, points=None):
     def checked(f, what):
         val = err = 0.0
         try:
-            edges = [0.0] + sorted(float(p) for p in (points or [])) + [np.inf]
             for a, b in zip(edges[:-1], edges[1:]):
                 v, e = integrate.quad(f, a, b, limit=200)
                 val += v

@@ -3,7 +3,7 @@
 The model contract.  Every zoo model depends on the covariates only through
 the linear predictor ``u = z @ beta``, so it is written once, in u-space.  A
 zoo model declares its baseline slot names (``baseline``), the ones
-constrained to (0, inf) (``positive``), and supplies four functions,
+constrained to (0, inf) (``positive``), and supplies three functions,
 ``base`` being the baseline scalars:
 
 * ``u_terms(t, u, *base, order)``, one kernel for the log density ``l``,
@@ -23,8 +23,6 @@ constrained to (0, inf) (``positive``), and supplies four functions,
   same layout up to ``order=1`` (its own feature), from the same preamble
   and capped ``exp`` as ``u_terms``, so it stays finite wherever
   ``u_terms`` does;
-* ``u_inverse_survival(v, u, *base)``: the inverse of the survival
-  function in ``t`` at level ``v``;
 * ``u_mode(t, *base)``: the u at which the log density peaks, the zero of
   its feature (every zoo kernel is concave in u), in closed form.
 
@@ -48,7 +46,7 @@ the feature with its coefficient tables over the powers of ``log t`` (the
 row basis) and of ``u`` (the column basis).  Also ``log_survival_terms``,
 its log-survival counterpart, which gives the source-only start its exact
 gradient, plus ``log_density``, ``log_density_grad`` (regression block
-``(dl/du) * z``), ``survival`` (``exp(log S)``) and ``inverse_survival``.
+``(dl/du) * z``) and ``survival`` (``exp(log S)``).
 Per-record rows (own events, quadrature nodes) expand the tables through
 ``expand``.
 
@@ -320,9 +318,6 @@ class SurvivalModel:
     def survival(self, theta, t, z):
         return np.exp(self.log_survival_terms(theta, t, z)[0])
 
-    def inverse_survival(self, theta, v, z):
-        return float(self.u_inverse_survival(*self._u_args(theta, v, z)))
-
     def default_init(self, x, delta, z) -> np.ndarray:
         raise NotImplementedError
 
@@ -355,9 +350,6 @@ class PHWeibull(SurvivalModel):
         if order >= 1:
             out += [He, (-F, -F / lam, -L * F)]                   # feature He
         return out
-
-    def u_inverse_survival(self, v, u, lam, gam):
-        return (-np.log(v) / (lam * np.exp(u))) ** (1.0 / gam)
 
     def u_mode(self, t, lam, gam):
         return -(gam * np.log(t) + math.log(lam))                 # He = 1
@@ -398,9 +390,6 @@ class POLogLogistic(SurvivalModel):
         if order >= 1:
             out += [special.expit(logH + u), (-F, F / sigma, F * (L - mu) / sigma**2)]  # feature G
         return out
-
-    def u_inverse_survival(self, v, u, mu, sigma):
-        return np.exp(mu + sigma * (np.log1p(-v) - np.log(v) - u))
 
     def u_mode(self, t, mu, sigma):
         return (mu - np.log(t)) / sigma                           # log H + u = 0
@@ -443,9 +432,6 @@ class AFTLogNormal(SurvivalModel):
             out += [mills, (F / sigma, F / sigma, F * (L - mu - U) / sigma**2)]
         return out
 
-    def u_inverse_survival(self, v, u, mu, sigma):
-        return np.exp(mu + u - sigma * special.ndtri(v))
-
     def u_mode(self, t, mu, sigma):
         return np.log(t) - mu                                     # s = 0
 
@@ -480,9 +466,6 @@ class AFTExponential(SurvivalModel):
         if order >= 1:
             out += [te, (lam * F, -F)]                            # feature t e^-u
         return out
-
-    def u_inverse_survival(self, v, u, lam):
-        return -np.log(v) * np.exp(u) / lam
 
     def u_mode(self, t, lam):
         return math.log(lam) + np.log(t)                          # lam t e^-u = 1
@@ -532,9 +515,6 @@ class AHWeibull(SurvivalModel):
             out += [H, (-(gam - 1.0) * F, -F / lam, -F * (L + U))]   # feature H
         return out
 
-    def u_inverse_survival(self, v, u, lam, gam):
-        return (-np.log(v) / (lam * np.exp((gam - 1.0) * u))) ** (1.0 / gam)
-
     def u_mode(self, t, lam, gam):
         return -(gam * np.log(t) + math.log(lam)) / (gam - 1.0)  # H = 1
 
@@ -559,15 +539,14 @@ def get_model(name: str) -> SurvivalModel:
         ) from None
 
 
-def _checked(model: SurvivalModel, theta, z, t=None) -> np.ndarray:
-    """``theta`` checked against the dimension of ``z``; ``t``, when given,
-    must be positive and finite."""
+def _checked(model: SurvivalModel, theta, z, t) -> np.ndarray:
+    """``theta`` checked against the dimension of ``z``; ``t`` must be
+    positive and finite."""
     d_z = np.asarray(z, dtype=float).shape[-1] if np.asarray(z).ndim else 0
     theta = model.check_theta(theta, d_z)
-    if t is not None:
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
-            raise DomainError("t must be positive and finite")
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
+        raise DomainError("t must be positive and finite")
     return theta
 
 
@@ -582,14 +561,6 @@ def log_density_grad(model: SurvivalModel, theta, t, z):
 
 def survival(model: SurvivalModel, theta, t, z):
     return model.survival(_checked(model, theta, z, t), t, z)
-
-
-def sample_event_time(model: SurvivalModel, theta, z, rng) -> float:
-    """Draw an event time by inverting the conditional survival at one
-    uniform variate (``rng`` only needs a ``uniform()`` method)."""
-    theta = _checked(model, theta, z)
-    v = 1.0 - float(rng.uniform())
-    return model.inverse_survival(theta, v, z)
 
 
 def ratio_depends_on_z(model, theta, theta_tilde, t_grid, z_grid, tol=1e-8) -> bool:

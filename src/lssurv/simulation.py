@@ -135,6 +135,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        sizes = (self.n1, self.n2, self.n_reps)
+        if not (all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in sizes)
+                and self.n1 >= 2 and self.n2 >= 1):
+            raise ValidationError(f"need integer sizes with n1 >= 2 and n2 >= 1: n1 {self.n1!r}, "
+                                  f"n2 {self.n2!r}, n_reps {self.n_reps!r}")
         if not all(math.isfinite(r) and r > 0 for r in (self.pt_rate, self.pc_rate)):
             raise ValidationError(f"need finite rates > 0: pt {self.pt_rate}, pc {self.pc_rate}")
 

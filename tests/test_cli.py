@@ -236,6 +236,10 @@ def test_malformed_fit_document_is_a_domain_error(tmp_path, capsys):
     for bad, message in ((doc, "fit document lacks convergence"),
                          (dict(doc, sigma=[1.0], convergence=conv),
                           "fit document's sigma holds 1 entries, not 4 x 4"),
+                         (dict(doc, theta=["a", 0.0, 1.0, 1.5], convergence=conv),
+                          "fit document's theta is not an array of numbers"),
+                         (dict(doc, sigma=[float("nan")] * 16, convergence=conv),
+                          "fit document's sigma holds a non-finite number"),
                          (dict(no_n0, convergence=conv), "fit document lacks n0"),
                          (dict(doc, n0=0, convergence=conv),
                           "fit document's n0 is 0, not a positive integer"),
@@ -267,6 +271,8 @@ _PREDICT = ["predict", "--fit", "{fit}", "--z", "0,1"]
     _SIMULATE + ["--pt-rate", "0"],
     _SIMULATE + ["--pt-rate", "-1"],
     _SIMULATE + ["--pc-rate", "0"],
+    _SIMULATE + ["--n1", "-3"],
+    _SIMULATE + ["--n2", "0"],
     _MC + ["--reps", "0"],
     _MC + ["--reps", "1"],
     _FIT + ["--grad-tol", "-1"],

@@ -412,6 +412,20 @@ def test_conditional_functional_rejects_another_models_fit(fitted, monkeypatch):
             conditional_functional(name, fr, np.zeros(2), lambda t: t)
 
 
+def test_conditional_functional_checks_theta_and_breakpoints_before_quadrature(monkeypatch):
+    def no_quad(*args, **kw):
+        raise AssertionError("quadrature ran before the input checks")
+
+    monkeypatch.setattr(integrate, "quad", no_quad)
+    with pytest.raises(DomainError, match="positivity"):
+        _functional_at("ph-weibull", np.array([1.0, 1.0, -1.0, 1.5]), np.eye(4), np.zeros(2),
+                       lambda t: t, None)
+    for points in ([-1.0], [math.nan], [math.inf], [0.0], [2.0, -3.0], np.array([2.0, -3.0])):
+        with pytest.raises(ValidationError, match="breakpoints must be finite and > 0"):
+            _functional_at("ph-weibull", np.array([0.0, 0.0, 1.0, 1.5]), np.eye(4), np.zeros(2),
+                           lambda t: t, points)
+
+
 def _rescaled_back(name, theta, c):
     """A fit on times multiplied by ``c`` mapped back to the original scale."""
     back = theta.copy()
@@ -604,10 +618,30 @@ def test_malformed_fit_document_names_its_fault(fitted):
     _, fr = fitted
     doc = fr.to_json_dict()
     conv = {k: v for k, v in doc["convergence"].items() if k != "grad_norm"}
+    nan = float("nan")
+    # each array holds d_theta entries (rows for ci, d_theta^2 for sigma), all finite
     for bad, message in (({k: v for k, v in doc.items() if k != "convergence"}, "lacks convergence"),
                          ({k: v for k, v in doc.items() if k not in ("theta", "se")}, "lacks theta, se"),
                          (dict(doc, convergence=conv), "lacks convergence.grad_norm"),
-                         (dict(doc, sigma=doc["sigma"][:-1]), "sigma holds 15 entries, not 4 x 4")):
+                         (dict(doc, sigma=doc["sigma"][:-1]), "sigma holds 15 entries, not 4 x 4"),
+                         (dict(doc, theta=doc["theta"][:3]), "theta holds 3 entries, not 4"),
+                         (dict(doc, theta=None), "theta holds 1 entries, not 4"),
+                         (dict(doc, theta=["a"] + doc["theta"][1:]),
+                          "theta is not an array of numbers"),
+                         (dict(doc, ci=[[0.0, 1.0]] * 3 + [[0.0]]), "ci is not an array of numbers"),
+                         (dict(doc, params=doc["params"][:3]), "params holds 3 entries, not 4"),
+                         (dict(doc, d_theta=4.0), "d_theta is 4.0, not a positive integer"),
+                         (dict(doc, d_z=-1), "d_z is -1, not a non-negative integer"),
+                         (dict(doc, se=doc["se"] + [0.1]), "se holds 5 entries, not 4"),
+                         (dict(doc, ci=doc["ci"][:3]), "ci holds 3 x 2 entries, not 4 x 2"),
+                         (dict(doc, ci=[row + [0.0] for row in doc["ci"]]),
+                          "ci holds 4 x 3 entries, not 4 x 2"),
+                         (dict(doc, sigma=[nan] * 16), "sigma holds a non-finite number"),
+                         (dict(doc, theta=doc["theta"][:3] + [float("inf")]),
+                          "theta holds a non-finite number"),
+                         (dict(doc, se=[nan] + doc["se"][1:]), "se holds a non-finite number"),
+                         (dict(doc, ci=[[nan, nan]] + doc["ci"][1:]),
+                          "ci holds a non-finite number")):
         with pytest.raises(SchemaError, match=message):
             FitResult.from_json_dict(bad)
 

@@ -215,6 +215,21 @@ def test_mc_requires_minimum_sizes():
         run_mc_study(SimConfig(n1=5, n2=50, n_reps=4, seed=0))
 
 
+@pytest.mark.parametrize("sizes", [
+    {"n1": -3}, {"n1": 1}, {"n2": 0}, {"n1": 2.5}, {"n2": np.float64(3.0)}, {"n_reps": 4.0},
+    {"n1": True}, {"n_reps": False},
+], ids=lambda sizes: ",".join(f"{k}={v!r}" for k, v in sizes.items()))
+def test_simconfig_checks_sample_sizes(sizes):
+    with pytest.raises(ValidationError, match="need integer sizes with n1 >= 2 and n2 >= 1"):
+        SimConfig(**sizes)
+
+
+def test_simconfig_takes_numpy_integer_sizes():
+    cfg = SimConfig(n1=np.int64(40), n2=np.int32(1), n_reps=np.int64(0))
+    ds = generate_dataset(cfg, np.random.default_rng(0))
+    assert (ds.n1, ds.n2) == (40, 1)
+
+
 def test_oracle_ci_gives_full_coverage(monkeypatch):
     import lssurv.simulation as sim
 
