@@ -4,8 +4,8 @@
 Writes one CSV block per (n1, n2) cell with the per-parameter MSE, bias,
 empirical SE, mean estimated SE and coverage, mirroring the layout used in
 the package's reference tables.  Each block is written as soon as its cell
-finishes, so a later cell with too many failed replications ends the script
-with a non-zero exit and leaves the finished cells on disk.
+finishes.  A cell with too many failed replications is named on stderr and
+skipped; the script goes on with the remaining cells and exits 1 at the end.
 
 Example:
     python scripts/run_simulation_grid.py --model ph-weibull \
@@ -15,6 +15,7 @@ Example:
 import argparse
 import sys
 
+from lssurv.errors import TooManyFailures
 from lssurv.likelihood import usable_cores
 from lssurv.simulation import QzSpec, SimConfig, run_mc_study
 
@@ -42,18 +43,26 @@ def main():
     if args.cells:
         cells = [tuple(int(v) for v in c.split("x")) for c in args.cells.split(",")]
 
+    failed = []
     with open(args.out, "w") as fh:
         fh.write("n1,n2,param,MSE,Bias,SE,SE_hat,CP\n")
         for n1, n2 in cells:
             cfg = SimConfig(model=args.model, theta_true=theta, n1=n1, n2=n2,
                             qz=QzSpec.from_string(args.qz), pc_rate=args.pc_rate,
                             n_reps=args.reps, seed=args.seed)
-            rep = run_mc_study(cfg, n_jobs=args.threads)
+            try:
+                rep = run_mc_study(cfg, n_jobs=args.threads)
+            except TooManyFailures as exc:
+                print(f"cell {n1}x{n2} skipped: TooManyFailures: {exc}", file=sys.stderr)
+                failed.append(f"{n1}x{n2}")
+                continue
             fh.writelines(f"{n1},{n2},{line}\n" for line in rep.to_csv().splitlines()[1:])
             fh.flush()
             print(f"done {n1}/{n2}: failures {rep.n_failed}, "
                   f"mean censoring {rep.mean_censoring:.3f}", file=sys.stderr)
     print(f"wrote {args.out}")
+    if failed:
+        sys.exit(f"{len(failed)} cell(s) skipped: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

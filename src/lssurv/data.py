@@ -66,6 +66,9 @@ class Dataset:
         delta = np.asarray(delta)
         z_source = np.asarray(z_source, dtype=float)
         z_target = np.asarray(z_target, dtype=float)
+        if z_source.ndim not in (1, 2) or z_target.ndim not in (1, 2):
+            raise ValidationError(f"covariates must be 1-d or 2-d arrays, got {z_source.ndim}-d "
+                                  f"source and {z_target.ndim}-d target covariates")
         if z_source.ndim == 1:
             z_source = z_source[:, None]
         if z_target.ndim == 1:

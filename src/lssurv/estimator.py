@@ -366,8 +366,11 @@ def bic_select(models, dataset: Dataset, split_frac: float = 0.2, seed=None) -> 
     excluded and recorded.
     """
     models = [get_model(m) if isinstance(m, str) else m for m in models]
+    names = [m.name for m in models]
     if len(models) < 2:
         raise ValidationError("need at least two candidate models")
+    if len(set(names)) < len(names):
+        raise ValidationError(f"candidate models repeat: {', '.join(names)}")
     if not 0 < split_frac < 1:
         raise ValidationError(f"split_frac must lie in (0, 1), got {split_frac}")
     rng = np.random.default_rng(seed)
@@ -399,7 +402,7 @@ def bic_select(models, dataset: Dataset, split_frac: float = 0.2, seed=None) -> 
     if not valid:
         raise NonConvergence("every candidate model failed to fit")
     best = min(valid.values())
-    ordering = REGISTRY_ORDER + [m.name for m in models if m.name not in REGISTRY_ORDER]
+    ordering = REGISTRY_ORDER + [name for name in names if name not in REGISTRY_ORDER]
     chosen = next(name for name in ordering if valid.get(name) == best)
     return SelectionReport(
         criteria=criteria,

@@ -287,8 +287,8 @@ class LikelihoodContext:
     reads: beside the product-limit fit and the kept censored records, it
     keeps ``lqhat`` and the tail log-sums ``cens_logsum`` (from which the
     variance's one pass recomputes the target and tail weights block by
-    block) and, with the score, ``qstar_ratio`` and the score rows ``psi``
-    (``psi3_cens`` censored); no (event time x record) array.
+    block) and, with the score, ``qstar_ratio`` and the per-record score rows
+    ``psi``, whose mean is the score; no (event time x record) array.
     """
 
     def __init__(self, model: SurvivalModel, dataset: Dataset):
@@ -320,7 +320,6 @@ class LikelihoodContext:
         self.cens_idx = kept[by_time]
         self.tail_start = tail_start[tail_ok][by_time]
         self.reach = np.searchsorted(self.tail_start, np.arange(self.K), side="right")
-        self.cens_by_record = np.argsort(by_time)
         self._cache_key = None
         self._cache_val = None
         # glibc raises its dynamic mmap threshold to the size of a freed
@@ -365,9 +364,10 @@ class LikelihoodContext:
         _check(own[0], "event density")
 
         # censored grid in blocks of record columns, each from its first
-        # record's tail row on: each tail log-sum is complete within its block
+        # record's tail row on: each tail log-sum is complete within its
+        # block, and each block writes its own records' score rows
         z_cens = ds.z_source[self.cens_idx]
-        cens_logsum, psi3 = np.empty(n_c), np.zeros((n_c, d))
+        cens_logsum, psi = np.empty(n_c), np.zeros((ds.n1, d))
 
         def censored_columns(m):
             k = slice(self.tail_start[m.start], K)
@@ -377,7 +377,8 @@ class LikelihoodContext:
             cens_logsum[m], tw, total = log_sum_weights(lc, axis=0)
             _check(cens_logsum[m], "censored tail")
             if need_score:
-                psi3[m] = (BlockSums(block[1], tw).over_times() - tw.T @ qstar_ratio[k]) / total.T
+                psi[self.cens_idx[m]] = (BlockSums(block[1], tw).over_times()
+                                         - tw.T @ qstar_ratio[k]) / total.T
 
         map_blocks(censored_columns, K - self.tail_start)
 
@@ -390,14 +391,10 @@ class LikelihoodContext:
             "loglik": loglik,
         }
         if need_score:
-            psi = np.zeros((ds.n1, d))                               # per-record score rows
-            unc_rows = full_gradient(own[1]) - qstar_ratio[self.k_of_unc]
-            psi[self.unc_idx] = unc_rows
-            psi[self.cens_idx] = psi3
+            psi[self.unc_idx] = full_gradient(own[1]) - qstar_ratio[self.k_of_unc]
             env["qstar_ratio"] = qstar_ratio
-            env["psi3_cens"] = psi3
             env["psi"] = psi
-            env["score"] = (unc_rows.sum(axis=0) + psi3[self.cens_by_record].sum(axis=0)) / ds.n1
+            env["score"] = psi.sum(axis=0) / ds.n1
         self._cache_key = theta.tobytes()
         self._cache_val = env
         return env

@@ -273,8 +273,8 @@ class SurvivalModel:
     def split(self, theta):
         """``(beta, baseline scalars)`` of a flat parameter vector."""
         theta = np.asarray(theta, dtype=float)
-        nb = len(self.baseline)
-        return theta[:-nb], theta[-nb:]
+        d_z = theta.shape[0] - len(self.baseline)
+        return theta[:d_z], theta[d_z:]
 
     def _u_args(self, theta, t, z):
         """``(t, u, *base)``, the arguments of the u-space functions."""

@@ -153,9 +153,9 @@ def ratio_estimate(x, delta, z, bandwidths="auto", grid=None) -> RatioEstimate:
         grid_z = np.atleast_2d(np.asarray(grid_z, dtype=float))
         grid_t = np.asarray(grid_t, dtype=float)
         m, d_z = grid_t.size, z_atoms.shape[1]
-        if grid_t.shape != (m,) or grid_z.shape != (m, d_z):
+        if m == 0 or grid_t.shape != (m,) or grid_z.shape != (m, d_z):
             raise ValidationError(f"grid of shapes {grid_z.shape} and {grid_t.shape}, "
-                                  f"need (m, {d_z}) and (m,)")
+                                  f"need (m, {d_z}) and (m,) with m >= 1")
         if not (np.isfinite(grid_z).all() and np.isfinite(grid_t).all()):
             raise ValidationError("grid points must be finite")
     h_z, h_t = _bandwidths(bandwidths, z_atoms, t_atoms)

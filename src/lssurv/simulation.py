@@ -29,7 +29,6 @@ from .likelihood import _set_threads, usable_cores
 from .models import SurvivalModel, get_model
 from .schemas import plain
 
-_LOG_HALF = math.log(0.5)
 _MAX_ROUNDS = 1000   # rejection rounds before the Metropolis-Hastings chains
 _PROPOSAL_SD = 0.5   # the chains' random-walk step
 

@@ -81,7 +81,8 @@ def _second_order_pass(ctx: LikelihoodContext, theta):
     and ``psi_qz = (tau_k @ q - sum_k M_k + n2 T) / n1``."""
     env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
     theta, model, ds = env["theta"], ctx.model, ctx.dataset
-    q, psi3, lqhat, cens_logsum = env["qstar_ratio"], env["psi3_cens"], env["lqhat"], env["cens_logsum"]
+    q, lqhat, cens_logsum = env["qstar_ratio"], env["lqhat"], env["cens_logsum"]
+    psi3 = env["psi"][ctx.cens_idx]
     ck = ctx.km.event_counts.astype(float)
     z_cens = ds.z_source[ctx.cens_idx]
     _, own = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 2)

@@ -15,7 +15,8 @@ Each keeps its own arithmetic, apart from the array code it checks:
 * ``target_weights`` and ``tail_weights`` are the dense (event time x
   record) weights of an evaluation, rebuilt from ``log_density``;
 * ``rectangle_columns`` is the censored tail pass over the whole masked
-  (event time x censored record) rectangle, in record order;
+  (event time x censored record) rectangle, all K rows in each column
+  block, and the per-record score rows it gives;
 * ``SURVIVAL`` holds each zoo model's survival function in closed form, in
   u-space, for the log-survival kernels;
 * ``kernel_partials`` rebuilds a u-space kernel's dense cell partials
@@ -207,32 +208,32 @@ def tail_weights(ctx, env):
 
 
 def rectangle_columns(ctx, theta):
-    """The log-likelihood and score with every censored tail summed over
-    all K event-time rows, masked beyond the censoring time, in column
-    blocks of the (K x n_c) rectangle with the kept censored records in
-    record order; the target rows and the event records as the evaluation
-    has them."""
+    """The log-likelihood and the per-record score rows (n1 x d, zero for a
+    dropped record) with every censored tail summed over all K event-time
+    rows, masked beyond the censoring time, in the evaluation's column
+    blocks of the (K x n_c) rectangle; the target rows and the event
+    records as the evaluation has them.  The blocks are the evaluation's
+    because a record's row depends in its last bits on the records beside
+    it: numpy and BLAS order a sum over event times by the block's shape."""
     env = ctx._evaluate(np.asarray(theta, dtype=float), need_score=True)
     theta, model, ds = env["theta"], ctx.model, ctx.dataset
     lqhat, qstar = env["lqhat"], env["qstar_ratio"]
-    cens = np.sort(ctx.cens_idx)
+    cens = ctx.cens_idx
     mask = ctx.tk[:, None] > ds.x[cens][None, :]
     z_cens = ds.z_source[cens]
-    logsum, psi3 = np.empty(cens.size), np.zeros((cens.size, theta.size))
-    step = max(1, lik._BLOCK_CELLS // ctx.K)
-    for m in (slice(a, a + step) for a in range(0, cens.size, step)):
+    logsum, psi = np.empty(cens.size), np.zeros((ds.n1, theta.size))
+    for m in lik._blocks(ctx.K - ctx.tail_start)[0]:
         lc, cells = model.terms(theta, ctx.tk[:, None], z_cens[m], 1)
         lc = ctx.logw[:, None] + lc - lqhat[:, None]
         lc[~mask[:, m]] = -np.inf
         logsum[m], tw, total = log_sum_weights(lc, axis=0)
-        psi3[m] = (BlockSums(cells, tw).over_times() - tw.T @ qstar) / total.T
+        psi[cens[m]] = (BlockSums(cells, tw).over_times() - tw.T @ qstar) / total.T
     own = model.terms(theta, ds.x[ctx.unc_idx], ds.z_source[ctx.unc_idx], 1)
     contrib = np.zeros(ds.n1)
     contrib[ctx.unc_idx] = own[0] - lqhat[ctx.k_of_unc]
     contrib[cens] = logsum
-    unc_rows = full_gradient(own[1]) - qstar[ctx.k_of_unc]
-    return (math.fsum(contrib) / ds.n1,
-            (unc_rows.sum(axis=0) + psi3.sum(axis=0)) / ds.n1)
+    psi[ctx.unc_idx] = full_gradient(own[1]) - qstar[ctx.k_of_unc]
+    return math.fsum(contrib) / ds.n1, psi
 
 
 def eta_q_hat(ctx, theta, x, z):

@@ -282,6 +282,7 @@ _PREDICT = ["predict", "--fit", "{fit}", "--z", "0,1"]
     _SELECT + ["--split", "nan"],
     _SELECT + ["--split", "0.001"],
     _SELECT + ["--split", "0.03"],
+    _SELECT + ["--models", "ph-weibull,ph-weibull"],
     _PREDICT + ["--g", "survival-at:-1"],
     _PREDICT + ["--g", "restricted-mean:nan"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))

@@ -96,7 +96,7 @@ def test_grid_contractions_match_dense_einsum(name, d_z):
     mask = ctx.tk[:, None] > ds.x[ctx.cens_idx]
     phi = np.where(mask, np.exp(model.log_density(theta, tcol, z_cens) - env["lqhat"][:, None]), 0.0)
     s0 = np.exp(env["cens_logsum"])
-    c_mat = env["psi3_cens"] / s0[:, None]
+    c_mat = env["psi"][ctx.cens_idx] / s0[:, None]
     np.testing.assert_allclose(_second_order_pass(ctx, theta)[3],
                                dense_psi_qz(ctx, env, phi, s0, c_mat, Gtgt, Gcen),
                                rtol=1e-10, atol=1e-12)

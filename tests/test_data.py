@@ -50,10 +50,28 @@ def test_dataset_rejections_are_deterministic():
         Dataset(np.array([1.0, 2.0]), np.array([1, 2]), np.zeros((2, 1)), np.zeros((1, 1)))
 
 
+_X, _D, _Z2 = np.array([1.0, 2.0]), np.array([1, 0]), np.zeros((2, 1))
+
+
+@pytest.mark.parametrize("x, delta, z_source, z_target, message", [
+    (_X[:, None], _D, _Z2, _Z2, "x and delta must be 1-d arrays of equal length"),
+    (_X, np.array([1, 0, 1]), _Z2, _Z2, "x and delta must be 1-d arrays of equal length"),
+    (_X, _D, np.zeros((3, 1)), _Z2, "z_source row count must equal len"),
+    (_X, _D, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)), "1-d or 2-d arrays, got 3-d source"),
+    (_X, _D, _Z2, np.zeros((2, 1, 1)), "1-d or 2-d arrays, got 2-d source and 3-d target"),
+    (_X, _D, np.array(0.0), _Z2, "1-d or 2-d arrays, got 0-d source"),
+], ids=["x-2d", "delta-length", "z-rows", "z-3d", "z-target-3d", "z-0d"])
+def test_malformed_arrays_name_their_fault(x, delta, z_source, z_target, message):
+    with pytest.raises(ValidationError, match=message):
+        Dataset(x, delta, z_source, z_target)
+
+
 def test_from_records_dimension_check():
     src = [SourceRecord(1.0, 1, np.zeros(2)), SourceRecord(2.0, 0, np.zeros(3))]
     with pytest.raises(ValidationError):
         Dataset.from_records(src, [TargetRecord(np.zeros(2))])
+    with pytest.raises(ValidationError, match="need at least two source records"):
+        Dataset.from_records([], [TargetRecord(np.zeros(1))])
 
 
 def test_an_empty_target_raises_empty_target():

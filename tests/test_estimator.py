@@ -572,6 +572,10 @@ def test_bic_select_excludes_failed_models():
     assert report.criteria["always-fails"] is None
     assert report.chosen == "ph-weibull"
     assert report.warnings
+    also_fails = _AlwaysFails()
+    also_fails.name = "also-fails"
+    with pytest.raises(NonConvergence, match="every candidate model failed to fit"):
+        bic_select([_AlwaysFails(), also_fails], ds, split_frac=0.3, seed=9)
 
 
 def test_fit_raises_domain_escape_when_nothing_evaluates():
@@ -603,6 +607,13 @@ def test_bic_select_needs_a_selection_part_it_can_fit(monkeypatch):
     for split in (0.001, 0.01):
         with pytest.raises(ValidationError, match=f"split {split} selects on"):
             bic_select(["ph-weibull", "ah-weibull"], ds, split_frac=split, seed=0)
+    # at split 0.995 the inference part keeps 2 source records, not both events
+    with pytest.raises(ValidationError, match="fewer than 2 source events to infer on"):
+        bic_select(["ph-weibull", "ah-weibull"], ds, split_frac=0.995, seed=0)
+    for names in (["ph-weibull", "ph-weibull"], ["ph-weibull", "ah-weibull", "ph-weibull"],
+                  ["ph-weibull", get_model("ph-weibull")]):
+        with pytest.raises(ValidationError, match="candidate models repeat"):
+            bic_select(names, ds, seed=0)
 
 
 def test_fit_result_json_roundtrip(fitted):

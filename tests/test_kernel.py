@@ -230,9 +230,23 @@ def test_tails_give_the_bits_of_the_masked_rectangle(case, cells, monkeypatch):
         model, ds, theta = _case(case)
     ctx = LikelihoodContext(model, ds)
     loglik, sc = ctx.value_and_score(theta)
-    want_loglik, want_score = rectangle_columns(ctx, theta)
+    want_loglik, want_psi = rectangle_columns(ctx, theta)
     np.testing.assert_array_equal(loglik, want_loglik)
-    np.testing.assert_array_equal(sc, want_score)
+    np.testing.assert_array_equal(ctx._evaluate(theta, need_score=True)["psi"], want_psi)
+    np.testing.assert_array_equal(sc, want_psi.sum(axis=0) / ds.n1)
+
+
+@pytest.mark.parametrize("name", REGISTRY_ORDER)
+def test_score_is_the_mean_of_the_score_rows(name):
+    ds = tail_dataset()
+    ctx = LikelihoodContext(get_model(name), ds)
+    theta = np.array([0.4, -0.3] + BASELINE[name])
+    _, sc = ctx.value_and_score(theta)
+    psi = ctx._evaluate(theta, need_score=True)["psi"]
+    np.testing.assert_array_equal(sc, psi.sum(axis=0) / ds.n1)
+    dropped = np.setdiff1d(np.arange(ds.n1), np.concatenate([ctx.unc_idx, ctx.cens_idx]))
+    assert dropped.size == ctx.n_dropped == 2
+    np.testing.assert_array_equal(psi[dropped], 0.0)
 
 
 def test_an_evaluation_keeps_no_grid():

@@ -9,6 +9,8 @@ from lssurv.errors import DomainError
 from lssurv.models import (
     REGISTRY,
     REGISTRY_ORDER,
+    F,
+    SurvivalModel,
     density,
     get_model,
     ratio_depends_on_z,
@@ -78,6 +80,44 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         ah.check_theta(np.array([0.0, 0.0, 1.0, 1.0 + 5e-7]), 2)
     ah.check_theta(np.array([0.0, 0.0, 1.0, 1.01]), 2)
+    with pytest.raises(DomainError, match="non-finite parameter"):
+        m.check_theta(np.array([0.0, np.nan, 1.0, 1.0]), 2)
+    # the checked public gradient: the method's values, the wrapper's checks
+    theta, z = np.array([0.3, -0.2, 1.0, 1.5]), np.array([0.5, 1.0])
+    np.testing.assert_array_equal(ls.log_density_grad(m, theta, 0.7, z),
+                                  m.log_density_grad(theta, 0.7, z))
+    for bad_theta, t in ((np.array([0.3, -0.2, -1.0, 1.5]), 0.7), (theta[:3], 0.7),
+                         (theta, -0.5), (theta, np.inf)):
+        with pytest.raises(DomainError):
+            ls.log_density_grad(m, bad_theta, t, z)
+
+
+class UnitExponentialPH(SurvivalModel):
+    """Proportional hazards with the unit exponential baseline, hazard
+    ``exp(u)``: a model with no baseline slot."""
+
+    name = "ph-unit-exponential"
+
+    def u_terms(self, t, u, order=0):
+        He = t * np.exp(u)
+        out = [u - He]
+        if order >= 1:
+            out += [1.0 - He, (F,)]                               # feature 1 - He
+        if order >= 2:
+            out.append(((F - 1.0,),))
+        return out
+
+
+def test_a_model_with_no_baseline_slot_is_all_regression():
+    m = UnitExponentialPH()
+    theta, z, t = np.array([1.0, 2.0]), np.array([0.5, -0.25]), np.array([0.3, 1.7])
+    beta, base = m.split(theta)
+    np.testing.assert_array_equal(beta, theta)
+    assert base.size == 0
+    u = z @ theta
+    np.testing.assert_allclose(m.log_density(theta, t, z), u - t * np.exp(u), rtol=1e-14)
+    grad = m.log_density_grad(theta, t, z)
+    np.testing.assert_allclose(grad, (1.0 - t * np.exp(u))[:, None] * z, rtol=1e-14)
 
 
 @pytest.mark.parametrize("name", REGISTRY_ORDER)
@@ -210,6 +250,8 @@ def test_ratio_diagnostic_rejects_equal_parameters():
     theta = np.array([1.0, 1.0, 1.0, 1.5])
     with pytest.raises(DomainError):
         ratio_depends_on_z(m, theta, theta.copy(), np.linspace(0.1, 2, 5), np.zeros((2, 2)))
+    with pytest.raises(DomainError, match="at least two z points"):
+        ratio_depends_on_z(m, theta, theta + 0.5, np.linspace(0.1, 2, 5), np.zeros((1, 2)))
 
 
 def test_fixture_density_normalizes():

@@ -191,7 +191,7 @@ def test_bad_bandwidths_raise_before_any_kernel(monkeypatch, entry, bandwidths, 
 
 
 def test_bad_ratio_grid_raises_before_any_kernel(monkeypatch):
-    # grid_z must be (m, d_z) and grid_t (m,), both finite (d_z = 2 here)
+    # grid_z must be (m, d_z) and grid_t (m,), m >= 1, both finite (d_z = 2 here)
     def no_kernel(*args):
         raise AssertionError("a kernel was built before the grid checks")
 
@@ -203,7 +203,8 @@ def test_bad_ratio_grid_raises_before_any_kernel(monkeypatch):
     nan_t = gt.copy()
     nan_t[2] = np.nan
     for grid, message in [((gz[:, :1], gt), "shapes"), ((np.hstack([gz, gz[:, :1]]), gt), "shapes"),
-                          ((gz, gt[:4]), "shapes"), ((gz, nan_t), "finite")]:
+                          ((gz, gt[:4]), "shapes"), ((gz, nan_t), "finite"),
+                          ((np.empty((0, 2)), np.empty(0)), "m >= 1")]:
         with pytest.raises(ValidationError, match=message):
             ratio_estimate(x, delta, z, grid=grid)
     with pytest.raises(AssertionError, match="a kernel was built"):      # a good grid passes

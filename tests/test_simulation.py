@@ -38,6 +38,8 @@ def test_qzspec_parsing_and_sampling():
     bad = z[:1].copy()
     bad[0, 3] = 0.5
     assert qz.log_pdf(bad)[0] == -np.inf
+    with pytest.raises(ValidationError, match="unknown covariate slot kind 'x'"):
+        QzSpec.from_string("n:0,x:1")
 
 
 @pytest.mark.parametrize("slots", [
