@@ -5,7 +5,8 @@ Writes one CSV block per (n1, n2) cell with the per-parameter MSE, bias,
 empirical SE, mean estimated SE and coverage, mirroring the layout used in
 the package's reference tables.  Each block is written as soon as its cell
 finishes.  A cell with too many failed replications is named on stderr and
-skipped; the script goes on with the remaining cells and exits 1 at the end.
+written from the replications that finished (none where fewer than 2 did);
+the script goes on with the remaining cells and exits 1 at the end.
 
 Example:
     python scripts/run_simulation_grid.py --model ph-weibull \
@@ -53,16 +54,18 @@ def main():
             try:
                 rep = run_mc_study(cfg, n_jobs=args.threads)
             except TooManyFailures as exc:
-                print(f"cell {n1}x{n2} skipped: TooManyFailures: {exc}", file=sys.stderr)
+                print(f"cell {n1}x{n2} failed: TooManyFailures: {exc}", file=sys.stderr)
                 failed.append(f"{n1}x{n2}")
-                continue
+                rep = exc.report
+                if rep is None:
+                    continue
             fh.writelines(f"{n1},{n2},{line}\n" for line in rep.to_csv().splitlines()[1:])
             fh.flush()
             print(f"done {n1}/{n2}: failures {rep.n_failed}, "
                   f"mean censoring {rep.mean_censoring:.3f}", file=sys.stderr)
     print(f"wrote {args.out}")
     if failed:
-        sys.exit(f"{len(failed)} cell(s) skipped: {', '.join(failed)}")
+        sys.exit(f"{len(failed)} cell(s) with too many failed replications: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

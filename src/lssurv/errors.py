@@ -62,4 +62,10 @@ class DegenerateBandwidth(LssurvError):
 
 
 class TooManyFailures(LssurvError):
-    """More than the tolerated fraction of Monte Carlo replications failed."""
+    """More than the tolerated fraction of Monte Carlo replications failed.
+
+    ``report`` is the ``McReport`` of the replications that finished, or
+    None where fewer than 2 did.
+    """
+
+    report = None

@@ -4,8 +4,10 @@ Positive parameter slots are log-transformed so the search is unconstrained;
 the analytic score is mapped through the chain rule.  One BFGS run from the
 source-only start decides: its end point converges when the score, read slot
 by slot with a positive slot below 1 in log coordinates, is within
-tolerance, and raises ``NonConvergence`` otherwise.  There is no restart and
-no second optimizer.  Both use the one ``LikelihoodContext`` built per fit,
+tolerance, and raises ``NonConvergence`` otherwise.  The start hands that
+run the inverse Hessian its own BFGS learned in the same coordinates, so
+the run does not begin from the identity.  There is no restart and no
+second optimizer.  Both use the one ``LikelihoodContext`` built per fit,
 which the variance then reads at the maximizer.
 """
 
@@ -68,6 +70,7 @@ class FitResult:
     warnings: list = field(default_factory=list)
     n0: int = 0
     d_z: int = 0
+    evaluations: int = 0           # objective-and-score calls of the BFGS run
 
     def to_json_dict(self) -> dict:
         sigma = None if self.sigma_hat is None else self.sigma_hat.ravel()
@@ -76,7 +79,8 @@ class FitResult:
             "se": self.se, "ci": self.ci, "loglik": self.loglik, "sigma": sigma,
             "d_theta": len(self.theta_hat), "d_z": self.d_z, "n0": self.n0,
             "convergence": {"converged": self.converged, "iterations": self.iterations,
-                            "grad_norm": self.grad_norm, "warnings": self.warnings},
+                            "evaluations": self.evaluations, "grad_norm": self.grad_norm,
+                            "warnings": self.warnings},
         })
 
     @classmethod
@@ -110,6 +114,7 @@ class FitResult:
             warnings=list(conv["warnings"]),
             n0=doc["n0"],
             d_z=doc["d_z"],
+            evaluations=conv.get("evaluations", 0),
         )
 
 
@@ -182,13 +187,17 @@ def _source_objective(model: SurvivalModel, dataset: Dataset):
     return nll
 
 
-def source_only_mle(model: SurvivalModel, dataset: Dataset) -> np.ndarray:
-    """Censored maximum likelihood on the source sample alone.
+def source_only_mle(model: SurvivalModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray | None]:
+    """Censored maximum likelihood on the source sample alone, and the
+    curvature its search learned: ``(theta, hess_inv)``.
 
     Consistent for theta when there is no shift; in general a starting
     point close enough to the basin of the full objective.  BFGS on the
     exact gradient (``_source_objective``), in the same log coordinates as
-    ``fit``, from the model's ``default_init``.
+    ``fit``, from the model's ``default_init``.  ``hess_inv`` is that run's
+    inverse Hessian scaled to ``fit``'s per-record objective, for ``fit``'s
+    BFGS to start from; None where the start falls back to ``default_init``
+    or the matrix is not positive definite.
     """
     theta0 = model.default_init(dataset.x, dataset.delta, dataset.z_source)
     to_eta, to_theta, _ = _transforms(model, dataset.d_z)
@@ -196,16 +205,24 @@ def source_only_mle(model: SurvivalModel, dataset: Dataset) -> np.ndarray:
     # a line-search step far out may overflow a kernel; nll is then inf
     with np.errstate(invalid="ignore", over="ignore"):
         res = optimize.minimize(nll, to_eta(theta0), jac=True, method="BFGS")
+    fallback = np.asarray(theta0, dtype=float), None
     try:
         theta = to_theta(res.x)
         model.check_theta(theta, dataset.d_z)
     except (DomainEscape, DomainError):
-        return np.asarray(theta0, dtype=float)
+        return fallback
     if np.max(np.abs(theta)) > 100.0:
         # a runaway source-only fit (e.g. a flat direction near an excluded
         # point) is a worse start than the crude moment initializer
-        return np.asarray(theta0, dtype=float)
-    return theta
+        return fallback
+    # the source objective is a sum over n1 records, fit's is their mean;
+    # BFGS takes only an exactly symmetric, positive definite matrix
+    hess_inv = 0.5 * (res.hess_inv + res.hess_inv.T) * dataset.n1
+    try:
+        np.linalg.cholesky(hess_inv)
+    except np.linalg.LinAlgError:
+        return theta, None
+    return theta, hess_inv
 
 
 def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) -> FitResult:
@@ -223,9 +240,10 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
         warnings.append(f"dropped {ctx.n_dropped} censored record(s) beyond the last event")
 
     if isinstance(init, str) and init == "auto":
-        theta0 = source_only_mle(model, dataset)
+        theta0, hess_inv0 = source_only_mle(model, dataset)
     else:
         theta0 = model.check_theta(np.asarray(init, dtype=float), dataset.d_z)
+        hess_inv0 = None
     to_eta, to_theta, jac_diag = _transforms(model, dataset.d_z)
 
     def neg(eta):
@@ -247,7 +265,7 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
         to_eta(theta0),
         jac=True,
         method="BFGS",
-        options={"gtol": 0.2 * opts.grad_tol, "maxiter": opts.max_iter},
+        options={"gtol": 0.2 * opts.grad_tol, "maxiter": opts.max_iter, "hess_inv0": hess_inv0},
     )
     iterations = int(res.nit)
     try:
@@ -282,6 +300,7 @@ def fit(model, dataset: Dataset, init="auto", opts: FitOptions | None = None) ->
         warnings=warnings,
         n0=dataset.n0,
         d_z=dataset.d_z,
+        evaluations=int(res.nfev),
     )
 
 

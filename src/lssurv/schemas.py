@@ -45,6 +45,7 @@ FIT_SCHEMA = {
             "properties": {
                 "converged": {"type": "boolean"},
                 "iterations": {"type": "integer"},
+                "evaluations": {"type": "integer", "minimum": 0},
                 "grad_norm": {"type": "number"},
                 "warnings": {"type": "array", "items": {"type": "string"}},
             },

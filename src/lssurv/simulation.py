@@ -289,6 +289,8 @@ def run_mc_study(config: SimConfig, n_jobs: int = 1) -> McReport:
 
     Per-replication seeds are derived from ``(config.seed, rep)`` so the
     study is reproducible and order-independent under any parallel schedule.
+    Where more than 10% of the replications fail, the ``TooManyFailures``
+    raised carries the report of those that finished as ``report``.
     """
     if config.n1 < 10 or config.n2 < 10 or config.n_reps < 2:
         raise ValidationError("Monte Carlo runs need n1, n2 >= 10 and n_reps >= 2")
@@ -309,15 +311,25 @@ def run_mc_study(config: SimConfig, n_jobs: int = 1) -> McReport:
     else:
         results = [_run_one_rep(config, r) for r in reps]
     results.sort(key=lambda r: r["rep"])
+    n_failed = sum("error" in r for r in results)
+    report = _mc_report(config, results) if config.n_reps - n_failed >= 2 else None
+    if n_failed > 0.10 * config.n_reps:
+        exc = TooManyFailures(f"{n_failed}/{config.n_reps} replications failed")
+        exc.report = report
+        raise exc
+    return report
+
+
+def _mc_report(config: SimConfig, results: list) -> McReport:
+    """The report of the replications in ``results`` that finished."""
     good = [r for r in results if "error" not in r]
-    failures = [f"rep {r['rep']}: {r['error']}" for r in results if "error" in r]
-    if len(failures) > 0.10 * config.n_reps:
-        raise TooManyFailures(f"{len(failures)}/{config.n_reps} replications failed")
+    failed = [r for r in results if "error" in r]
+    theta0 = config.theta()
     thetas = np.array([r["theta"] for r in good])
     ses = np.array([r["se"] for r in good])
     covered = np.array([r["covered"] for r in good])
     return McReport(
-        param_names=model.param_names(config.qz.d),
+        param_names=get_model(config.model).param_names(config.qz.d),
         theta_true=theta0,
         mse=np.mean((thetas - theta0) ** 2, axis=0),
         bias=np.mean(thetas, axis=0) - theta0,
@@ -325,9 +337,9 @@ def run_mc_study(config: SimConfig, n_jobs: int = 1) -> McReport:
         se_hat_mean=np.mean(ses, axis=0),
         cp=np.mean(covered, axis=0),
         n_reps=config.n_reps,
-        n_failed=len(failures),
-        failures=failures,
+        n_failed=len(failed),
+        failures=[f"rep {r['rep']}: {r['error']}" for r in failed],
         empty_tail_warnings=int(sum(r["empty_tail"] for r in good)),
         mean_censoring=float(np.mean([r["censoring"] for r in good])),
-        failure_counts=dict(Counter(r["kind"] for r in results if "error" in r)),
+        failure_counts=dict(Counter(r["kind"] for r in failed)),
     )

@@ -625,6 +625,24 @@ def test_fit_result_json_roundtrip(fitted):
     assert back.model_name == fr.model_name and back.n0 == fr.n0
 
 
+def test_fit_document_carries_its_evaluations(fitted):
+    import jsonschema
+
+    from lssurv.schemas import FIT_SCHEMA
+
+    _, fr = fitted
+    assert fr.evaluations >= fr.iterations > 0
+    doc = fr.to_json_dict()
+    jsonschema.validate(doc, FIT_SCHEMA)
+    assert doc["convergence"]["evaluations"] == fr.evaluations
+    assert FitResult.from_json_dict(doc).evaluations == fr.evaluations
+    # a document written before the count existed still loads
+    older = dict(doc, convergence={k: v for k, v in doc["convergence"].items()
+                                   if k != "evaluations"})
+    jsonschema.validate(older, FIT_SCHEMA)
+    assert FitResult.from_json_dict(older).evaluations == 0
+
+
 def test_malformed_fit_document_names_its_fault(fitted):
     _, fr = fitted
     doc = fr.to_json_dict()
@@ -746,11 +764,60 @@ def test_source_only_start_matches_simplex_search(name):
     cfg = ls.SimConfig(model=name, theta_true=GOLDEN_TRUTH[name], n1=120, n2=120)
     ds = ls.generate_dataset(cfg, np.random.default_rng(20250627))
     model = get_model(name)
-    got = source_only_mle(model, ds)
+    got, hess_inv = source_only_mle(model, ds)
     want = _simplex_start(model, ds)
     np.testing.assert_allclose(got, want, rtol=1e-5)
     nll, to_eta, _ = _source_nll(model, ds)
     assert nll(to_eta(got)) <= nll(to_eta(want)) + 1e-10
+    # the curvature handed to fit: exactly symmetric, positive definite and
+    # near n1 times the inverse of the source objective's Hessian (BFGS's
+    # estimate of it is within 15% here; a missing factor n1 misses by 120x)
+    np.testing.assert_array_equal(hess_inv, hess_inv.T)
+    np.linalg.cholesky(hess_inv)
+    eta, h = to_eta(got), 1e-4
+    steps = h * np.eye(eta.size)
+    hess = np.array([[(nll(eta + a + b) - nll(eta + a - b) - nll(eta - a + b)
+                       + nll(eta - a - b)) / (4 * h * h) for b in steps] for a in steps])
+    want_inv = ds.n1 * np.linalg.inv(hess)
+    assert np.max(np.abs(hess_inv - want_inv)) <= 0.3 * np.max(np.abs(want_inv))
+
+
+def test_curvature_from_the_start_saves_evaluations():
+    # the golden datasets that converge, fitted from the source-only start
+    # with its curvature and from the same point without it
+    from test_golden import load
+
+    seeded = unseeded = 0
+    for name in REGISTRY_ORDER:
+        doc, ds = load(name)
+        if doc["fit_error"] is not None:
+            continue
+        start, hess_inv = source_only_mle(get_model(name), ds)
+        assert hess_inv is not None
+        opts = FitOptions(skip_variance=True)
+        with_seed, without = fit(name, ds, opts=opts), fit(name, ds, init=start, opts=opts)
+        se = np.array(doc["se"])
+        assert np.all(np.abs(with_seed.theta_hat - without.theta_hat) <= 1e-3 * se), name
+        assert with_seed.evaluations <= without.evaluations, name
+        seeded += with_seed.evaluations
+        unseeded += without.evaluations
+    assert 0 < seeded < unseeded, (seeded, unseeded)
+
+
+def test_runaway_start_hands_no_curvature():
+    # ah-weibull on ph-weibull data: the source-only search runs away, the
+    # start falls back to default_init and BFGS starts from the identity
+    cfg = ls.SimConfig(model="ph-weibull", theta_true=(1, 1, 1, 1.5), n1=200, n2=200)
+    ds = ls.generate_dataset(cfg, np.random.default_rng(5))
+    model = get_model("ah-weibull")
+    start, hess_inv = source_only_mle(model, ds)
+    assert hess_inv is None
+    np.testing.assert_array_equal(start, model.default_init(ds.x, ds.delta, ds.z_source))
+    try:
+        fr = fit(model, ds, opts=FitOptions(skip_variance=True))
+    except LssurvError:
+        return
+    assert fr.converged and fr.evaluations >= fr.iterations
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_TRUTH))

@@ -59,4 +59,10 @@ def test_golden_fit(name):
     se = np.array(doc["se"])
     gap = np.abs(fr.theta_hat - np.array(doc["theta_hat"]))
     assert np.all(gap <= 1e-3 * se), (gap, se)
-    np.testing.assert_allclose(fr.se, se, rtol=1e-8)
+    # the SE is pinned where the fixture's fit stopped, a function of the
+    # data alone; BFGS may stop at another point within grad_tol, which
+    # moves the SE by a few parts in 1e6
+    sigma, _ = asymptotic_variance(LikelihoodContext(get_model(name), ds),
+                                   np.array(doc["theta_hat"]))
+    np.testing.assert_allclose(np.sqrt(np.diag(sigma) / ds.n0), se, rtol=RTOL)
+    np.testing.assert_allclose(fr.se, se, rtol=1e-5)

@@ -258,6 +258,36 @@ def test_too_many_failures(monkeypatch):
         run_mc_study(SimConfig(n1=100, n2=100, n_reps=3, seed=13), n_jobs=1)
 
 
+def test_too_many_failures_carries_the_finished_replications(monkeypatch):
+    import lssurv.simulation as sim
+
+    real_fit = sim.fit
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1 or fail_all:
+            raise ls.NonConvergence("forced")
+        return real_fit(*args, **kwargs)
+
+    fail_all = False
+    # 1 of 3 is more than the 10% a study tolerates; the other 2 are kept
+    monkeypatch.setattr(sim, "fit", first_fails)
+    config = SimConfig(n1=100, n2=100, n_reps=3, seed=13)
+    with pytest.raises(TooManyFailures, match="1/3 replications failed") as info:
+        run_mc_study(config, n_jobs=1)
+    rep = info.value.report
+    assert (rep.n_reps, rep.n_failed, rep.failure_counts) == (3, 1, {"NonConvergence": 1})
+    assert rep.failures == ["rep 0: NonConvergence: forced"]
+    thetas = [sim._run_one_rep(config, r)["theta"] for r in (1, 2)]
+    np.testing.assert_allclose(rep.bias, np.mean(thetas, axis=0) - config.theta(), rtol=1e-12)
+    # with fewer than 2 finished there is nothing to report
+    fail_all = True
+    with pytest.raises(TooManyFailures) as info:
+        run_mc_study(config, n_jobs=1)
+    assert info.value.report is None
+
+
 def test_mc_report_counts_failures_by_type(monkeypatch):
     import jsonschema
 
